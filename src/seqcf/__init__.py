@@ -22,8 +22,8 @@ from .dataset import (
     synthesize_corpus,
 )
 from .search import (
-    Candidate,
     GaConfig,
+    Population,
     crossover,
     explain,
     fitness,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlackBoxScorer",
-    "Candidate",
     "Catalog",
     "CategoryMap",
     "EnumerationBudgetError",
@@ -71,6 +70,7 @@ __all__ = [
     "InteractionLog",
     "MarkovScorer",
     "ModelFormatError",
+    "Population",
     "PopularityScorer",
     "ScoreVector",
     "SeedSpec",

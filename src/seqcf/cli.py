@@ -171,16 +171,7 @@ def cmd_explain(args) -> int:
     for user in users:
         source = split.train[user]
         if args.method == "gece":
-            rec = search.explain(
-                source,
-                setting,
-                model,
-                k,
-                config,
-                seed,
-                categories=split.categories,
-                threads=args.threads,
-            )
+            rec = search.explain(source, setting, model, k, config, seed, categories=split.categories)
         elif args.method == "random":
             rec = baselines.baseline_random(
                 source, setting, model, k, budget=budget, seed=seed, categories=split.categories
@@ -391,7 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-eval", dest="k_eval")
     p.add_argument("--mutation-weights", dest="mutation_weights")
     p.add_argument("--untargeted-rank-rule", dest="untargeted_rank_rule", choices=RANK_RULES)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; the search is single-threaded until "
+        "process-level parallelism over users lands, and output never depends on it",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +44,26 @@ def derive_stream(seed: SeedSpec | int, tags: Sequence[int]) -> np.random.Genera
     key = "|".join(str(int(t)) for t in (master, *tags)).encode("ascii")
     entropy = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
     return np.random.default_rng(entropy)
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file that replaces `path` only when the block completes.
+
+    Writes go to a temporary file beside `path` that `os.replace` moves into
+    place; if the block raises, the temporary file is removed and `path`
+    keeps its earlier content.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -80,6 +103,14 @@ class CategoryMap:
 
     def of(self, item: int) -> frozenset[int]:
         return self.categories_of[item]
+
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """(items, categories) bool matrix; [i, c] is True when item i carries c."""
+        out = np.zeros((len(self.categories_of), self.num_categories), dtype=bool)
+        for item, cats in enumerate(self.categories_of):
+            out[item, list(cats)] = True
+        return out
 
     def members(self, category: int) -> tuple[int, ...]:
         """Items carrying the given category, in ascending item order."""

@@ -23,6 +23,7 @@ from .core import (
     Catalog,
     CategoryMap,
     UserSequence,
+    atomic_write,
     derive_stream,
 )
 
@@ -247,7 +248,7 @@ def save_split(split: SplitDataset, path) -> None:
         "validation": {str(u): i for u, i in split.validation.items()},
         "test": {str(u): i for u, i in split.test.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
@@ -358,13 +359,13 @@ def synthesize_corpus(
 
 
 def write_interactions(logdata: InteractionLog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for u, i, ts in logdata.rows:
             fh.write(f"{u}\t{i}\t{ts}\n")
 
 
 def write_categories(categories: dict[str, tuple[str, ...]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ext in _sorted_external_ids(categories):
             fh.write(f"{ext}\t{'|'.join(categories[ext])}\n")
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CategoryMap, as_items
+from .core import CategoryMap, as_items, atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ScoreVector
@@ -118,27 +118,27 @@ def _score_values(scores) -> np.ndarray:
     return np.asarray(scores, dtype=float)
 
 
+def _mean_distance(records: "Sequence[ExplanationRecord]", field: str) -> float:
+    if not records:
+        raise ValueError("no records")
+    found = [getattr(r, field) for r in records if r.counterfactual is not None]
+    if not found:
+        raise ValueError("every record lacks a counterfactual")
+    return float(np.mean(found))
+
+
 def mean_hamming(records: "Sequence[ExplanationRecord]") -> float:
     """Mean Hamming distance over records that carry a counterfactual.
 
     Records without a counterfactual are excluded; callers that need the
     excluded count should consult `aggregate_report`.
     """
-    if not records:
-        raise ValueError("no records")
-    found = [r.hamming for r in records if r.counterfactual is not None]
-    if not found:
-        raise ValueError("every record lacks a counterfactual")
-    return float(np.mean(found))
+    return _mean_distance(records, "hamming")
 
 
 def mean_levenshtein(records: "Sequence[ExplanationRecord]") -> float:
-    if not records:
-        raise ValueError("no records")
-    found = [r.levenshtein for r in records if r.counterfactual is not None]
-    if not found:
-        raise ValueError("every record lacks a counterfactual")
-    return float(np.mean(found))
+    """Mean edit distance over records that carry a counterfactual (see `mean_hamming`)."""
+    return _mean_distance(records, "levenshtein")
 
 
 def aggregate_report(
@@ -219,7 +219,7 @@ def write_report_csv(path, rows: Iterable[dict], config: Mapping | None = None) 
     """Write report rows as CSV; the resolved run config rides in '#' comments."""
     rows = list(rows)
     columns = list(rows[0].keys()) if rows else list(REPORT_COLUMNS)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         if config is not None:
             fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.DictWriter(fh, fieldnames=columns)
@@ -243,7 +243,7 @@ def read_report_csv(path) -> tuple[dict, list[dict]]:
 
 def write_report_json(path, rows: Iterable[dict], config: Mapping | None = None) -> None:
     doc = {"config": dict(config) if config else {}, "rows": list(rows)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

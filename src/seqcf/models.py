@@ -20,7 +20,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .core import UserSequence, as_items
+from .core import UserSequence, as_items, atomic_write
 
 MODEL_MAGIC = "SEQCF-MODEL"
 MODEL_VERSION = 1
@@ -244,9 +244,6 @@ def train_markov(
     return MarkovScorer(transition=trans, frequency=freq, alpha=alpha, beta=beta, mask_seen=mask_seen)
 
 
-_SCORER_KINDS = {"markov", "popularity"}
-
-
 def save_model(model, path) -> None:
     """Persist a count-based scorer as a JSON container."""
     if isinstance(model, MarkovScorer):
@@ -265,12 +262,28 @@ def save_model(model, path) -> None:
     else:
         raise ModelFormatError(f"cannot persist scorer of type {type(model).__name__}")
     doc = {"magic": MODEL_MAGIC, "version": MODEL_VERSION, "kind": kind, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 
+_PARAMS = {"markov": {"alpha", "beta", "mask_seen"}, "popularity": {"alpha", "mask_seen"}}
+
+
+def _counts(doc: dict, key: str, ndim: int) -> np.ndarray:
+    try:
+        counts = np.asarray(doc[key], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"model field {key!r} is missing or not an integer array") from exc
+    if counts.ndim != ndim:
+        raise ModelFormatError(f"model field {key!r} must be {ndim}-dimensional, got shape {counts.shape}")
+    if counts.min(initial=0) < 0:  # a reduction: no count-sized temporary
+        raise ModelFormatError(f"model field {key!r} holds negative counts")
+    return counts
+
+
 def load_model(path):
+    """Read a model file written by `save_model`, checking it before use."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -281,13 +294,26 @@ def load_model(path):
     if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     kind = doc.get("kind")
+    if kind not in _PARAMS:
+        raise ModelFormatError(f"unknown scorer kind {kind!r}")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ModelFormatError("model params must be an object")
+    unknown = sorted(set(params) - _PARAMS[kind])
+    if unknown:
+        raise ModelFormatError(f"unknown {kind} params {unknown}")
+    frequency = _counts(doc, "frequency", 1)
     if kind == "markov":
-        return MarkovScorer(
-            transition=np.asarray(doc["transition"], dtype=np.int64),
-            frequency=np.asarray(doc["frequency"], dtype=np.int64),
-            **params,
-        )
-    if kind == "popularity":
-        return PopularityScorer(frequency=np.asarray(doc["frequency"], dtype=np.int64), **params)
-    raise ModelFormatError(f"unknown scorer kind {kind!r}")
+        transition = _counts(doc, "transition", 2)
+        if transition.shape[0] != transition.shape[1]:
+            raise ModelFormatError(f"transition must be square, got shape {transition.shape}")
+        if frequency.shape != (transition.shape[0],):
+            raise ModelFormatError(
+                f"frequency shape {frequency.shape} does not match transition shape {transition.shape}"
+            )
+    try:
+        if kind == "markov":
+            return MarkovScorer(transition=transition, frequency=frequency, **params)
+        return PopularityScorer(frequency=frequency, **params)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"invalid {kind} model: {exc}") from exc

@@ -101,9 +101,9 @@ def valid_from_topk(
 ) -> bool:
     """Validity decision given the candidate's top-k ids and normalized scores.
 
-    This is the single decision path; `is_valid` and the search evaluator
-    both funnel through it. `topk_ids`/`topk_scores` must cover at least k
-    entries sorted by descending score (ties by ascending id).
+    This is the scalar decision path behind `is_valid`, and the reference
+    for `valid_from_topk_batch`. `topk_ids`/`topk_scores` must cover at
+    least k entries sorted by descending score (ties by ascending id).
     """
     if topk_ids[0] == source_top1:
         # the recommendation did not change, so nothing counts as a
@@ -128,6 +128,36 @@ def valid_from_topk(
     return any(
         setting.target_category in cats.of(i) and s >= t for i, s in zip(ids, scores)
     )
+
+
+def valid_from_topk_batch(
+    setting: SettingSpec,
+    source_top1: int,
+    topk_ids: np.ndarray,
+    topk_scores: np.ndarray,
+    categories: CategoryMap | None = None,
+) -> np.ndarray:
+    """`valid_from_topk` for a batch: one bool per row of (rows, k) top-k arrays.
+
+    Category lookups go through the (items, categories) membership matrix
+    instead of per-item sets.
+    """
+    ids, scores = np.asarray(topk_ids), np.asarray(topk_scores)
+    t = setting.threshold
+    # an unchanged recommendation is never a counterfactual
+    changed = ids[:, 0] != source_top1
+    if not setting.targeted and not setting.categorized:
+        ok = scores[:, 0] >= t
+        if setting.untargeted_rank_rule == "topk_absence":
+            ok &= ~(ids == source_top1).any(axis=1)
+        return changed & ok
+    if setting.targeted and not setting.categorized:
+        return changed & ((ids == setting.target_item) & (scores >= t)).any(axis=1)
+    member = _require_categories(setting, categories).membership
+    if not setting.targeted and setting.categorized:
+        shared = (member[ids[:, 0]] & member[source_top1]).any(axis=1)
+        return changed & ~shared & (scores[:, 0] >= t)
+    return changed & (member[ids, setting.target_category] & (scores >= t)).any(axis=1)
 
 
 def is_valid(

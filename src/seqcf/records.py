@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .core import atomic_write
 from .objective import SettingSpec
 
 RECORDS_FORMAT = "seqcf-explanations.v1"
@@ -62,14 +63,18 @@ class ExplanationRecord:
 
 
 def write_records(path, records, config: dict | None = None) -> None:
-    """One JSON object per line; the first line is a provenance header."""
+    """One JSON object per line; the first line is a provenance header.
+
+    The file is replaced atomically: a failure part-way leaves any earlier
+    file at `path` as it was.
+    """
     header = {
         "record_type": "header",
         "format": RECORDS_FORMAT,
         "normalization": NORMALIZATION_NOTE,
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")

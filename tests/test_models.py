@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -179,6 +181,42 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text('{"magic": "SEQCF-MODEL", "version": 99, "kind": "markov"}')
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @staticmethod
+    def _tamper(tmp_path, edit):
+        model = train_markov(seqs({1: (0, 1, 2), 2: (2, 1)}), 3)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("field", ["transition", "frequency"])
+    def test_negative_counts_rejected(self, tmp_path, field):
+        def edit(doc):
+            if field == "transition":
+                doc["transition"][1][0] = -4
+            else:
+                doc["frequency"][2] = -1
+
+        with pytest.raises(ModelFormatError, match=f"{field}.*negative"):
+            load_model(self._tamper(tmp_path, edit))
+
+    def test_unknown_params_rejected(self, tmp_path):
+        path = self._tamper(tmp_path, lambda doc: doc["params"].update(gamma=0.3))
+        with pytest.raises(ModelFormatError, match="unknown markov params.*gamma"):
+            load_model(path)
+
+    def test_non_square_transition_rejected(self, tmp_path):
+        path = self._tamper(tmp_path, lambda doc: doc["transition"].pop())
+        with pytest.raises(ModelFormatError, match="square"):
+            load_model(path)
+
+    def test_frequency_shape_mismatch_rejected(self, tmp_path):
+        path = self._tamper(tmp_path, lambda doc: doc["frequency"].append(5))
+        with pytest.raises(ModelFormatError, match="does not match"):
             load_model(path)
 
     def test_unwritable_path_errors(self, tmp_path):

@@ -60,3 +60,18 @@ def test_write_is_byte_stable(tmp_path):
     write_records(a, records, config={"x": 1})
     write_records(b, records, config={"x": 1})
     assert a.read_bytes() == b.read_bytes()
+
+
+class Unwritable:
+    def to_dict(self):
+        raise RuntimeError("record cannot be serialized")
+
+
+def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_records(path, [make_record(user=1)], config={"x": 1})
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="serialized"):
+        write_records(path, [make_record(user=2), Unwritable()], config={"x": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
