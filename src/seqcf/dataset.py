@@ -264,9 +264,25 @@ def load_split(path) -> SplitDataset:
         num_items=doc["catalog"]["num_items"],
         item_labels=tuple(labels) if labels else None,
     )
+    m = catalog.num_items
+    # min/max reductions per sequence: no per-item Python step and no
+    # split-sized temporary array
+    for field, groups in (
+        ("train", doc["train"].values()),
+        ("validation", [doc["validation"].values()]),
+        ("test", [doc["test"].values()]),
+    ):
+        for ids in groups:
+            if ids and not (0 <= min(ids) and max(ids) < m):
+                bad = next(i for i in ids if not 0 <= i < m)
+                raise ValueError(f"{path}: {field} holds item {bad} outside the catalog [0, {m})")
     categories = None
     if doc.get("categories"):
         cdoc = doc["categories"]
+        if len(cdoc["items"]) != m:
+            raise ValueError(
+                f"{path}: categories.items covers {len(cdoc['items'])} items, catalog.num_items is {m}"
+            )
         categories = CategoryMap(
             categories_of=tuple(frozenset(s) for s in cdoc["items"]),
             num_categories=cdoc["num_categories"],

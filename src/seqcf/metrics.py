@@ -72,28 +72,66 @@ def levenshtein(a, b) -> int:
 def levenshtein_batch(
     source: Sequence[int], rows: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Edit distance from `source` to each padded row.
+    """Edit distance from `source` to each padded row; `levenshtein` is the reference.
 
-    `rows` is (B, W) int, padded with NULL_ITEM beyond each row's length;
-    padding never equals a real item so it cannot disturb earlier columns.
-    The in-row insertion recurrence is resolved with a min-plus prefix scan
-    so the whole batch advances one source position per numpy step.
+    `rows` is (B, W) int, padded with NULL_ITEM beyond each row's length,
+    and each row's distance is read at its own length. Bit-parallel, after
+    Myers (J. ACM 46(3), 1999) in Hyyro's edit-distance form: one DP column
+    over the source positions is held as bit-vectors of its vertical +1/-1
+    steps, one uint64 word per 64 source items with carries passed from
+    word to word, and the whole batch advances one row column per step.
+    A cell's bitmask of the source positions holding its item is looked up
+    through a table over the range of the source's item ids.
     """
     src = np.asarray(as_items(source), dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
+    n = len(src)
+    if n == 0:
+        return lengths.copy()
     n_rows, width = rows.shape
-    dist = np.tile(np.arange(width + 1, dtype=np.int64), (n_rows, 1))
-    offsets = np.arange(1, width + 1, dtype=np.int64)
-    for i, s in enumerate(src, start=1):
-        step = np.minimum(dist[:, :-1] + (rows != s), dist[:, 1:] + 1)
-        scan = np.empty_like(dist)
-        scan[:, 0] = i
-        scan[:, 1:] = step - offsets
-        np.minimum.accumulate(scan, axis=1, out=scan)
-        dist = scan
-        dist[:, 1:] += offsets
-    return dist[np.arange(n_rows), lengths]
+    n_words = -(-n // 64)
+    one = np.uint64(1)
+
+    # peq[w, u]: word w of the bitmask of source positions holding the u-th
+    # distinct source item; column U, all zero, serves every other item
+    items, inverse = np.unique(src, return_inverse=True)
+    pos = np.arange(n)
+    peq = np.zeros((n_words, len(items) + 1), dtype=np.uint64)
+    np.bitwise_or.at(peq, (pos // 64, inverse), one << (pos % 64).astype(np.uint64))
+    # u of each cell through a table over the source's id range [lo, hi];
+    # ids outside it (padding too) clip to its ends, which map to U
+    lo, span = items[0], items[-1] - items[0]
+    table = np.full(span + 2, len(items))
+    table[items - lo] = np.arange(len(items))
+    eqs = peq[:, table[np.clip(rows.T - lo, -1, span + 1)]]  # (words, W, B)
+
+    last_bit = np.full(n_words, 63, dtype=np.uint64)
+    last_bit[-1] = (n - 1) % 64
+    pv = np.full((n_words, n_rows), ~np.uint64(0))  # D[i][0] = i: every vertical step +1
+    mv = np.zeros((n_words, n_rows), dtype=np.uint64)
+    # steps[j + 1]: D[n][j + 1] - D[n][j], the horizontal step out of the last word
+    steps = np.zeros((width + 1, n_rows), dtype=np.int64)
+    for j in range(width):
+        # the first DP row is D[0][j] = j, so word 0 takes a +1 step in at bit 0
+        h_pos, h_neg = one, np.uint64(0)
+        for w in range(n_words):
+            p, m = pv[w], mv[w]
+            eq = eqs[w, j]
+            xv = eq | m
+            eq = eq | h_neg  # a -1 step coming in acts as a match at bit 0
+            xh = (((eq & p) + p) ^ p) | eq
+            ph = m | ~(xh | p)
+            mh = p & xh
+            out_pos, out_neg = (ph >> last_bit[w]) & one, (mh >> last_bit[w]) & one
+            ph = (ph << one) | h_pos
+            mh = (mh << one) | h_neg
+            pv[w] = mh | ~(xv | ph)
+            mv[w] = ph & xv
+            h_pos, h_neg = out_pos, out_neg  # carried into the next word
+        np.subtract(h_pos, h_neg, out=steps[j + 1], casting="unsafe")
+    # D[n][0] = n; each row reads its distance at its own length
+    return n + np.cumsum(steps, axis=0)[lengths, np.arange(n_rows)]
 
 
 def fidelity_at_k(scores, k: int, t: float) -> float:

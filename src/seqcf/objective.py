@@ -197,16 +197,12 @@ def loss_weights(
     if setting.targeted and not setting.categorized:
         w[setting.target_item] = 1.0
         return w, True
-    cats = _require_categories(setting, categories)
+    member = _require_categories(setting, categories).membership
     if not setting.targeted and setting.categorized:
-        source_cats = cats.of(top_k(source_scores, 1)[0])
-        for i in range(num_items):
-            if cats.of(i) & source_cats:
-                w[i] = 1.0
+        # items sharing a category with the source's top-1
+        w[:] = member @ member[top_k(source_scores, 1)[0]]
         return w, False
-    for i in range(num_items):
-        if setting.target_category in cats.of(i):
-            w[i] = 1.0
+    w[:] = member[:, setting.target_category]
     return w, True
 
 

@@ -18,7 +18,10 @@ numpy steps whatever N is, plus one cache lookup per new row: `mutate_rows`
 and `crossover_rows` are the array forms of the scalar operators `mutate_*`
 and `crossover` (kept as their reference and used by the baselines), only
 sequences not seen before in the run are scored, in one model batch, and
-selection is one lexsort.
+selection is one lexsort. Scoring a batch takes its softmax, its top-k
+(an argmax for k = 1, otherwise `top_k_rows`, a row-wise partition that
+sorts only the k picks, the array form of `top_k`) and its edit distances
+to the source (`levenshtein_batch`, bit-parallel).
 
 Everything is reproducible: randomness comes from streams keyed by
 (master seed, purpose, user, generation), and evaluation is pure, so the
@@ -44,7 +47,7 @@ from .core import (
     derive_stream,
 )
 from .metrics import NULL_ITEM, hamming, levenshtein_batch
-from .models import ScoreVector, score_batch_logits, softmax, top_k
+from .models import ScoreVector, score_batch_logits, softmax, top_k, top_k_rows
 from .objective import SettingSpec, is_valid, loss_weights, valid_from_topk_batch
 from .records import ExplanationRecord
 
@@ -393,8 +396,7 @@ class _RowEvaluator:
             # argmax picks the first max, which is the ascending-id tie-break
             ids = np.argmax(norm, axis=-1)[:, None]
         else:
-            ids_grid = np.broadcast_to(np.arange(self.m), norm.shape)
-            ids = np.lexsort((ids_grid, -norm), axis=-1)[:, : self.k]
+            ids = top_k_rows(norm, self.k)
         scores = np.take_along_axis(norm, ids, axis=-1)
         valid = valid_from_topk_batch(self.setting, self.source_top1, ids, scores, self.categories)
         fitness = combine_fitness(lev, loss, self.config.edit_weight, self.config.max_len)

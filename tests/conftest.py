@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqcf import UserSequence, train_markov
+from seqcf.core import CategoryMap
 from seqcf.models import ScoreVector
 
 
@@ -55,6 +56,14 @@ class QueuedRng:
 
     def random(self):
         return self._floats.pop(0)
+
+
+def overlapping_categories(m):
+    # some items carry two categories, so un_cat overlap checks see sets
+    return CategoryMap(
+        categories_of=tuple(frozenset({i % 3} | ({(i + 1) % 3} if i % 4 == 0 else set())) for i in range(m)),
+        num_categories=3,
+    )
 
 
 def seqs(mapping, max_len=50):

@@ -115,6 +115,7 @@ def test_c03_oracle_equivalence_for_genetic_search():
     report(3, ok, f"distance match {matches}/50, beats-oracle {beats} (must be 0)")
 
 
+@pytest.mark.slow
 def test_c04_untargeted_easy_reproduction(reference_split, reference_model):
     setting = SettingSpec.from_name("un_un")
     cfg = GaConfig(generations=30, population_size=1024, max_len=reference_split.max_len)
@@ -131,6 +132,7 @@ def test_c04_untargeted_easy_reproduction(reference_split, reference_model):
     report(4, ok, f"valid fraction {fraction:.3f} (>=0.95), mean edit distance {mean_lev:.3f} (<=1.5)")
 
 
+@pytest.mark.slow
 def test_c05_targeted_categorized_dominance(reference_split, reference_model):
     cats = reference_split.categories
     cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len)

@@ -14,7 +14,7 @@ from seqcf import (
     synthesize_corpus,
 )
 from seqcf.core import derive_stream
-from seqcf.dataset import sample_target_item, sample_users, write_interactions
+from seqcf.dataset import sample_target_item, sample_users, write_categories, write_interactions
 
 
 def rows_of(*triples):
@@ -187,6 +187,36 @@ class TestSplitRoundTrip:
         assert loaded.catalog == split.catalog
         doc = json.loads(path.read_text())
         assert set(doc) >= {"catalog", "categories", "train", "validation", "test"}
+
+    def _saved_doc(self, tmp_path):
+        logdata, cats = synthesize_corpus(num_users=20, num_items=30, seed=2)
+        split = leave_one_out_split(logdata)
+        path = tmp_path / "cats.tsv"
+        write_categories(cats, path)
+        path = tmp_path / "split.json"
+        save_split(split.with_categories(load_categories(tmp_path / "cats.tsv", split.catalog)), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field", ["train", "validation", "test"])
+    def test_item_outside_catalog_rejected(self, tmp_path, field):
+        path, doc = self._saved_doc(tmp_path)
+        # 30 is the first id past the 30-item catalog
+        bad = {"train": 99999, "validation": 30, "test": -1}[field]
+        user = next(iter(doc[field]))
+        if field == "train":
+            doc[field][user][-1] = bad
+        else:
+            doc[field][user] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"{field} holds item {bad} outside the catalog \[0, 30\)"):
+            load_split(path)
+
+    def test_category_map_length_mismatch_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["categories"]["items"] = doc["categories"]["items"][:-5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="categories.items covers 25 items, catalog.num_items is 30"):
+            load_split(path)
 
 
 class TestSynthetic:

@@ -115,10 +115,15 @@ class TestLevenshtein:
         if len(a) == len(b):
             assert levenshtein(a, b) <= hamming(a, b)
 
-    @settings(max_examples=60)
-    @given(st.lists(short_seq, min_size=1, max_size=12))
-    def test_batch_agrees_with_scalar(self, cands):
-        source = (0, 1, 2, 3, 4)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([5, 0, 1, 63, 64, 65, 130]),
+        st.lists(short_seq | st.lists(st.integers(0, 6), max_size=140).map(tuple), min_size=1, max_size=12),
+    )
+    def test_batch_agrees_with_scalar(self, n, cands):
+        # sources past 64 items span several bit-vector words; items repeat
+        # in source and rows, and 6 is never in the source; n = 0 is empty
+        source = tuple(range(5)) if n == 5 else tuple(np.random.default_rng(n).integers(0, 6, size=n).tolist())
         cands = [c if c else (9,) for c in cands]
         width = max(len(c) for c in cands)
         rows = np.full((len(cands), width), NULL_ITEM, dtype=np.int64)

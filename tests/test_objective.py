@@ -4,8 +4,9 @@ import pytest
 from seqcf import SettingSpec, is_valid, objective_loss, verify_eps_vcs
 from seqcf.core import CategoryMap
 from seqcf.models import ScoreVector, top_k
+from seqcf.objective import loss_weights
 
-from conftest import SumScorer, seqs
+from conftest import SumScorer, overlapping_categories, seqs
 
 
 def sv(*probs):
@@ -169,6 +170,23 @@ class TestObjectiveLoss:
             cand = ScoreVector(logits)
             assert objective_loss(setting, source, cand) == 0.0
             assert is_valid(setting, source, cand, 1)
+
+
+class TestLossWeights:
+    def test_categorized_weights_equal_the_set_definition(self):
+        m = 12
+        cats = overlapping_categories(m)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            source = ScoreVector(rng.normal(size=m))
+            top1 = top_k(source, 1)[0]
+            w, targeted = loss_weights(SettingSpec.from_name("un_cat"), source, m, cats)
+            assert not targeted
+            assert w.tolist() == [float(bool(cats.of(i) & cats.of(top1))) for i in range(m)]
+        for c in range(cats.num_categories):
+            w, targeted = loss_weights(SettingSpec.from_name("targ_cat", target_category=c), source, m, cats)
+            assert targeted
+            assert w.tolist() == [float(c in cats.of(i)) for i in range(m)]
 
 
 class TestVerifier:

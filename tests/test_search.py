@@ -18,13 +18,13 @@ from seqcf import (
     verify_eps_vcs,
 )
 from seqcf.cli import main
-from seqcf.core import CategoryMap, derive_stream
+from seqcf.core import derive_stream
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.search import _RowEvaluator, crossover_rows, mutate_rows, splice_rows
 
-from conftest import ConstScorer, EchoScorer, QueuedRng, seqs
+from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
 
 
 def chi_square(counts, expected):
@@ -270,14 +270,6 @@ class TestCrossoverRows:
                 assert len(set(child)) == len(child)
 
 
-def overlapping_categories(m):
-    # some items carry two categories, so un_cat overlap checks see sets
-    return CategoryMap(
-        categories_of=tuple(frozenset({i % 3} | ({(i + 1) % 3} if i % 4 == 0 else set())) for i in range(m)),
-        num_categories=3,
-    )
-
-
 class TestRowEvaluator:
     SETTINGS = [
         SettingSpec.from_name("un_un", threshold=0.2),
@@ -289,7 +281,9 @@ class TestRowEvaluator:
 
     @pytest.mark.parametrize("scorer", ["markov", "const", "echo"])
     @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
-    @pytest.mark.parametrize("k", [1, 3])
+    # k = 1 takes the argmax path, k > 1 `top_k_rows`; the const and echo
+    # scorers tie every item but one, so the k-th score is tied across the cut
+    @pytest.mark.parametrize("k", [1, 3, 10, 12])
     def test_matches_scalar_references(self, walk_markov, scorer, setting, k):
         model = {"markov": walk_markov, "const": ConstScorer(12), "echo": EchoScorer(12)}[scorer]
         cats = overlapping_categories(12)
