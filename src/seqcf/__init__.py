@@ -9,7 +9,7 @@ hard in general.
 """
 
 from .baselines import SettingNotApplicableError, baseline_educated, baseline_random
-from .core import Catalog, CategoryMap, SeedSpec, UserSequence, derive_stream
+from .core import Catalog, CategoryMap, UserSequence, derive_stream
 from .dataset import (
     InteractionLog,
     SplitDataset,
@@ -73,7 +73,6 @@ __all__ = [
     "Population",
     "PopularityScorer",
     "ScoreVector",
-    "SeedSpec",
     "SettingNotApplicableError",
     "SettingSpec",
     "SplitDataset",

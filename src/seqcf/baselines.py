@@ -4,46 +4,12 @@ from __future__ import annotations
 
 from .core import TAG_BASELINE, CategoryMap, UserSequence, as_items, derive_stream
 from .search import mutate_replace
-from .metrics import hamming, levenshtein
-from .models import top_k
 from .objective import SettingSpec, is_valid
-from .records import ExplanationRecord
+from .records import ExplanationRecord, explanation_record
 
 
 class SettingNotApplicableError(ValueError):
     """The requested baseline has no defined behaviour in this regime."""
-
-
-def _finish(user, method, setting, source_items, cand, edits, seed, model, categories, k):
-    src_scores = model.score(source_items)
-    m = model.num_items
-    ks = [kk for kk in setting.k_eval if kk <= m]
-    if cand is None:
-        return ExplanationRecord(
-            user=user,
-            method=method,
-            setting=setting,
-            source=source_items,
-            counterfactual=None,
-            valid_at_k={kk: False for kk in ks},
-            hamming=None,
-            levenshtein=None,
-            generation_found=None,
-            seed=seed,
-        )
-    cf_scores = model.score(cand)
-    return ExplanationRecord(
-        user=user,
-        method=method,
-        setting=setting,
-        source=source_items,
-        counterfactual=cand,
-        valid_at_k={kk: is_valid(setting, src_scores, cf_scores, kk, categories) for kk in ks},
-        hamming=hamming(source_items, cand),
-        levenshtein=levenshtein(source_items, cand),
-        generation_found=edits,
-        seed=seed,
-    )
 
 
 def baseline_random(
@@ -71,8 +37,8 @@ def baseline_random(
     for edit in range(1, budget + 1):
         items = mutate_replace(items, model.num_items, rng)
         if is_valid(setting, src_scores, model.score(items), k, categories):
-            return _finish(user, "random", setting, source_items, items, edit, seed, model, categories, k)
-    return _finish(user, "random", setting, source_items, None, None, seed, model, categories, k)
+            return explanation_record(source, "random", setting, model, items, edit, seed, categories)
+    return explanation_record(source, "random", setting, model, None, None, seed, categories)
 
 
 def baseline_educated(
@@ -110,15 +76,13 @@ def baseline_educated(
             raise ValueError(f"target item {target} outside the catalog")
         if target in source_items:
             # the target cannot be substituted in without duplicating itself
-            return _finish(user, "educated", setting, source_items, None, None, seed, model, categories, k)
+            return explanation_record(source, "educated", setting, model, None, None, seed, categories)
         for attempt in range(1, budget + 1):
             i = int(rng.integers(len(source_items)))
             cand = source_items[:i] + (target,) + source_items[i + 1 :]
             if is_valid(setting, src_scores, model.score(cand), k, categories):
-                return _finish(
-                    user, "educated", setting, source_items, cand, attempt, seed, model, categories, k
-                )
-        return _finish(user, "educated", setting, source_items, None, None, seed, model, categories, k)
+                return explanation_record(source, "educated", setting, model, cand, attempt, seed, categories)
+        return explanation_record(source, "educated", setting, model, None, None, seed, categories)
 
     if categories is None:
         raise ValueError("targeted-categorized baseline needs a category map")
@@ -134,5 +98,5 @@ def baseline_educated(
         i = int(rng.integers(len(items)))
         items = items[:i] + (z,) + items[i + 1 :]
         if is_valid(setting, src_scores, model.score(items), k, categories):
-            return _finish(user, "educated", setting, source_items, items, edit, seed, model, categories, k)
-    return _finish(user, "educated", setting, source_items, None, None, seed, model, categories, k)
+            return explanation_record(source, "educated", setting, model, items, edit, seed, categories)
+    return explanation_record(source, "educated", setting, model, None, None, seed, categories)

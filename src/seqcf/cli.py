@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import baselines, dataset, metrics, models, oracle, records, search, vcreduce
@@ -22,22 +23,8 @@ from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
 
 log = logging.getLogger(__name__)
 
-GA_DEFAULTS = {
-    "generations": 30,
-    "population": 8192,
-    "mutation_prob": 0.5,
-    "crossover_prob": 0.7,
-    "edit_weight": 0.5,
-    "elitism": 1.0,
-    "threshold": 0.5,
-    "k": 1,
-    "k_eval": "1,5,10",
-    "budget": 10,
-    "sample_users": 0,
-    "seed": 0,
-    "untargeted_rank_rule": "topk_absence",
-    "mutation_weights": "1,1,1",
-}
+# explain flags of the GaConfig fields whose flag is not the field name
+GA_FLAG_NAMES = {"population_size": "population", "elitism_fraction": "elitism"}
 
 
 def _int_list(value) -> list[int]:
@@ -100,29 +87,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve(args, key, cast=None):
-    """Flag value if given, else config-file value, else built-in default."""
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    cfg = getattr(args, "_config_file", {})
-    if key in cfg:
-        return cast(cfg[key]) if cast else cfg[key]
-    return GA_DEFAULTS[key]
-
-
 def _build_setting(args, split) -> SettingSpec:
     name = args.setting
-    threshold = float(_resolve(args, "threshold"))
-    k_eval = tuple(_int_list(_resolve(args, "k_eval")))
-    rule = _resolve(args, "untargeted_rank_rule")
     target_item = None
     target_category = None
     if name == "targ_un":
         if args.target_item is not None:
             target_item = args.target_item
+            m = split.catalog.num_items
+            if not 0 <= target_item < m:
+                raise ValueError(f"target item {target_item} outside the catalog of {m} items")
         elif args.target_stratum is not None:
-            stream = derive_stream(int(_resolve(args, "seed")), [TAG_TARGET])
+            stream = derive_stream(args.seed, [TAG_TARGET])
             target_item = dataset.sample_target_item(split, args.target_stratum, stream)
         else:
             raise ValueError("targ_un needs --target-item or --target-stratum")
@@ -132,39 +108,34 @@ def _build_setting(args, split) -> SettingSpec:
         if split.categories is None:
             raise ValueError("split has no categories; preprocess with --categories")
         target_category = split.categories.category_id(args.target_category)
+    # an unset flag leaves the field at its SettingSpec default
+    given = {"threshold": args.threshold, "untargeted_rank_rule": args.untargeted_rank_rule}
+    if args.k_eval is not None:
+        given["k_eval"] = _int_list(args.k_eval)
     return SettingSpec.from_name(
         name,
         target_item=target_item,
         target_category=target_category,
-        threshold=threshold,
-        k_eval=k_eval,
-        untargeted_rank_rule=rule,
+        **{key: value for key, value in given.items() if value is not None},
     )
+
+
+def _ga_config(args, max_len: int) -> search.GaConfig:
+    """The explain GA flags as a GaConfig; an unset flag leaves its field at the default."""
+    given = {}
+    for f in fields(search.GaConfig):
+        value = getattr(args, GA_FLAG_NAMES.get(f.name, f.name), None)
+        if value is not None:
+            given[f.name] = tuple(_float_list(value)) if isinstance(f.default, tuple) else value
+    return search.GaConfig(max_len=max_len, **given)
 
 
 def cmd_explain(args) -> int:
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            args._config_file = json.load(fh)
-    else:
-        args._config_file = {}
     split = dataset.load_split(args.split)
     model = models.load_model(args.model)
     setting = _build_setting(args, split)
-    seed = int(_resolve(args, "seed"))
-    k = int(_resolve(args, "k"))
-    budget = int(_resolve(args, "budget"))
-    sample = int(_resolve(args, "sample_users"))
-    config = search.GaConfig(
-        generations=int(_resolve(args, "generations")),
-        population_size=int(_resolve(args, "population")),
-        mutation_prob=float(_resolve(args, "mutation_prob")),
-        crossover_prob=float(_resolve(args, "crossover_prob")),
-        edit_weight=float(_resolve(args, "edit_weight")),
-        max_len=split.max_len,
-        elitism_fraction=float(_resolve(args, "elitism")),
-        mutation_weights=tuple(_float_list(_resolve(args, "mutation_weights"))),
-    )
+    seed, k, budget, sample = args.seed, args.k, args.budget, args.sample_users
+    config = _ga_config(args, split.max_len)
     users = dataset.sample_users(split, sample, derive_stream(seed, [TAG_SAMPLE]))
 
     out: list[records.ExplanationRecord] = []
@@ -194,16 +165,7 @@ def cmd_explain(args) -> int:
         "seed": seed,
         "budget": budget,
         "sample_users": sample,
-        "ga": {
-            "generations": config.generations,
-            "population_size": config.population_size,
-            "mutation_prob": config.mutation_prob,
-            "crossover_prob": config.crossover_prob,
-            "edit_weight": config.edit_weight,
-            "max_len": config.max_len,
-            "elitism_fraction": config.elitism_fraction,
-            "mutation_weights": list(config.mutation_weights),
-        },
+        "ga": asdict(config),
     }
     records.write_records(args.out, out, config=header)
     found = sum(1 for r in out if r.counterfactual is not None)
@@ -242,42 +204,16 @@ def cmd_oracle(args) -> int:
     split = dataset.load_split(args.split)
     model = models.load_model(args.model)
     setting = _build_setting(args, split)
-    seed = int(_resolve(args, "seed"))
-    k = int(_resolve(args, "k"))
-    users = dataset.sample_users(split, int(_resolve(args, "sample_users")), derive_stream(seed, [TAG_SAMPLE]))
+    seed, k = args.seed, args.k
+    users = dataset.sample_users(split, args.sample_users, derive_stream(seed, [TAG_SAMPLE]))
     out = []
     for user in users:
         source = split.train[user]
         result = oracle.oracle_optimal(
             source, setting, model, k, args.max_distance, categories=split.categories
         )
-        if result is None:
-            cand, ham, lev = None, None, None
-        else:
-            cand, dist = result
-            ham, lev = dist, metrics.levenshtein(source.items, cand)
-        src_scores = model.score(source.items)
-        ks = [kk for kk in setting.k_eval if kk <= model.num_items]
-        from .objective import is_valid  # local import keeps module deps one-way
-
-        valid_at_k = {
-            kk: (cand is not None and is_valid(setting, src_scores, model.score(cand), kk, split.categories))
-            for kk in ks
-        }
-        out.append(
-            records.ExplanationRecord(
-                user=user,
-                method="oracle",
-                setting=setting,
-                source=source.items,
-                counterfactual=cand,
-                valid_at_k=valid_at_k,
-                hamming=ham,
-                levenshtein=lev,
-                generation_found=None,
-                seed=seed,
-            )
-        )
+        cand = None if result is None else result[0]
+        out.append(records.explanation_record(source, "oracle", setting, model, cand, None, seed, split.categories))
     header = {
         "command": "oracle",
         "setting": setting.to_dict(),
@@ -318,7 +254,27 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_run_flags(p) -> list[argparse.Action]:
+    """The setting and sampling flags of explain and oracle.
+
+    Returns the flags a config file may also set.
+    """
+    p.add_argument("--setting", choices=SETTING_NAMES, required=True)
+    p.add_argument("--target-item", type=int)
+    p.add_argument("--target-stratum", choices=dataset.TARGET_STRATA)
+    p.add_argument("--target-category")
+    return [
+        p.add_argument("--k", type=int, default=1),
+        p.add_argument("--seed", type=int, default=0),
+        p.add_argument("--sample-users", type=int, default=0),
+        p.add_argument("--threshold", type=float),
+        p.add_argument("--k-eval"),
+        p.add_argument("--untargeted-rank-rule", choices=RANK_RULES),
+    ]
+
+
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The seqcf parser; `config` (a --config file's content) supplies explain defaults."""
     parser = argparse.ArgumentParser(
         prog="seqcf",
         description="Counterfactual explanations for sequential recommenders",
@@ -357,31 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--method", choices=("gece", "random", "educated"), default="gece")
-    p.add_argument("--setting", choices=SETTING_NAMES, required=True)
-    p.add_argument("--target-item", type=int)
-    p.add_argument("--target-stratum", choices=dataset.TARGET_STRATA)
-    p.add_argument("--target-category")
     p.add_argument("--config", help="JSON file supplying defaults for the knobs below")
-    for key, flag, cast in (
-        ("k", "--k", int),
-        ("seed", "--seed", int),
-        ("sample_users", "--sample-users", int),
-        ("generations", "--generations", int),
-        ("population", "--population", int),
-        ("budget", "--budget", int),
-    ):
-        p.add_argument(flag, dest=key, type=cast)
-    for key, flag in (
-        ("mutation_prob", "--mutation-prob"),
-        ("crossover_prob", "--crossover-prob"),
-        ("edit_weight", "--edit-weight"),
-        ("threshold", "--threshold"),
-        ("elitism", "--elitism"),
-    ):
-        p.add_argument(flag, dest=key, type=float)
-    p.add_argument("--k-eval", dest="k_eval")
-    p.add_argument("--mutation-weights", dest="mutation_weights")
-    p.add_argument("--untargeted-rank-rule", dest="untargeted_rank_rule", choices=RANK_RULES)
+    knobs = _add_run_flags(p)
+    knobs.append(p.add_argument("--budget", type=int, default=10))
+    for f in fields(search.GaConfig):
+        if f.name == "max_len":  # the split fixes it
+            continue
+        dest = GA_FLAG_NAMES.get(f.name, f.name)
+        # a tuple field's comma list is parsed by _ga_config; unset flags keep the GaConfig default
+        cast = None if isinstance(f.default, tuple) else type(f.default)
+        knobs.append(p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast))
+    if config:
+        # flag > config file > default: the file's values, cast as their flags cast, become the defaults
+        p.set_defaults(
+            **{a.dest: a.type(config[a.dest]) if a.type else config[a.dest] for a in knobs if a.dest in config}
+        )
     p.add_argument(
         "--threads",
         type=int,
@@ -405,17 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive optimal counterfactuals (small instances)")
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--setting", choices=SETTING_NAMES, required=True)
-    p.add_argument("--target-item", type=int)
-    p.add_argument("--target-stratum", choices=dataset.TARGET_STRATA)
-    p.add_argument("--target-category")
+    _add_run_flags(p)
     p.add_argument("--max-distance", type=int, default=2)
-    p.add_argument("--k", dest="k", type=int)
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--sample-users", dest="sample_users", type=int)
-    p.add_argument("--threshold", dest="threshold", type=float)
-    p.add_argument("--k-eval", dest="k_eval")
-    p.add_argument("--untargeted-rank-rule", dest="untargeted_rank_rule", choices=RANK_RULES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 
@@ -434,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "_config_file"):
-        args._config_file = {}
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            with open(args.config, encoding="utf-8") as fh:
+                args = build_parser(json.load(fh)).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # single-line machine-parsable failure
         message = " ".join(str(exc).split()) or type(exc).__name__

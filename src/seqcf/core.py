@@ -24,15 +24,8 @@ TAG_DATA = 6
 TAG_TARGET = 7
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed for a run; child streams are keyed by integer tag lists."""
-
-    master_seed: int
-
-
-def derive_stream(seed: SeedSpec | int, tags: Sequence[int]) -> np.random.Generator:
-    """Return a pseudo-random stream fully determined by (master_seed, *tags).
+def derive_stream(seed: int, tags: Sequence[int]) -> np.random.Generator:
+    """Return a pseudo-random stream fully determined by (seed, *tags).
 
     The key is hashed with SHA-256, so equal inputs yield bit-identical
     streams on every platform and in any evaluation order. Python's salted
@@ -40,8 +33,7 @@ def derive_stream(seed: SeedSpec | int, tags: Sequence[int]) -> np.random.Genera
     """
     if len(tags) == 0:
         raise ValueError("tags must be non-empty")
-    master = seed.master_seed if isinstance(seed, SeedSpec) else int(seed)
-    key = "|".join(str(int(t)) for t in (master, *tags)).encode("ascii")
+    key = "|".join(str(int(t)) for t in (seed, *tags)).encode("ascii")
     entropy = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
     return np.random.default_rng(entropy)
 

@@ -14,7 +14,7 @@ is `score` (and the batched convenience wrapper around it).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 

@@ -75,14 +75,9 @@ class SettingSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SettingSpec":
-        return cls.from_name(
-            doc["setting"],
-            target_item=doc.get("target_item"),
-            target_category=doc.get("target_category"),
-            threshold=doc.get("threshold", 0.5),
-            k_eval=tuple(doc.get("k_eval", (1, 5, 10))),
-            untargeted_rank_rule=doc.get("untargeted_rank_rule", "topk_absence"),
-        )
+        """Inverse of `to_dict`; an absent field takes its default."""
+        keys = ("target_item", "target_category", "threshold", "k_eval", "untargeted_rank_rule")
+        return cls.from_name(doc["setting"], **{key: doc[key] for key in keys if key in doc})
 
 
 def _require_categories(setting: SettingSpec, categories: CategoryMap | None) -> CategoryMap:

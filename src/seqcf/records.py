@@ -1,12 +1,18 @@
-"""Explanation records and .jsonl serialization with a provenance header."""
+"""Explanation records and .jsonl serialization with a provenance header.
+
+Every method (the genetic search, the baselines, the oracle) turns its
+outcome into a record through `explanation_record`, so validity at each
+evaluation k and both distances are computed the same way for all of them.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import atomic_write
-from .objective import SettingSpec
+from .core import CategoryMap, UserSequence, as_items, atomic_write
+from .metrics import hamming, levenshtein
+from .objective import SettingSpec, is_valid
 
 RECORDS_FORMAT = "seqcf-explanations.v1"
 NORMALIZATION_NOTE = "softmax"  # normalization rule behind every reported score
@@ -60,6 +66,44 @@ class ExplanationRecord:
             generation_found=doc["generation_found"],
             seed=doc["seed"],
         )
+
+
+def explanation_record(
+    source,
+    method: str,
+    setting: SettingSpec,
+    model,
+    counterfactual: tuple[int, ...] | None,
+    generation_found: int | None,
+    seed: int,
+    categories: CategoryMap | None = None,
+) -> ExplanationRecord:
+    """The record of one search outcome; `counterfactual` None records its absence.
+
+    `valid_at_k` checks the counterfactual at each of the setting's k_eval
+    that fits the catalog; the model is only asked for scores when a
+    counterfactual exists.
+    """
+    source_items = as_items(source)
+    ks = [k for k in setting.k_eval if k <= model.num_items]
+    valid_at_k = dict.fromkeys(ks, False)
+    ham = lev = None
+    if counterfactual is not None:
+        src_scores, cf_scores = model.score(source_items), model.score(counterfactual)
+        valid_at_k = {k: is_valid(setting, src_scores, cf_scores, k, categories) for k in ks}
+        ham, lev = hamming(source_items, counterfactual), levenshtein(source_items, counterfactual)
+    return ExplanationRecord(
+        user=source.user if isinstance(source, UserSequence) else 0,
+        method=method,
+        setting=setting,
+        source=source_items,
+        counterfactual=counterfactual,
+        valid_at_k=valid_at_k,
+        hamming=ham,
+        levenshtein=lev,
+        generation_found=generation_found,
+        seed=seed,
+    )
 
 
 def write_records(path, records, config: dict | None = None) -> None:

@@ -40,16 +40,15 @@ from .core import (
     TAG_CROSSOVER,
     TAG_MUTATE,
     TAG_SELECT,
-    Catalog,
     CategoryMap,
     UserSequence,
     as_items,
     derive_stream,
 )
-from .metrics import NULL_ITEM, hamming, levenshtein_batch
+from .metrics import NULL_ITEM, levenshtein_batch
 from .models import ScoreVector, score_batch_logits, softmax, top_k, top_k_rows
-from .objective import SettingSpec, is_valid, loss_weights, valid_from_topk_batch
-from .records import ExplanationRecord
+from .objective import SettingSpec, loss_weights, valid_from_topk_batch
+from .records import ExplanationRecord, explanation_record
 
 MUTATION_KINDS = ("replace", "add", "delete")
 _ADD, _DELETE = MUTATION_KINDS.index("add"), MUTATION_KINDS.index("delete")
@@ -122,10 +121,6 @@ class Population:
 _PER_ROW = ("lengths", "born", "fitness", "loss", "lev", "valid")  # Population fields after rows
 
 
-def _num_items(catalog: "Catalog | int") -> int:
-    return catalog.num_items if isinstance(catalog, Catalog) else int(catalog)
-
-
 def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
     present = set(items)
     if len(present) >= m:
@@ -136,19 +131,19 @@ def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> in
             return z
 
 
-def mutate_replace(seq, catalog, rng: np.random.Generator) -> tuple[int, ...]:
-    """Overwrite one uniformly random position with an item not in the sequence."""
+def mutate_replace(seq, m: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Overwrite one uniformly random position with an item of range(m) not in the sequence."""
     items = as_items(seq)
     i = int(rng.integers(len(items)))
-    z = _draw_unseen(items, _num_items(catalog), rng)
+    z = _draw_unseen(items, m, rng)
     return items[:i] + (z,) + items[i + 1 :]
 
 
-def mutate_add(seq, catalog, rng: np.random.Generator, max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...]:
-    """Insert an unseen item at a random slot; overflow drops the oldest item."""
+def mutate_add(seq, m: int, rng: np.random.Generator, max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...]:
+    """Insert an unseen item of range(m) at a random slot; overflow drops the oldest item."""
     items = as_items(seq)
     i = int(rng.integers(len(items) + 1))
-    z = _draw_unseen(items, _num_items(catalog), rng)
+    z = _draw_unseen(items, m, rng)
     out = items[:i] + (z,) + items[i:]
     if len(out) > max_len:
         out = out[1:]
@@ -519,7 +514,6 @@ def explain(
     config: GaConfig = GaConfig(),
     seed: int = 0,
     categories: CategoryMap | None = None,
-    method: str = "gece",
 ) -> ExplanationRecord:
     """Harvest the closest valid candidate from the evolved population.
 
@@ -529,36 +523,10 @@ def explain(
     counterfactual.
     """
     population = genetic(source, setting, model, k, config, seed, categories=categories)
-    source_items = as_items(source)
     valid = population.take(np.flatnonzero(population.valid))
-    m = model.num_items
-    ks = [kk for kk in setting.k_eval if kk <= m]
     if len(valid) == 0:
-        return ExplanationRecord(
-            user=source.user if isinstance(source, UserSequence) else 0,
-            method=method,
-            setting=setting,
-            source=source_items,
-            counterfactual=None,
-            valid_at_k={kk: False for kk in ks},
-            hamming=None,
-            levenshtein=None,
-            generation_found=None,
-            seed=seed,
-        )
+        return explanation_record(source, "gece", setting, model, None, None, seed, categories)
     best = np.lexsort((valid.born, *valid.rows.T[::-1], valid.loss, valid.lev))[0]
-    winner = valid.items(best)
-    src_scores = model.score(source_items)
-    cf_scores = model.score(winner)
-    return ExplanationRecord(
-        user=source.user if isinstance(source, UserSequence) else 0,
-        method=method,
-        setting=setting,
-        source=source_items,
-        counterfactual=winner,
-        valid_at_k={kk: is_valid(setting, src_scores, cf_scores, kk, categories) for kk in ks},
-        hamming=hamming(source_items, winner),
-        levenshtein=int(valid.lev[best]),
-        generation_found=int(valid.born[best]),
-        seed=seed,
+    return explanation_record(
+        source, "gece", setting, model, valid.items(best), int(valid.born[best]), seed, categories
     )

@@ -1,10 +1,14 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from seqcf.cli import main
+from seqcf.dataset import load_split
 from seqcf.metrics import read_report_csv
+from seqcf.objective import SettingSpec
 from seqcf.records import read_records
+from seqcf.search import GaConfig
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +95,43 @@ class TestPipeline:
         _, recs = read_records(out)
         assert all(r.setting.name == "targ_cat" for r in recs)
 
-    def test_config_file_supplies_defaults(self, pipeline):
+    @staticmethod
+    def config_run(pipeline, *flags):
+        """explain with a config file setting a GA, a setting and a run field, plus `flags`."""
         cfg = pipeline["root"] / "cfg.json"
-        cfg.write_text(json.dumps({"generations": 2, "population": 16}))
+        cfg.write_text(json.dumps({"generations": 2, "population": 16, "threshold": 0.3, "sample_users": 2}))
         out = pipeline["root"] / "cfgrun.jsonl"
         args = ["explain", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
                 "--method", "gece", "--setting", "un_un", "--k", "1", "--seed", "0",
-                "--sample-users", "2", "--config", str(cfg), "--out", str(out)]
+                "--config", str(cfg), *flags, "--out", str(out)]
         assert main(args) == 0
-        header, _ = read_records(out)
+        return read_records(out)
+
+    def test_config_file_supplies_defaults(self, pipeline):
+        header, recs = self.config_run(pipeline)
         assert header["config"]["ga"]["generations"] == 2
         assert header["config"]["ga"]["population_size"] == 16
+        assert header["config"]["setting"]["threshold"] == 0.3
+        assert header["config"]["sample_users"] == len(recs) == 2
+
+    def test_flags_beat_the_config_file(self, pipeline):
+        header, recs = self.config_run(pipeline, "--population", "24", "--threshold", "0.7", "--sample-users", "3")
+        assert header["config"]["ga"]["generations"] == 2
+        assert header["config"]["ga"]["population_size"] == 24
+        assert header["config"]["setting"]["threshold"] == 0.7
+        assert header["config"]["sample_users"] == len(recs) == 3
+
+    def test_unset_flags_take_the_dataclass_defaults(self, pipeline):
+        out = pipeline["root"] / "defaults.jsonl"
+        args = ["explain", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
+                "--method", "random", "--setting", "un_un", "--sample-users", "1", "--out", str(out)]
+        assert main(args) == 0
+        header, _ = read_records(out)
+        ga = header["config"]["ga"]
+        assert set(ga) == {f.name for f in fields(GaConfig)}
+        expected = GaConfig(max_len=load_split(pipeline["split"]).max_len)
+        assert ga == json.loads(json.dumps(vars(expected)))
+        assert header["config"]["setting"] == SettingSpec.from_name("un_un").to_dict()
 
     def test_oracle_command(self, pipeline):
         out = pipeline["root"] / "oracle.jsonl"
@@ -132,6 +162,19 @@ class TestFailureModes:
             main(["train", "--split", str(pipeline["split"]), "--scorer", "fancy",
                   "--out", str(pipeline["root"] / "m2.json")])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("method", ["gece", "random"])
+    @pytest.mark.parametrize("target", [-1, "m", 99999])
+    def test_out_of_catalog_target_item_rejected(self, pipeline, capsys, method, target):
+        m = load_split(pipeline["split"]).catalog.num_items
+        target = m if target == "m" else target
+        out = pipeline["root"] / "bad_target.jsonl"
+        rc = main(explain_args(pipeline, out, method=method, setting="targ_un", **{"--target-item": target}))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"target item {target}" in err and str(m) in err
+        assert not out.exists()
 
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
         empty = tmp_path / "empty.jsonl"

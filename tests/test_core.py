@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcf import SeedSpec, UserSequence, derive_stream
+from seqcf import UserSequence, derive_stream
 from seqcf.core import Catalog, CategoryMap
 
 
@@ -48,11 +48,6 @@ class TestDeriveStream:
         a = derive_stream(7, [1, 2]).random(100)
         b = derive_stream(8, [1, 2]).random(100)
         assert not np.array_equal(a, b)
-
-    def test_seedspec_matches_plain_int(self):
-        a = derive_stream(SeedSpec(master_seed=41), [5]).random(10)
-        b = derive_stream(41, [5]).random(10)
-        assert np.array_equal(a, b)
 
     def test_empty_tags_rejected(self):
         with pytest.raises(ValueError):
