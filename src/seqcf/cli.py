@@ -323,7 +323,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         # a tuple field's comma list is parsed by _ga_config; unset flags keep the GaConfig default
         cast = None if isinstance(f.default, tuple) else type(f.default)
         knobs.append(p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast))
-    if config:
+    if config is not None:
+        if not isinstance(config, dict):
+            raise ValueError("a config file holds one JSON object of flag values")
+        if unknown := sorted(set(config) - {a.dest for a in knobs}):
+            raise ValueError(f"unknown config keys {', '.join(unknown)}; keys are explain flag names with _ for -")
         # flag > config file > default: the file's values, cast as their flags cast, become the defaults
         p.set_defaults(
             **{a.dest: a.type(config[a.dest]) if a.type else config[a.dest] for a in knobs if a.dest in config}

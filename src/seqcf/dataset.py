@@ -26,6 +26,7 @@ from .core import (
     atomic_write,
     derive_stream,
 )
+from .models import count_items
 
 log = logging.getLogger(__name__)
 
@@ -408,10 +409,7 @@ def sample_target_item(
     """
     if stratum not in TARGET_STRATA:
         raise ValueError(f"unknown stratum {stratum!r}")
-    freq = np.zeros(split.catalog.num_items, dtype=np.int64)
-    for seq in split.train.values():
-        for item in seq.items:
-            freq[item] += 1
+    freq = count_items(split.train.values(), split.catalog.num_items)
     order = np.lexsort((np.arange(len(freq)), -freq))  # most popular first
     m = len(order)
     decile = max(1, m // 10)

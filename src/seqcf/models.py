@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from itertools import chain
+from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -247,16 +248,20 @@ class MarkovScorer:
         return logits
 
 
+def count_items(sequences: Iterable, num_items: int) -> np.ndarray:
+    """How often each item of range(num_items) occurs across `sequences`."""
+    items = np.fromiter(chain.from_iterable(map(as_items, sequences)), dtype=np.int64)
+    if items.size and (items.min() < 0 or items.max() >= num_items):
+        raise ValueError(f"item outside the catalog of {num_items} items")
+    return np.bincount(items, minlength=num_items)
+
+
 def train_popularity(
     train: Mapping[int, UserSequence], num_items: int, alpha: float = 0.1, mask_seen: bool = True
 ) -> PopularityScorer:
     if not train:
         raise ValueError("empty training split")
-    freq = np.zeros(num_items, dtype=np.int64)
-    for seq in train.values():
-        for item in as_items(seq):
-            freq[item] += 1
-    return PopularityScorer(frequency=freq, alpha=alpha, mask_seen=mask_seen)
+    return PopularityScorer(frequency=count_items(train.values(), num_items), alpha=alpha, mask_seen=mask_seen)
 
 
 def train_markov(
@@ -269,14 +274,12 @@ def train_markov(
     """Count adjacent pairs and item occurrences over the training split."""
     if not train:
         raise ValueError("empty training split")
+    seqs = [as_items(seq) for seq in train.values()]
+    freq = count_items(seqs, num_items)  # also checks every item lies in the catalog
+    heads = np.fromiter(chain.from_iterable(s[:-1] for s in seqs), dtype=np.int64)
+    tails = np.fromiter(chain.from_iterable(s[1:] for s in seqs), dtype=np.int64)
     trans = np.zeros((num_items, num_items), dtype=np.int64)
-    freq = np.zeros(num_items, dtype=np.int64)
-    for seq in train.values():
-        items = as_items(seq)
-        for item in items:
-            freq[item] += 1
-        for a, b in zip(items, items[1:]):
-            trans[a, b] += 1
+    np.add.at(trans, (heads, tails), 1)
     return MarkovScorer(transition=trans, frequency=freq, alpha=alpha, beta=beta, mask_seen=mask_seen)
 
 

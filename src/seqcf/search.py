@@ -14,14 +14,14 @@ population is harvested for the closest valid candidate.
 The population is a set of arrays (`Population`): an (N, W) item matrix
 padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
-numpy steps whatever N is, plus one cache lookup per new row: `mutate_rows`
-and `crossover_rows` are the array forms of the scalar operators `mutate_*`
-and `crossover` (kept as their reference and used by the baselines), only
-sequences not seen before in the run are scored, in one model batch, and
-selection is one lexsort. Scoring a batch takes its softmax, its top-k
-(an argmax for k = 1, otherwise `top_k_rows`, a row-wise partition that
-sorts only the k picks, the array form of `top_k`) and its edit distances
-to the source (`levenshtein_batch`, bit-parallel).
+numpy steps whatever N is: `mutate_rows` and `crossover_rows` are the array
+forms of the scalar operators `mutate_*` and `crossover` (kept as their
+reference and used by the baselines); selection's one sort of the pool by
+(items, born) keeps each sequence's earliest-born copy, and the copies born
+this generation, the sequences new to the population, are scored in one
+batch. A row is scored by itself (softmax; top-k by argmax or `top_k_rows`;
+objective mass by one dot product; edit distance by `levenshtein_batch`),
+so its results do not depend on the rows batched with it.
 
 Everything is reproducible: randomness comes from streams keyed by
 (master seed, purpose, user, generation), and evaluation is pure, so the
@@ -31,7 +31,7 @@ result depends only on the inputs and the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,15 +110,9 @@ class Population:
         width = int(self.lengths[idx].max(initial=0))
         return Population(self.rows[idx, :width], *(getattr(self, f)[idx] for f in _PER_ROW))
 
-    def concat(self, other: "Population") -> "Population":
-        """This population followed by `other`."""
-        return Population(
-            _pad_stack(self.rows, other.rows),
-            *(np.concatenate([getattr(self, f), getattr(other, f)]) for f in _PER_ROW),
-        )
 
-
-_PER_ROW = ("lengths", "born", "fitness", "loss", "lev", "valid")  # Population fields after rows
+_RESULTS = ("fitness", "loss", "lev", "valid")  # a row's evaluation, in `_RowEvaluator` order
+_PER_ROW = ("lengths", "born", *_RESULTS)  # Population fields after rows
 
 
 def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
@@ -342,50 +336,27 @@ def crossover_rows(
 class _RowEvaluator:
     """Fitness, loss, edit distance and validity of candidate rows for one search.
 
-    Results are cached for the whole run, keyed by the bytes of the packed
-    row, so a sequence that variation recreates is scored once; the rows
-    not cached are scored in one model batch.
+    A row's results depend on its items alone, never on the other rows of
+    the batch (the objective mass is one dot product per row), so rows may
+    be scored in any batches and any order.
     """
 
-    def __init__(self, model, setting, source_items, k, config, categories, key_width):
+    def __init__(self, model, setting, source_items, k, config, categories):
         self.model = model
         self.setting = setting
         self.source_items = source_items
         self.k = k
         self.config = config
         self.categories = categories
-        self.key_width = key_width
-        self.m = model.num_items
         source_scores = model.score(source_items)
         self.source_top1 = top_k(source_scores, 1)[0]
-        self.weights, self.targeted_loss = loss_weights(setting, source_scores, self.m, categories)
-        self.slots: dict[bytes, int] = {}
-        self.results: tuple[np.ndarray, ...] = (
-            np.empty(0),
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=bool),
-        )
+        self.weights, self.targeted_loss = loss_weights(setting, source_scores, model.num_items, categories)
 
     def __call__(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
         """(fitness, loss, lev, valid) per row."""
-        words = _row_words(rows, self.m, self.key_width)
-        keys = words.view(f"V{words.shape[1] * words.itemsize}").ravel().tolist()
-        known = len(self.slots)
-        # an unseen key takes the next slot, in first-seen order
-        slot = np.array([self.slots.setdefault(key, len(self.slots)) for key in keys], dtype=np.int64)
-        if len(self.slots) > known:
-            slots, first = np.unique(slot, return_index=True)
-            fresh = first[slots >= known]
-            width = int(lengths[fresh].max())
-            scored = self._score(rows[fresh, :width], lengths[fresh])
-            self.results = tuple(np.concatenate(pair) for pair in zip(self.results, scored))
-        return tuple(r[slot] for r in self.results)
-
-    def _score(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
         norm = softmax(score_batch_logits(self.model, rows, lengths))
         lev = levenshtein_batch(self.source_items, rows, lengths)
-        mass = norm @ self.weights
+        mass = np.vecdot(norm, self.weights)
         loss = 1.0 - mass if self.targeted_loss else mass
         if self.k == 1:
             # argmax picks the first max, which is the ascending-id tie-break
@@ -398,55 +369,95 @@ class _RowEvaluator:
         return fitness, loss, lev, valid
 
 
-def _row_words(rows: np.ndarray, m: int, width: int = 0) -> np.ndarray:
+def _row_words(rows: np.ndarray, m: int) -> np.ndarray:
     """Rows of items below `m` packed into int64 words that compare as the rows do.
 
     Each cell, shifted up by one so that NULL_ITEM packs as 0, fills a bit
     field of fixed width, so comparing the words in turn compares the rows
-    lexicographically; a lexsort over words needs fewer keys than over
-    columns, and a row's words are a compact cache key. `width` pads the
-    rows to that many columns first, so keys of blocks of different widths
-    agree.
+    lexicographically, and a lexsort over words needs fewer keys than over
+    columns.
     """
     bits = m.bit_length()
     per_word = 63 // bits
     used = -(-rows.shape[1] // per_word)
     cells = np.zeros((rows.shape[0], used * per_word), dtype=np.int64)
     cells[:, : rows.shape[1]] = rows + 1
-    words = np.zeros((rows.shape[0], max(used, -(-width // per_word))), dtype=np.int64)
+    words = np.zeros((rows.shape[0], used), dtype=np.int64)
     for j in range(per_word):  # cell j of every word
-        words[:, :used] |= cells[:, j::per_word] << (bits * (per_word - 1 - j))
+        words |= cells[:, j::per_word] << (bits * (per_word - 1 - j))
     return words
 
 
-def _ranking(pop: Population, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices by (fitness, items), earliest born first among equal sequences,
-    and the rows' packed words in that order.
-
-    NULL_ITEM padding sorts below every item, so row order is tuple order.
-    """
-    words = _row_words(pop.rows, m)
-    order = np.lexsort((pop.born, *words.T[::-1], pop.fitness))
-    return order, words[order]
+def _earliest_copies(rows: np.ndarray, born: np.ndarray, m: int) -> np.ndarray:
+    """Index of the earliest-born copy of each distinct row, in row order."""
+    # NULL_ITEM padding sorts below every item, so row order is tuple order
+    words = _row_words(rows, m)
+    order = np.lexsort((born, *words.T[::-1]))
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return order[first]
 
 
 def _select(
-    pool: Population, n: int, m: int, elitism_fraction: float, seed: int, user: int, gen: int
+    population: Population,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    gen: int,
+    evaluate: _RowEvaluator,
+    m: int,
+    elitism_fraction: float,
+    seed: int,
+    user: int,
 ) -> Population:
-    ranked, words = _ranking(pool, m)
-    # select over distinct sequences: clones of one strong candidate
-    # would otherwise flood truncation selection and stall the search
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    distinct = ranked[first]
+    """The next population, from the pool `rows`: `population`, then the rows born in `gen`.
+
+    Selection is over distinct sequences (clones of one strong candidate
+    would otherwise flood truncation selection and stall the search); the
+    copies born in `gen` are the sequences absent from `population`, and
+    only they are scored.
+    """
+    n = len(population)
+    born = np.concatenate([population.born, np.full(len(lengths) - n, gen)])
+    distinct = _earliest_copies(rows, born, m)
+    new = distinct >= n
+    fresh = distinct[new]
+    scored = evaluate(rows[fresh, : lengths[fresh].max(initial=0)], lengths[fresh])
+    # each distinct copy's results: its population row's, or the next scored row's
+    at = np.where(new, n - 1 + np.cumsum(new), distinct)
+    results = [np.concatenate([getattr(population, f), s])[at] for f, s in zip(_RESULTS, scored)]
+    ranked = np.argsort(results[0], kind="stable")  # by (fitness, items)
     n_best = int(round(n * elitism_fraction))
-    if n_best < n and len(distinct) > n:
+    if n_best < n and len(ranked) > n:
         s_rng = derive_stream(seed, [TAG_SELECT, user, gen])
-        rest = distinct[n_best:]
+        rest = ranked[n_best:]
         picked = s_rng.choice(len(rest), size=n - n_best, replace=False)
-        distinct = np.concatenate([distinct[:n_best], rest[np.sort(picked)]])
+        ranked = np.concatenate([ranked[:n_best], rest[np.sort(picked)]])
     # fewer distinct sequences than slots: pad cyclically with duplicates
-    return pool.take(distinct[np.arange(n) % min(len(distinct), n)])
+    keep = ranked[np.arange(n) % min(len(ranked), n)]
+    idx = distinct[keep]
+    return Population(
+        rows[idx, : lengths[idx].max()], lengths[idx], born[idx], *(values[keep] for values in results)
+    )
+
+
+def _variation(
+    population: Population, gen: int, m: int, max_len: int, config: GaConfig, seed: int, user: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pool of generation `gen`: the population, then its mutants and crossover children."""
+    m_rng = derive_stream(seed, [TAG_MUTATE, user, gen])
+    parents = np.flatnonzero(m_rng.random(len(population)) < config.mutation_prob)
+    mut_rows, mut_lengths = mutate_rows(
+        population.rows[parents], population.lengths[parents], m, config.mutation_weights, max_len, m_rng
+    )
+    rows = _pad_stack(population.rows, mut_rows)
+    lengths = np.concatenate([population.lengths, mut_lengths])
+    c_rng = derive_stream(seed, [TAG_CROSSOVER, user, gen])
+    order = c_rng.permutation(len(lengths))
+    pairs = order[: len(order) // 2 * 2].reshape(-1, 2)
+    a, b = pairs[c_rng.random(len(pairs)) < config.crossover_prob].T
+    kid_rows, kid_lengths = crossover_rows(rows[a], lengths[a], rows[b], lengths[b], c_rng, max_len)
+    return _pad_stack(rows, kid_rows), np.concatenate([lengths, kid_lengths])
 
 
 def genetic(
@@ -457,7 +468,6 @@ def genetic(
     config: GaConfig = GaConfig(),
     seed: int = 0,
     categories: CategoryMap | None = None,
-    on_generation: Callable[[int, Population], None] | None = None,
 ) -> Population:
     """Run the evolutionary loop; return the final population ranked by (fitness, items)."""
     source_items = as_items(source)
@@ -473,37 +483,20 @@ def genetic(
     if not source_items or min(source_items) < 0 or max(source_items) >= m:
         raise ValueError("source must be a non-empty sequence of catalog items")
 
-    evaluate = _RowEvaluator(model, setting, source_items, k, config, categories, max_len)
+    evaluate = _RowEvaluator(model, setting, source_items, k, config, categories)
     n = config.population_size
     rows = np.tile(np.asarray(source_items, dtype=np.int64), (n, 1))
     lengths = np.full(n, len(source_items), dtype=np.int64)
-    population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *evaluate(rows, lengths))
+    scored = evaluate(rows[:1], lengths[:1])  # every individual is the source
+    population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *(np.repeat(r, n) for r in scored))
 
     for gen in range(1, config.generations + 1):
-        m_rng = derive_stream(seed, [TAG_MUTATE, user, gen])
-        parents = np.flatnonzero(m_rng.random(n) < config.mutation_prob)
-        mut_rows, mut_lengths = mutate_rows(
-            population.rows[parents], population.lengths[parents], m, config.mutation_weights, max_len, m_rng
-        )
+        rows, lengths = _variation(population, gen, m, max_len, config, seed, user)
+        population = _select(population, rows, lengths, gen, evaluate, m, config.elitism_fraction, seed, user)
 
-        pool_rows = _pad_stack(population.rows, mut_rows)
-        pool_lengths = np.concatenate([population.lengths, mut_lengths])
-        c_rng = derive_stream(seed, [TAG_CROSSOVER, user, gen])
-        order = c_rng.permutation(len(pool_lengths))
-        pairs = order[: len(order) // 2 * 2].reshape(-1, 2)
-        a, b = pairs[c_rng.random(len(pairs)) < config.crossover_prob].T
-        kid_rows, kid_lengths = crossover_rows(
-            pool_rows[a], pool_lengths[a], pool_rows[b], pool_lengths[b], c_rng, max_len
-        )
-
-        rows = _pad_stack(mut_rows, kid_rows)
-        lengths = np.concatenate([mut_lengths, kid_lengths])
-        new = Population(rows, lengths, np.full(len(lengths), gen), *evaluate(rows, lengths))
-        population = _select(population.concat(new), n, m, config.elitism_fraction, seed, user, gen)
-        if on_generation is not None:
-            on_generation(gen, population)
-
-    return population.take(_ranking(population, m)[0])
+    # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
+    words = _row_words(population.rows, m)
+    return population.take(np.lexsort((*words.T[::-1], population.fitness)))
 
 
 def explain(

@@ -176,6 +176,30 @@ class TestFailureModes:
         assert f"target item {target}" in err and str(m) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # the header's own `ga` names are not config keys
+            (
+                {"population_size": 16, "elitism_fraction": 0.5},
+                "unknown config keys elitism_fraction, population_size;",
+            ),
+            ({"populaton": 16, "generations": 2}, "unknown config keys populaton;"),
+            ([["population", 16]], "one JSON object"),
+        ],
+        ids=["header-ga-names", "typo", "not-an-object"],
+    )
+    def test_unknown_config_keys_rejected(self, pipeline, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out.jsonl"
+        rc = main(explain_args(pipeline, out, **{"--config": cfg}))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text(

@@ -166,7 +166,8 @@ class TestTraining:
 
     def test_counts_match_independent_recount(self):
         rng = np.random.default_rng(9)
-        split = seqs({u: tuple(rng.permutation(8)[:5].tolist()) for u in range(1, 12)})
+        # lengths from 1 up, so no pair may be counted across two sequences
+        split = seqs({u: tuple(rng.permutation(8)[: rng.integers(1, 9)].tolist()) for u in range(1, 30)})
         model = train_markov(split, 8)
         recount = np.zeros((8, 8), dtype=np.int64)
         freq = np.zeros(8, dtype=np.int64)
@@ -177,10 +178,18 @@ class TestTraining:
                 recount[a, b] += 1
         assert np.array_equal(model.transition, recount)
         assert np.array_equal(model.frequency, freq)
+        assert np.array_equal(train_popularity(split, 8).frequency, freq)
+        assert model.transition.dtype == model.frequency.dtype == np.int64
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             train_markov({}, 4)
+
+    @pytest.mark.parametrize("train", [train_markov, train_popularity])
+    @pytest.mark.parametrize("item", [4, 9])  # UserSequence rejects negative ids itself
+    def test_item_outside_catalog_rejected(self, train, item):
+        with pytest.raises(ValueError, match="outside the catalog of 4 items"):
+            train(seqs({1: (0, 1), 2: (2, item)}), 4)
 
 
 class TestPersistence:

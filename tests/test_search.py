@@ -17,6 +17,7 @@ from seqcf import (
     train_markov,
     verify_eps_vcs,
 )
+from seqcf import search
 from seqcf.cli import main
 from seqcf.core import derive_stream
 from seqcf.metrics import NULL_ITEM
@@ -292,21 +293,23 @@ class TestRowEvaluator:
         rng = derive_stream(2, [7])
         cands = [source] + [tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(150)]
         rows, lengths = as_rows(cands)
-        evaluate = _RowEvaluator(model, setting, source, k, cfg, cats, 8)
-        fit, loss, lev, valid = evaluate(rows, lengths)
+        evaluate = _RowEvaluator(model, setting, source, k, cfg, cats)
+        results = evaluate(rows, lengths)
+        fit, loss, lev, valid = results
         src_scores = model.score(source)
         for i, cand in enumerate(cands):
             cand_scores = model.score(cand)
             assert lev[i] == levenshtein(source, cand)
-            assert loss[i] == pytest.approx(objective_loss(setting, src_scores, cand_scores, cats), abs=1e-12)
-            assert fit[i] == pytest.approx(
-                fitness(source, src_scores, cand, cand_scores, setting, 0.3, 8, cats), abs=1e-12
-            )
+            assert loss[i] == objective_loss(setting, src_scores, cand_scores, cats)
+            assert fit[i] == fitness(source, src_scores, cand, cand_scores, setting, 0.3, 8, cats)
             assert valid[i] == is_valid(setting, src_scores, cand_scores, k, cats)
-        # a second look is served from the cache and agrees exactly
+        # a row's results do not depend on the rest of its batch: reversed,
+        # or split in two (each half padded to its own longest row)
         again = evaluate(rows[::-1], lengths[::-1])
-        for a, b in zip(again, (fit, loss, lev, valid)):
-            assert np.array_equal(a, b[::-1])
+        halves = [evaluate(*as_rows(part)) for part in (cands[:70], cands[70:])]
+        for got, back, head, tail in zip(results, again, *halves):
+            assert np.array_equal(back, got[::-1])
+            assert np.array_equal(np.concatenate([head, tail]), got)
 
 
 class TestFitness:
@@ -357,25 +360,15 @@ class TestGenetic:
         ]
 
     def test_population_invariants_each_generation(self, walk_markov):
-        cfg = GaConfig(generations=8, population_size=24, max_len=6)
-        observed = []
-
-        def watch(gen, pop):
-            observed.append((gen, pop))
-
-        genetic(
-            UserSequence(1, (4, 2, 9), 6),
-            SettingSpec.from_name("un_un"),
-            walk_markov,
-            1,
-            cfg,
-            seed=3,
-            on_generation=watch,
-        )
-        assert [g for g, _ in observed] == list(range(1, 9))
+        # streams are keyed per generation, so a g-generation run ends on
+        # generation g of any longer run with the same seed
         best = None
-        for _, pop in observed:
+        for gens in range(1, 9):
+            cfg = GaConfig(generations=gens, population_size=24, max_len=6)
+            src = UserSequence(1, (4, 2, 9), 6)
+            pop = genetic(src, SettingSpec.from_name("un_un"), walk_markov, 1, cfg, seed=3)
             assert len(pop) == 24
+            assert pop.born.max() <= gens
             for i in range(len(pop)):
                 items = pop.items(i)
                 assert 1 <= len(items) <= 6
@@ -384,6 +377,34 @@ class TestGenetic:
             if best is not None:
                 assert gen_best <= best + 1e-12
             best = gen_best
+
+    def test_select_scores_each_new_sequence_once(self, walk_markov, monkeypatch):
+        select = search._select
+        scored, recreated, repeated = [], [], []
+
+        def watch(population, rows, lengths, gen, evaluate, *rest):
+            n = len(population)
+            seqs_ = [tuple(row[:length].tolist()) for row, length in zip(rows, lengths)]
+            old, born_now = set(seqs_[:n]), seqs_[n:]
+            recreated.append(len(set(born_now) & old))
+            repeated.append(len(born_now) - len(set(born_now)))
+
+            def counted(batch, batch_lengths):
+                got = [tuple(row[:length].tolist()) for row, length in zip(batch, batch_lengths)]
+                # distinct, and exactly the pool's sequences absent from the population
+                assert len(set(got)) == len(got)
+                assert set(got) == set(born_now) - old
+                scored.append(len(got))
+                return evaluate(batch, batch_lengths)
+
+            return select(population, rows, lengths, gen, counted, *rest)
+
+        monkeypatch.setattr(search, "_select", watch)
+        cfg = GaConfig(generations=6, population_size=32, max_len=6)
+        genetic(UserSequence(1, (4, 2, 9), 6), SettingSpec.from_name("un_un"), walk_markov, 1, cfg, seed=3)
+        assert len(scored) == 6 and all(scored)
+        # the pools did hold recreated population sequences and repeated new ones
+        assert sum(recreated) > 0 and sum(repeated) > 0
 
     def test_toy_flip_matches_oracle(self, cycle_markov):
         # trained cycle 0->1->2->3; from (0,1) the model suggests 2, and one
