@@ -52,6 +52,7 @@ config = GaConfig(generations=20, population_size=256, max_len=split.max_len)
 
 record = explain(source, setting, model, k=1, config=config, seed=0)
 print(f"counterfactual: {list(record.counterfactual)}")
+# generation 0 means the radius-1 pre-pass found it before the genetic search ran
 print(f"edit distance: {record.levenshtein}, found in generation {record.generation_found}")
 
 flipped = top_k(model.score(record.counterfactual), 1)[0]

@@ -44,7 +44,7 @@ print(f"oracle optimum: {optimal}")
 
 config = GaConfig(
     generations=50, population_size=256, mutation_weights=(1.0, 0.0, 0.0),
-    crossover_prob=0.0, max_len=3,
+    crossover_prob=0.0, max_len=3, radius1=False,  # the genetic search alone, without the radius-1 pre-pass
 )
 record = explain(source, setting, model, 1, config, seed=0)
 print(f"genetic search: {list(record.counterfactual)} at distance {record.levenshtein}")

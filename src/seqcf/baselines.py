@@ -36,8 +36,11 @@ def baseline_random(
     items = source_items
     for edit in range(1, budget + 1):
         items = mutate_replace(items, model.num_items, rng)
-        if is_valid(setting, src_scores, model.score(items), k, categories):
-            return explanation_record(source, "random", setting, model, items, edit, seed, categories)
+        cand_scores = model.score(items)
+        if is_valid(setting, src_scores, cand_scores, k, categories):
+            return explanation_record(
+                source, "random", setting, model, items, edit, seed, categories, src_scores, cand_scores
+            )
     return explanation_record(source, "random", setting, model, None, None, seed, categories)
 
 
@@ -80,8 +83,11 @@ def baseline_educated(
         for attempt in range(1, budget + 1):
             i = int(rng.integers(len(source_items)))
             cand = source_items[:i] + (target,) + source_items[i + 1 :]
-            if is_valid(setting, src_scores, model.score(cand), k, categories):
-                return explanation_record(source, "educated", setting, model, cand, attempt, seed, categories)
+            cand_scores = model.score(cand)
+            if is_valid(setting, src_scores, cand_scores, k, categories):
+                return explanation_record(
+                    source, "educated", setting, model, cand, attempt, seed, categories, src_scores, cand_scores
+                )
         return explanation_record(source, "educated", setting, model, None, None, seed, categories)
 
     if categories is None:
@@ -97,6 +103,9 @@ def baseline_educated(
         z = pool[int(rng.integers(len(pool)))]
         i = int(rng.integers(len(items)))
         items = items[:i] + (z,) + items[i + 1 :]
-        if is_valid(setting, src_scores, model.score(items), k, categories):
-            return explanation_record(source, "educated", setting, model, items, edit, seed, categories)
+        cand_scores = model.score(items)
+        if is_valid(setting, src_scores, cand_scores, k, categories):
+            return explanation_record(
+                source, "educated", setting, model, items, edit, seed, categories, src_scores, cand_scores
+            )
     return explanation_record(source, "educated", setting, model, None, None, seed, categories)

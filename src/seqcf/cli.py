@@ -39,6 +39,17 @@ def _float_list(value) -> list[float]:
     return [float(x) for x in str(value).split(",") if x.strip()]
 
 
+def _config_value(action: argparse.Action, value):
+    """A config file's value for `action`'s flag, cast as the flag casts, with no silent coercion."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {action.dest} takes true or false, got {value!r}")
+        return value
+    if action.type is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"config key {action.dest} takes an integer, got {value!r}")
+    return action.type(value) if action.type else value
+
+
 def cmd_synth(args) -> int:
     logdata, cats = dataset.synthesize_corpus(
         num_users=args.users,
@@ -320,18 +331,20 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         if f.name == "max_len":  # the split fixes it
             continue
         dest = GA_FLAG_NAMES.get(f.name, f.name)
-        # a tuple field's comma list is parsed by _ga_config; unset flags keep the GaConfig default
-        cast = None if isinstance(f.default, tuple) else type(f.default)
-        knobs.append(p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast))
+        flag = "--" + dest.replace("_", "-")
+        # unset flags keep the GaConfig default; a tuple field's comma list is parsed by _ga_config
+        if isinstance(f.default, bool):
+            knobs.append(p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction))
+        else:
+            cast = None if isinstance(f.default, tuple) else type(f.default)
+            knobs.append(p.add_argument(flag, dest=dest, type=cast))
     if config is not None:
         if not isinstance(config, dict):
             raise ValueError("a config file holds one JSON object of flag values")
         if unknown := sorted(set(config) - {a.dest for a in knobs}):
             raise ValueError(f"unknown config keys {', '.join(unknown)}; keys are explain flag names with _ for -")
         # flag > config file > default: the file's values, cast as their flags cast, become the defaults
-        p.set_defaults(
-            **{a.dest: a.type(config[a.dest]) if a.type else config[a.dest] for a in knobs if a.dest in config}
-        )
+        p.set_defaults(**{a.dest: _config_value(a, config[a.dest]) for a in knobs if a.dest in config})
     p.add_argument(
         "--threads",
         type=int,

@@ -74,39 +74,6 @@ def top_k(scores: ScoreVector, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
-_BLOCK_CELLS = 1 << 18  # cells per block of the top-k tie repair: 2 MiB of float64
-
-
-def top_k_rows(norm: np.ndarray, k: int) -> np.ndarray:
-    """`top_k` of every row of a (rows, m) score matrix, as a (rows, k) id array.
-
-    A partition picks each row's k highest scores without sorting the row.
-    Where scores equal to the k-th one straddle the cut, the partition's
-    pick among them need not be the lowest ids, so such a row takes every
-    score above the k-th and then the lowest ids equal to it. The k picks
-    are then ordered by descending score, ties by ascending id.
-    """
-    rows, m = norm.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} outside [1, {m}]")
-    # a copy, so the (rows, m) index array is freed at once
-    ids = np.argpartition(norm, m - k, axis=1)[:, m - k :].copy()
-    kth = np.take_along_axis(norm, ids[:, :1], axis=1)  # the k-th highest score
-    tied = np.flatnonzero(np.count_nonzero(norm >= kth, axis=1) > k)
-    # every score above the k-th, then the lowest ids among those equal to it;
-    # in blocks of rows, so that the repair adds no (rows, m) temporaries
-    step = max(1, _BLOCK_CELLS // m)
-    for start in range(0, tied.size, step):
-        block = tied[start : start + step]
-        sub, cut = norm[block], kth[block]
-        above, at = sub > cut, sub == cut
-        room = k - np.count_nonzero(above, axis=1)
-        pick = above | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= room[:, None]))
-        ids[block] = np.nonzero(pick)[1].reshape(-1, k)
-    scores = np.take_along_axis(norm, ids, axis=1)
-    return np.take_along_axis(ids, np.lexsort((ids, -scores), axis=1), axis=1)
-
-
 @runtime_checkable
 class BlackBoxScorer(Protocol):
     num_items: int

@@ -97,8 +97,8 @@ def valid_from_topk(
     """Validity decision given the candidate's top-k ids and normalized scores.
 
     This is the scalar decision path behind `is_valid`, and the reference
-    for `valid_from_topk_batch`. `topk_ids`/`topk_scores` must cover at
-    least k entries sorted by descending score (ties by ascending id).
+    for `valid_rows`. `topk_ids`/`topk_scores` must cover at least k
+    entries sorted by descending score (ties by ascending id).
     """
     if topk_ids[0] == source_top1:
         # the recommendation did not change, so nothing counts as a
@@ -125,34 +125,72 @@ def valid_from_topk(
     )
 
 
-def valid_from_topk_batch(
+def _rank(norm: np.ndarray, item: np.ndarray) -> np.ndarray:
+    """Each row's rank of its item `item[row]` by (-score, id); the top item ranks 0."""
+    score = np.take_along_axis(norm, item[:, None], axis=1)
+    rank = np.count_nonzero(norm > score, axis=1)
+    # equal scores rank by id: only rows with a tie pay for the id mask
+    tied = np.flatnonzero(np.count_nonzero(norm == score, axis=1) > 1)
+    if tied.size:
+        lower = np.arange(norm.shape[1]) < item[tied, None]
+        rank[tied] += np.count_nonzero((norm[tied] == score[tied]) & lower, axis=1)
+    return rank
+
+
+def _in_top_k(norm: np.ndarray, top1: np.ndarray, item: np.ndarray, k: int, where: np.ndarray) -> np.ndarray:
+    """True at the rows of `where` whose item `item[row]` is in the row's top k."""
+    if k == 1:  # rank 0 is the argmax
+        return where & (item == top1)
+    out = np.zeros(where.shape, dtype=bool)
+    rows = np.flatnonzero(where)
+    sub = norm if rows.size == len(where) else norm[rows]
+    out[rows] = _rank(sub, item[rows]) < k
+    return out
+
+
+def valid_rows(
     setting: SettingSpec,
     source_top1: int,
-    topk_ids: np.ndarray,
-    topk_scores: np.ndarray,
+    norm: np.ndarray,
+    k: int,
     categories: CategoryMap | None = None,
 ) -> np.ndarray:
-    """`valid_from_topk` for a batch: one bool per row of (rows, k) top-k arrays.
+    """`valid_from_topk` of every row of a (rows, m) normalized score matrix.
 
-    Category lookups go through the (items, categories) membership matrix
-    instead of per-item sets.
+    No row's top k is built: the top-1 is the argmax (the first maximum,
+    which is the ascending-id tie-break), and an item is in the top k when
+    its rank by (-score, id), the count of items scoring above it plus the
+    lower ids scoring the same, is below k. Under `targ_cat` the
+    target-category item ranked best is the argmax over the category's
+    columns, and some member of the top k clears the threshold exactly
+    when that item does and ranks below k.
     """
-    ids, scores = np.asarray(topk_ids), np.asarray(topk_scores)
+    n, m = norm.shape
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} outside [1, {m}]")
+    top1 = np.argmax(norm, axis=1)
+    at = np.arange(n)
     t = setting.threshold
     # an unchanged recommendation is never a counterfactual
-    changed = ids[:, 0] != source_top1
+    ok = top1 != source_top1
     if not setting.targeted and not setting.categorized:
-        ok = scores[:, 0] >= t
+        ok &= norm[at, top1] >= t
         if setting.untargeted_rank_rule == "topk_absence":
-            ok &= ~(ids == source_top1).any(axis=1)
-        return changed & ok
+            ok &= ~_in_top_k(norm, top1, np.full(n, source_top1), k, ok)
+        return ok
     if setting.targeted and not setting.categorized:
-        return changed & ((ids == setting.target_item) & (scores >= t)).any(axis=1)
+        ok &= norm[:, setting.target_item] >= t
+        return _in_top_k(norm, top1, np.full(n, setting.target_item), k, ok)
     member = _require_categories(setting, categories).membership
-    if not setting.targeted and setting.categorized:
-        shared = (member[ids[:, 0]] & member[source_top1]).any(axis=1)
-        return changed & ~shared & (scores[:, 0] >= t)
-    return changed & (member[ids, setting.target_category] & (scores >= t)).any(axis=1)
+    if not setting.targeted:
+        shares = (member & member[source_top1]).any(axis=1)
+        return ok & ~shares[top1] & (norm[at, top1] >= t)
+    members = np.flatnonzero(member[:, setting.target_category])
+    if members.size == 0:
+        return np.zeros(n, dtype=bool)
+    best = members[np.argmax(norm[:, members], axis=1)]
+    ok &= norm[at, best] >= t
+    return _in_top_k(norm, top1, best, k, ok)
 
 
 def is_valid(

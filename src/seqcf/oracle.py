@@ -69,20 +69,26 @@ def oracle_optimal(
 
     for d in range(1, max_distance + 1):
         best: tuple[int, ...] | None = None
-        for positions in combinations(range(length), d):
-            kept = set(src) - {src[p] for p in positions}
-            available = sorted(set(range(m)) - kept)
-            for assignment in permutations(available, d):
-                if any(z == src[p] for z, p in zip(assignment, positions)):
-                    continue
-                cand = list(src)
-                for z, p in zip(assignment, positions):
-                    cand[p] = z
-                cand_t = tuple(cand)
-                if best is not None and cand_t >= best:
-                    continue
-                if is_valid(setting, src_scores, model.score(cand_t), k, categories):
-                    best = cand_t
+        for cand in substitutions(src, m, d):
+            if best is not None and cand >= best:
+                continue
+            if is_valid(setting, src_scores, model.score(cand), k, categories):
+                best = cand
         if best is not None:
             return best, d
     return None
+
+
+def substitutions(source, m: int, d: int):
+    """Every duplicate-free sequence over range(m) that differs from `source` in exactly d positions."""
+    src = as_items(source)
+    for positions in combinations(range(len(src)), d):
+        kept = set(src) - {src[p] for p in positions}
+        available = sorted(set(range(m)) - kept)
+        for assignment in permutations(available, d):
+            if any(z == src[p] for z, p in zip(assignment, positions)):
+                continue
+            cand = list(src)
+            for z, p in zip(assignment, positions):
+                cand[p] = z
+            yield tuple(cand)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .core import CategoryMap, UserSequence, as_items, atomic_write
 from .metrics import hamming, levenshtein
+from .models import ScoreVector
 from .objective import SettingSpec, is_valid
 
 RECORDS_FORMAT = "seqcf-explanations.v1"
@@ -77,20 +78,25 @@ def explanation_record(
     generation_found: int | None,
     seed: int,
     categories: CategoryMap | None = None,
+    source_scores: ScoreVector | None = None,
+    cf_scores: ScoreVector | None = None,
 ) -> ExplanationRecord:
     """The record of one search outcome; `counterfactual` None records its absence.
 
     `valid_at_k` checks the counterfactual at each of the setting's k_eval
     that fits the catalog; the model is only asked for scores when a
-    counterfactual exists.
+    counterfactual exists, and only for those the caller did not pass.
     """
     source_items = as_items(source)
     ks = [k for k in setting.k_eval if k <= model.num_items]
     valid_at_k = dict.fromkeys(ks, False)
     ham = lev = None
     if counterfactual is not None:
-        src_scores, cf_scores = model.score(source_items), model.score(counterfactual)
-        valid_at_k = {k: is_valid(setting, src_scores, cf_scores, k, categories) for k in ks}
+        if source_scores is None:
+            source_scores = model.score(source_items)
+        if cf_scores is None:
+            cf_scores = model.score(counterfactual)
+        valid_at_k = {k: is_valid(setting, source_scores, cf_scores, k, categories) for k in ks}
         ham, lev = hamming(source_items, counterfactual), levenshtein(source_items, counterfactual)
     return ExplanationRecord(
         user=source.user if isinstance(source, UserSequence) else 0,

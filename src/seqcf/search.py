@@ -19,9 +19,19 @@ forms of the scalar operators `mutate_*` and `crossover` (kept as their
 reference and used by the baselines); selection's one sort of the pool by
 (items, born) keeps each sequence's earliest-born copy, and the copies born
 this generation, the sequences new to the population, are scored in one
-batch. A row is scored by itself (softmax; top-k by argmax or `top_k_rows`;
-objective mass by one dot product; edit distance by `levenshtein_batch`),
-so its results do not depend on the rows batched with it.
+batch. A row is scored by itself (softmax; validity by `valid_rows`, from
+argmax and rank counts with no top-k; objective mass by one dot product;
+edit distance by `levenshtein_batch`), so its results do not depend on the
+rows batched with it, and batches are scored in blocks of about 4 MiB of
+float64 scores, whose (rows, m) passes stay in cache.
+
+Before the GA, `explain` scores the whole radius-1 ball of the source
+(every sequence one replace, add or delete away, for the mutation kinds
+with a positive weight), one chunk of positions at a time. A valid member
+is the answer: the one of minimal (loss, items) is exactly what harvesting
+would pick among all distance-1 sequences, so no evolved candidate can beat
+it, and it is recorded as found in generation 0. Only when no member is
+valid does the GA run; `GaConfig.radius1=False` skips the ball.
 
 Everything is reproducible: randomness comes from streams keyed by
 (master seed, purpose, user, generation), and evaluation is pure, so the
@@ -46,12 +56,13 @@ from .core import (
     derive_stream,
 )
 from .metrics import NULL_ITEM, levenshtein_batch
-from .models import ScoreVector, score_batch_logits, softmax, top_k, top_k_rows
-from .objective import SettingSpec, loss_weights, valid_from_topk_batch
+from .models import ScoreVector, score_batch_logits, softmax, top_k
+from .objective import SettingSpec, loss_weights, valid_rows
 from .records import ExplanationRecord, explanation_record
 
 MUTATION_KINDS = ("replace", "add", "delete")
 _ADD, _DELETE = MUTATION_KINDS.index("add"), MUTATION_KINDS.index("delete")
+_BLOCK_BYTES = 4 << 20  # float64 scores per evaluation block: about an L2 cache
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,7 @@ class GaConfig:
     max_len: int = DEFAULT_MAX_LEN
     elitism_fraction: float = 1.0
     mutation_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    radius1: bool = True
 
     def __post_init__(self) -> None:
         if self.generations < 1:
@@ -79,6 +91,8 @@ class GaConfig:
             raise ValueError("mutation_weights are 3 non-negative reals")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if not isinstance(self.radius1, bool):
+            raise ValueError("radius1 must be a bool")
 
 
 @dataclass(frozen=True)
@@ -337,8 +351,9 @@ class _RowEvaluator:
     """Fitness, loss, edit distance and validity of candidate rows for one search.
 
     A row's results depend on its items alone, never on the other rows of
-    the batch (the objective mass is one dot product per row), so rows may
-    be scored in any batches and any order.
+    the batch (the objective mass is one dot product per row), so rows are
+    scored in blocks of `block_rows` rows, about 4 MiB of float64 scores,
+    and may be scored in any batches and any order.
     """
 
     def __init__(self, model, setting, source_items, k, config, categories):
@@ -348,25 +363,84 @@ class _RowEvaluator:
         self.k = k
         self.config = config
         self.categories = categories
-        source_scores = model.score(source_items)
-        self.source_top1 = top_k(source_scores, 1)[0]
-        self.weights, self.targeted_loss = loss_weights(setting, source_scores, model.num_items, categories)
+        self.source_scores = model.score(source_items)
+        self.source_top1 = top_k(self.source_scores, 1)[0]
+        self.weights, self.targeted_loss = loss_weights(setting, self.source_scores, model.num_items, categories)
+        self.block_rows = max(1, _BLOCK_BYTES // (8 * model.num_items))
+
+    def loss_valid(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(loss, valid) per row."""
+        loss = np.empty(len(lengths))
+        valid = np.empty(len(lengths), dtype=bool)
+        for start in range(0, len(lengths), self.block_rows):
+            block = slice(start, start + self.block_rows)
+            norm = softmax(score_batch_logits(self.model, rows[block], lengths[block]))
+            mass = np.vecdot(norm, self.weights)
+            loss[block] = 1.0 - mass if self.targeted_loss else mass
+            valid[block] = valid_rows(self.setting, self.source_top1, norm, self.k, self.categories)
+        return loss, valid
 
     def __call__(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
         """(fitness, loss, lev, valid) per row."""
-        norm = softmax(score_batch_logits(self.model, rows, lengths))
+        loss, valid = self.loss_valid(rows, lengths)
         lev = levenshtein_batch(self.source_items, rows, lengths)
-        mass = np.vecdot(norm, self.weights)
-        loss = 1.0 - mass if self.targeted_loss else mass
-        if self.k == 1:
-            # argmax picks the first max, which is the ascending-id tie-break
-            ids = np.argmax(norm, axis=-1)[:, None]
-        else:
-            ids = top_k_rows(norm, self.k)
-        scores = np.take_along_axis(norm, ids, axis=-1)
-        valid = valid_from_topk_batch(self.setting, self.source_top1, ids, scores, self.categories)
         fitness = combine_fitness(lev, loss, self.config.edit_weight, self.config.max_len)
         return fitness, loss, lev, valid
+
+
+def radius1_ball(
+    source_items: tuple[int, ...], m: int, max_len: int, weights: Sequence[float], chunk_rows: int
+):
+    """Every duplicate-free sequence one edit away from the source, in chunks.
+
+    The edits are the mutation kinds with a positive weight: a replace puts
+    an item absent from the source at one of its L positions, an add
+    inserts one at one of its L + 1 slots while L < max_len, and a delete
+    removes one of its positions while L >= 2. No two edits give the same
+    sequence. Yields (rows, lengths) per group of positions of one kind, a
+    group holding at most `chunk_rows` rows when one position fits.
+    """
+    src = np.asarray(source_items, dtype=np.int64)
+    n = len(src)
+    absent = np.setdiff1d(np.arange(m), src)
+    # positions per kind, in MUTATION_KINDS order; 0 where the kind does not apply
+    for kind, positions in enumerate((n, n + 1 if n < max_len else 0, n if n >= 2 else 0)):
+        if weights[kind] <= 0:
+            continue
+        per_position = 1 if kind == _DELETE else len(absent)
+        step = max(1, chunk_rows // per_position)
+        for first in range(0, positions, step):
+            pos = np.arange(first, min(first + step, positions))
+            if kind == _DELETE:
+                cols = np.arange(n - 1)
+                rows = src[cols + (cols >= pos[:, None])]  # skip position p
+            else:
+                cols = np.arange(n + (kind == _ADD))
+                # each cell's source column; the cell at p takes the new item
+                shift = (kind == _ADD) & (cols > pos[:, None])
+                rows = np.repeat(src[np.minimum(cols - shift, n - 1)], len(absent), axis=0)
+                rows[np.arange(len(rows)), np.repeat(pos, len(absent))] = np.tile(absent, len(pos))
+            yield rows, np.full(len(rows), rows.shape[1], dtype=np.int64)
+
+
+def _radius1_best(evaluate: _RowEvaluator, max_len: int) -> tuple[int, ...] | None:
+    """The ball member with minimal (loss, items) among the valid ones, or None.
+
+    Every member is at edit distance 1, so this is the harvest rule's
+    winner over all distance-1 sequences the mutation kinds can reach.
+    """
+    best = None
+    m, weights = evaluate.model.num_items, evaluate.config.mutation_weights
+    chunks = radius1_ball(evaluate.source_items, m, max_len, weights, evaluate.block_rows)
+    for rows, lengths in chunks:
+        loss, valid = evaluate.loss_valid(rows, lengths)
+        hit = np.flatnonzero(valid)
+        if hit.size:
+            # a chunk's rows share one length, so column order is tuple order
+            i = hit[np.lexsort((*rows[hit].T[::-1], loss[hit]))[0]]
+            cand = (float(loss[i]), tuple(int(x) for x in rows[i]))
+            best = cand if best is None else min(best, cand)
+    return None if best is None else best[1]
 
 
 def _row_words(rows: np.ndarray, m: int) -> np.ndarray:
@@ -460,18 +534,9 @@ def _variation(
     return _pad_stack(rows, kid_rows), np.concatenate([lengths, kid_lengths])
 
 
-def genetic(
-    source,
-    setting: SettingSpec,
-    model,
-    k: int,
-    config: GaConfig = GaConfig(),
-    seed: int = 0,
-    categories: CategoryMap | None = None,
-) -> Population:
-    """Run the evolutionary loop; return the final population ranked by (fitness, items)."""
+def _evaluator(source, setting, model, k, config, categories) -> tuple[_RowEvaluator, int]:
+    """The search's row evaluator, after checking its inputs, and its length limit."""
     source_items = as_items(source)
-    user = source.user if isinstance(source, UserSequence) else 0
     m = model.num_items
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside [1, {m}]")
@@ -482,11 +547,15 @@ def genetic(
         raise ValueError(f"source length {len(source_items)} exceeds limit {max_len}")
     if not source_items or min(source_items) < 0 or max(source_items) >= m:
         raise ValueError("source must be a non-empty sequence of catalog items")
+    return _RowEvaluator(model, setting, source_items, k, config, categories), max_len
 
-    evaluate = _RowEvaluator(model, setting, source_items, k, config, categories)
+
+def _evolve(evaluate: _RowEvaluator, max_len: int, seed: int, user: int) -> Population:
+    """The evolutionary loop; the final population ranked by (fitness, items)."""
+    config, m = evaluate.config, evaluate.model.num_items
     n = config.population_size
-    rows = np.tile(np.asarray(source_items, dtype=np.int64), (n, 1))
-    lengths = np.full(n, len(source_items), dtype=np.int64)
+    rows = np.tile(np.asarray(evaluate.source_items, dtype=np.int64), (n, 1))
+    lengths = np.full(n, len(evaluate.source_items), dtype=np.int64)
     scored = evaluate(rows[:1], lengths[:1])  # every individual is the source
     population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *(np.repeat(r, n) for r in scored))
 
@@ -499,6 +568,20 @@ def genetic(
     return population.take(np.lexsort((*words.T[::-1], population.fitness)))
 
 
+def genetic(
+    source,
+    setting: SettingSpec,
+    model,
+    k: int,
+    config: GaConfig = GaConfig(),
+    seed: int = 0,
+    categories: CategoryMap | None = None,
+) -> Population:
+    """Run the evolutionary loop; return the final population ranked by (fitness, items)."""
+    evaluate, max_len = _evaluator(source, setting, model, k, config, categories)
+    return _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
+
+
 def explain(
     source: UserSequence,
     setting: SettingSpec,
@@ -508,18 +591,30 @@ def explain(
     seed: int = 0,
     categories: CategoryMap | None = None,
 ) -> ExplanationRecord:
-    """Harvest the closest valid candidate from the evolved population.
+    """The closest valid candidate: from the radius-1 ball, else from the evolved population.
 
-    Among final-population candidates valid at rank k, the winner minimizes
-    edit distance (ties: lower objective loss, then lexicographic items).
-    No valid candidate is a legitimate outcome, recorded as an absent
-    counterfactual.
+    With `config.radius1` the whole distance-1 neighbourhood is scored
+    first, and its valid member of minimal (loss, items) is the result,
+    recorded as found in generation 0; no evolved candidate can be closer
+    or rank before it. Otherwise, and when no ball member is valid, the
+    genetic search runs, and among final-population candidates valid at
+    rank k the winner minimizes edit distance (ties: lower objective loss,
+    then lexicographic items). No valid candidate is a legitimate outcome,
+    recorded as an absent counterfactual.
     """
-    population = genetic(source, setting, model, k, config, seed, categories=categories)
+    evaluate, max_len = _evaluator(source, setting, model, k, config, categories)
+
+    def record(counterfactual, generation_found):
+        return explanation_record(
+            source, "gece", setting, model, counterfactual, generation_found, seed, categories,
+            source_scores=evaluate.source_scores,
+        )
+
+    if config.radius1 and (best := _radius1_best(evaluate, max_len)) is not None:
+        return record(best, 0)
+    population = _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
     valid = population.take(np.flatnonzero(population.valid))
     if len(valid) == 0:
-        return explanation_record(source, "gece", setting, model, None, None, seed, categories)
+        return record(None, None)
     best = np.lexsort((valid.born, *valid.rows.T[::-1], valid.loss, valid.lev))[0]
-    return explanation_record(
-        source, "gece", setting, model, valid.items(best), int(valid.born[best]), seed, categories
-    )
+    return record(valid.items(best), int(valid.born[best]))

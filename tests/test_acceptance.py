@@ -30,10 +30,12 @@ from seqcf import (
 )
 from seqcf.cli import main
 from seqcf.core import TAG_SAMPLE, TAG_TARGET, derive_stream
-from seqcf.dataset import InteractionLog, sample_users, write_categories
+from seqcf.dataset import InteractionLog, sample_target_item, sample_users, write_categories
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
+from seqcf.oracle import substitutions
 from seqcf.records import read_records
+from seqcf.search import _RowEvaluator, radius1_ball
 
 from conftest import EchoScorer
 from test_metrics import brute_levenshtein
@@ -92,6 +94,7 @@ def test_c03_oracle_equivalence_for_genetic_search():
         mutation_weights=(1.0, 0.0, 0.0),
         crossover_prob=0.0,
         max_len=3,
+        radius1=False,  # the paper's GA, not the radius-1 pre-pass (c12)
     )
     matches = beats = comparable = 0
     for inst in range(50):
@@ -118,7 +121,7 @@ def test_c03_oracle_equivalence_for_genetic_search():
 @pytest.mark.slow
 def test_c04_untargeted_easy_reproduction(reference_split, reference_model):
     setting = SettingSpec.from_name("un_un")
-    cfg = GaConfig(generations=30, population_size=1024, max_len=reference_split.max_len)
+    cfg = GaConfig(generations=30, population_size=1024, max_len=reference_split.max_len, radius1=False)
     found = 0
     distances = []
     for user in reference_split.users:
@@ -135,7 +138,7 @@ def test_c04_untargeted_easy_reproduction(reference_split, reference_model):
 @pytest.mark.slow
 def test_c05_targeted_categorized_dominance(reference_split, reference_model):
     cats = reference_split.categories
-    cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len)
+    cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len, radius1=False)
     margins = []
     lines = []
     for seed in (0, 1, 2):
@@ -318,3 +321,62 @@ def test_c11_preprocessing_invariants():
     report(11, shuffle_ok and reconstruction_ok,
            f"k-core idempotent+order-independent over 100 shuffles: {shuffle_ok}; "
            f"leave-one-out reconstruction for all {len(split.train)} users: {reconstruction_ok}")
+
+
+@pytest.mark.slow
+def test_c12_radius1_prepass_exactness(reference_split, reference_model):
+    # replace-only: the ball's valid members are exactly the oracle's level-1 valid candidates
+    setting = SettingSpec.from_name("un_un")
+    cfg = GaConfig(mutation_weights=(1.0, 0.0, 0.0), max_len=3)
+    equal_sets = nonempty = 0
+    for inst in range(50):  # c03's instances
+        logdata, _ = synthesize_corpus(num_users=30, num_items=8, seed=1000 + inst, walk_min=5, walk_max=6)
+        split = leave_one_out_split(logdata)
+        model = train_markov(split.train, split.catalog.num_items)
+        user = split.users[inst % len(split.users)]
+        source = split.train[user].items[:3]
+        src_scores = model.score(source)
+        oracle_set = {
+            c for c in substitutions(source, model.num_items, 1) if is_valid(setting, src_scores, model.score(c), 1)
+        }
+        evaluate = _RowEvaluator(model, setting, source, 1, cfg, None)
+        ball_set = set()
+        for rows, lengths in radius1_ball(source, model.num_items, 3, cfg.mutation_weights, 4):
+            ball_set |= {tuple(int(x) for x in row) for row in rows[evaluate.loss_valid(rows, lengths)[1]]}
+        equal_sets += ball_set == oracle_set
+        nonempty += bool(oracle_set)
+
+    # reference corpus: the ball's result is never further than the GA's
+    cats = reference_split.categories
+    settings = [
+        SettingSpec.from_name("un_un"),
+        SettingSpec.from_name(
+            "targ_un", target_item=sample_target_item(reference_split, "popular", derive_stream(0, [TAG_TARGET]))
+        ),
+        SettingSpec.from_name("un_cat"),
+        SettingSpec.from_name("targ_cat", target_category=int(derive_stream(0, [TAG_TARGET]).integers(6))),
+    ]
+    ga_cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len, radius1=False)
+    ball_cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len)
+    worse, lines = 0, []
+    for setting in settings:
+        users = sample_users(reference_split, 30, derive_stream(0, [TAG_SAMPLE]))
+        hits = closer = 0
+        for user in users:
+            source = reference_split.train[user]
+            ga = explain(source, setting, reference_model, 1, ga_cfg, seed=0, categories=cats)
+            ball = explain(source, setting, reference_model, 1, ball_cfg, seed=0, categories=cats)
+            hits += ball.generation_found == 0
+            if ga.counterfactual is not None:
+                worse += ball.counterfactual is None or ball.levenshtein > ga.levenshtein
+            closer += ball.counterfactual is not None and (
+                ga.counterfactual is None or ball.levenshtein < ga.levenshtein
+            )
+        lines.append(f"{setting.name}: ball valid for {hits}/{len(users)}, closer than the GA for {closer}")
+    print("\n".join("    " + line for line in lines))
+    report(
+        12,
+        equal_sets == 50 and worse == 0,
+        f"ball valid set = oracle level-1 set on {equal_sets}/50 replace-only instances ({nonempty} non-empty); "
+        f"ball worse than the GA on {worse} of {30 * len(settings)} reference users (must be 0)",
+    )

@@ -109,3 +109,38 @@ class TestEducatedBaseline:
         a = baseline_educated(src, setting, model, 1, budget=10, seed=6, categories=CATS6)
         b = baseline_educated(src, setting, model, 1, budget=10, seed=6, categories=CATS6)
         assert a.to_dict() == b.to_dict()
+
+
+class CountingScorer:
+    """Wraps a scorer and records every sequence it is asked to score."""
+
+    def __init__(self, model):
+        self.model, self.num_items, self.calls = model, model.num_items, []
+
+    def score(self, seq):
+        self.calls.append(tuple(seq.items if isinstance(seq, UserSequence) else seq))
+        return self.model.score(seq)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, src: baseline_random(src, SettingSpec.from_name("un_un"), model, 1, budget=6, seed=2),
+        lambda model, src: baseline_educated(
+            src, SettingSpec.from_name("targ_un", target_item=9, threshold=0.2), model, 1, budget=6, seed=2
+        ),
+        lambda model, src: baseline_educated(
+            src, SettingSpec.from_name("targ_cat", target_category=1, threshold=0.2), model, 1, budget=6,
+            seed=2, categories=CATS6,
+        ),
+    ],
+    ids=["random", "educated-item", "educated-category"],
+)
+def test_baselines_score_each_sequence_once(run):
+    # the record reuses the scores its baseline already holds
+    src = UserSequence(1, (0, 2), 50)
+    model = CountingScorer(EchoScorer(12))
+    rec = run(model, src)
+    assert rec.counterfactual is not None
+    assert len(model.calls) == 1 + rec.generation_found  # the source, then one call per attempt
+    assert model.calls[0] == src.items and model.calls[-1] == rec.counterfactual

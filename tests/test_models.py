@@ -15,7 +15,7 @@ from seqcf import (
     train_markov,
     train_popularity,
 )
-from seqcf.models import ScoreVector, softmax, top_k_rows
+from seqcf.models import ScoreVector, softmax
 
 from conftest import seqs
 
@@ -56,38 +56,6 @@ class TestTopK:
             top_k(sv, 4)
         with pytest.raises(ValueError):
             top_k(sv, 0)
-
-
-class TestTopKRows:
-    def test_tie_at_the_cut_takes_lowest_ids(self):
-        norm = np.array([[0.1, 0.2, 0.1, 0.5, 0.1], [0.0, 0.0, 0.0, 0.0, 1.0]])
-        assert top_k_rows(norm, 3).tolist() == [[3, 1, 0], [4, 0, 1]]
-
-    @pytest.mark.parametrize("m", [2, 7, 40])
-    def test_matches_top_k_on_tie_heavy_rows(self, m):
-        rng = np.random.default_rng(m)
-        for levels in (1, 2, 3, m):  # few distinct values: ties everywhere
-            logits = rng.integers(0, levels, size=(60, m)).astype(float)
-            logits[rng.random(logits.shape) < 0.3] = -np.inf  # masked items tie at exactly 0
-            logits[:, 0] = 0.0  # one finite logit per row
-            norm = softmax(logits)
-            for k in range(1, m + 1):
-                got = top_k_rows(norm, k)
-                assert got.tolist() == [top_k(ScoreVector(row), k) for row in logits]
-
-    def test_tie_repair_spans_row_blocks(self):
-        # 300 rows x 3000 items is more than one block of the repair
-        rng = np.random.default_rng(4)
-        logits = rng.integers(0, 3, size=(300, 3000)).astype(float)
-        norm = softmax(logits)
-        for k in (2, 10, 3000):
-            assert top_k_rows(norm, k).tolist() == [top_k(ScoreVector(row), k) for row in logits]
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            top_k_rows(np.zeros((2, 3)), 4)
-        with pytest.raises(ValueError):
-            top_k_rows(np.zeros((2, 3)), 0)
 
 
 class TestScoring:

@@ -3,8 +3,8 @@ import pytest
 
 from seqcf import SettingSpec, is_valid, objective_loss, verify_eps_vcs
 from seqcf.core import CategoryMap
-from seqcf.models import ScoreVector, top_k
-from seqcf.objective import loss_weights
+from seqcf.models import ScoreVector, softmax, top_k
+from seqcf.objective import loss_weights, valid_from_topk, valid_rows
 
 from conftest import SumScorer, overlapping_categories, seqs
 
@@ -130,6 +130,88 @@ class TestIsValid:
             cand = ScoreVector(rng.normal(size=6))
             flags = [is_valid(setting, source, cand, k) for k in range(1, 7)]
             assert all(a or not b for a, b in zip(flags, flags[1:]))  # b -> a
+
+
+def tie_heavy_logits(rng, rows, m, levels):
+    """Logits on `levels` distinct values (ties everywhere), some masked to -inf."""
+    logits = rng.integers(0, levels, size=(rows, m)).astype(float)
+    logits[rng.random(logits.shape) < 0.3] = -np.inf  # masked items tie at exactly 0
+    logits[:, 0] = 0.0  # one finite logit per row
+    return logits
+
+
+def ranked(logits):
+    """Each row's scalar `top_k` over the whole catalog, with its scores."""
+    out = []
+    for row in logits:
+        scores = ScoreVector(row)
+        ids = top_k(scores, scores.num_items)
+        out.append((ids, scores.normalized[ids]))
+    return out
+
+
+def scalar_valid_rows(setting, source_top1, rows_ranked, k, cats):
+    """`valid_from_topk` of each row (it reads the first k of the ranking)."""
+    return [valid_from_topk(setting, source_top1, ids, scores, k, cats) for ids, scores in rows_ranked]
+
+
+class TestValidRows:
+    def test_tie_at_the_cut_takes_lowest_ids(self):
+        # top 3 by (-score, id): [3, 1, 0] and [4, 0, 1]; items 2 and 4 of row 0 tie item 0 but rank after it
+        norm = np.array([[0.1, 0.2, 0.1, 0.5, 0.1], [0.0, 0.0, 0.0, 0.0, 1.0]])
+        setting = SettingSpec.from_name("un_un", threshold=0.4)
+        assert valid_rows(setting, 0, norm, 3).tolist() == [False, False]
+        assert valid_rows(setting, 2, norm, 3).tolist() == [True, True]
+
+    @pytest.mark.parametrize("m", [2, 7, 40])
+    def test_matches_valid_from_topk_on_tie_heavy_rows(self, m):
+        rng = np.random.default_rng(m)
+        # category 3 has no member: targ_cat on it is never valid
+        cats = CategoryMap(
+            categories_of=tuple(frozenset(int(c) for c in rng.choice(3, int(rng.integers(0, 3)), replace=False))
+                                for _ in range(m)),
+            num_categories=4,
+        )
+        for levels in (1, 2, 3, m):
+            logits = tie_heavy_logits(rng, 20, m, levels)
+            norm, rows_ranked = softmax(logits), ranked(logits)
+            src = int(rng.integers(m))
+            for t in (0.05, 0.25, 0.5, 0.6):
+                settings = [
+                    SettingSpec.from_name("un_un", threshold=t),
+                    SettingSpec.from_name("un_un", threshold=t, untargeted_rank_rule="top1_change"),
+                    SettingSpec.from_name("targ_un", target_item=int(rng.integers(m)), threshold=t),
+                    SettingSpec.from_name("un_cat", threshold=t),
+                    SettingSpec.from_name("targ_cat", target_category=int(rng.integers(4)), threshold=t),
+                    SettingSpec.from_name("targ_cat", target_category=3, threshold=t),
+                ]
+                for setting in settings:
+                    for k in range(1, m + 1):
+                        got = valid_rows(setting, src, norm, k, cats)
+                        assert got.tolist() == scalar_valid_rows(setting, src, rows_ranked, k, cats)
+
+    def test_matches_valid_from_topk_on_wide_rows(self):
+        rng = np.random.default_rng(4)
+        logits = rng.integers(0, 3, size=(100, 3000)).astype(float)
+        norm, rows_ranked = softmax(logits), ranked(logits)
+        cats = CategoryMap(categories_of=tuple(frozenset({i % 5}) for i in range(3000)), num_categories=5)
+        settings = [
+            SettingSpec.from_name("un_un", threshold=1e-4),
+            SettingSpec.from_name("targ_un", target_item=7, threshold=1e-4),
+            SettingSpec.from_name("targ_cat", target_category=2, threshold=1e-4),
+        ]
+        for setting in settings:
+            for k in (2, 10, 3000):
+                assert valid_rows(setting, 3, norm, k, cats).tolist() == scalar_valid_rows(
+                    setting, 3, rows_ranked, k, cats
+                )
+
+    def test_k_out_of_range(self):
+        setting = SettingSpec.from_name("un_un")
+        with pytest.raises(ValueError):
+            valid_rows(setting, 0, np.full((2, 3), 1 / 3), 4)
+        with pytest.raises(ValueError):
+            valid_rows(setting, 0, np.full((2, 3), 1 / 3), 0)
 
 
 class TestObjectiveLoss:

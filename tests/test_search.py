@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from seqcf.core import derive_stream
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
-from seqcf.search import _RowEvaluator, crossover_rows, mutate_rows, splice_rows
+from seqcf.search import _RowEvaluator, crossover_rows, mutate_rows, radius1_ball, splice_rows
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
 
@@ -311,6 +313,60 @@ class TestRowEvaluator:
             assert np.array_equal(back, got[::-1])
             assert np.array_equal(np.concatenate([head, tail]), got)
 
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_blocks_match_one_batch(self, walk_markov, setting, k):
+        cats = overlapping_categories(12)
+        cfg = GaConfig(population_size=8, edit_weight=0.3, max_len=8)
+        rng = derive_stream(5, [7])
+        rows, lengths = as_rows([tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(100)])
+        evaluate = _RowEvaluator(walk_markov, setting, (0, 1, 2, 3), k, cfg, cats)
+        evaluate.block_rows = len(lengths)
+        whole = evaluate(rows, lengths)
+        for block_rows in (1, 7, len(lengths)):
+            evaluate.block_rows = block_rows
+            for got, want in zip(evaluate(rows, lengths), whole):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_block_is_about_4_mib_of_scores(self, walk_markov):
+        evaluate = _RowEvaluator(walk_markov, SettingSpec.from_name("un_un"), (0, 1), 1, GaConfig(), None)
+        assert evaluate.block_rows == (4 << 20) // (8 * 12)
+
+
+def distance1_sequences(items, m, max_len, weights):
+    """Brute force: every duplicate-free sequence over range(m) at edit distance 1 the weights allow."""
+    n = len(items)
+    lengths = [(n, weights[0]), (n + 1, weights[1] if n + 1 <= max_len else 0), (n - 1, weights[2])]
+    return {
+        cand
+        for length, weight in lengths
+        if weight > 0 and length >= 1
+        for cand in permutations(range(m), length)
+        if levenshtein(items, cand) == 1
+    }
+
+
+class TestRadius1Ball:
+    WEIGHTS = [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0),
+               (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    @pytest.mark.parametrize(
+        "items, m, max_len",
+        [((3,), 6, 5), ((0, 4, 2), 6, 5), ((5, 1, 0, 3), 7, 4), ((1, 0, 2, 4, 3), 6, 5)],
+    )
+    def test_matches_brute_force_enumeration(self, items, m, max_len, weights):
+        expected = distance1_sequences(items, m, max_len, weights)
+        for chunk_rows in (1, 5, 1000):
+            got = []
+            for rows, lengths in radius1_ball(items, m, max_len, weights, chunk_rows):
+                assert rows.dtype == np.int64 and (lengths == rows.shape[1]).all()
+                # a chunk is whole positions: at most chunk_rows rows unless one position is more
+                assert len(rows) <= max(chunk_rows, m - len(items))
+                got += row_tuples(rows, lengths)
+            assert len(got) == len(set(got))
+            assert set(got) == expected
+
 
 class TestFitness:
     def setup_method(self):
@@ -410,7 +466,7 @@ class TestGenetic:
         # trained cycle 0->1->2->3; from (0,1) the model suggests 2, and one
         # replacement (0,2) flips the suggestion to 3
         setting = SettingSpec.from_name("un_un")
-        cfg = GaConfig(generations=30, population_size=64, max_len=3)
+        cfg = GaConfig(generations=30, population_size=64, max_len=3, radius1=False)
         src = UserSequence(1, (0, 1), 3)
         rec = explain(src, setting, cycle_markov, 1, cfg, seed=2)
         assert rec.counterfactual is not None
@@ -462,6 +518,47 @@ class TestGenetic:
 
 
 class TestExplain:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            SettingSpec.from_name("un_un", threshold=0.2),
+            SettingSpec.from_name("targ_un", target_item=5, threshold=0.1),
+            SettingSpec.from_name("un_cat", threshold=0.2),
+            SettingSpec.from_name("targ_cat", target_category=1, threshold=0.2),
+        ],
+        ids=lambda s: s.name,
+    )
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
+    def test_radius1_returns_the_harvest_optimum_over_distance_1(self, walk_markov, setting, weights):
+        cats = overlapping_categories(12)
+        cfg = GaConfig(generations=4, population_size=24, max_len=6, mutation_weights=weights)
+        hits = 0
+        for user, items in enumerate([(0, 1, 2, 3), (4, 9), (7, 3, 11, 5, 1, 0), (2,), (8, 6, 10)], start=1):
+            src = UserSequence(user, items, 6)
+            rec = explain(src, setting, walk_markov, 3, cfg, seed=user, categories=cats)
+            src_scores = walk_markov.score(items)
+            valid = sorted(
+                (objective_loss(setting, src_scores, walk_markov.score(cand), cats), cand)
+                for cand in set().union(*scalar_mutants(items, 12, 6, weights).values())
+                if levenshtein(items, cand) == 1  # an add at max_len also drops the oldest item
+                if is_valid(setting, src_scores, walk_markov.score(cand), 3, cats)
+            )
+            if valid:
+                hits += 1
+                assert rec.counterfactual == valid[0][1]
+                assert rec.generation_found == 0 and rec.levenshtein == 1
+            else:  # no valid member: the GA runs as without the ball
+                no_ball = GaConfig(generations=4, population_size=24, max_len=6, mutation_weights=weights,
+                                   radius1=False)
+                assert rec == explain(src, setting, walk_markov, 3, no_ball, seed=user, categories=cats)
+        assert hits > 0
+
+    def test_radius1_off_runs_only_the_ga(self, walk_markov, monkeypatch):
+        monkeypatch.setattr(search, "radius1_ball", lambda *a: pytest.fail("ball scored"))
+        cfg = GaConfig(generations=3, population_size=16, max_len=8, radius1=False)
+        rec = explain(UserSequence(1, (0, 1, 2, 3), 8), SettingSpec.from_name("un_un"), walk_markov, 1, cfg)
+        assert rec.generation_found != 0
+
     def test_absent_counterfactual_is_a_result(self):
         model = ConstScorer(8)
         cfg = GaConfig(generations=3, population_size=16, max_len=5)
@@ -474,9 +571,9 @@ class TestExplain:
 
     def test_minimal_distance_wins(self, cycle_markov):
         setting = SettingSpec.from_name("un_un")
-        cfg = GaConfig(generations=25, population_size=64, max_len=3)
+        cfg = GaConfig(generations=25, population_size=64, max_len=3, radius1=False)
         rec = explain(UserSequence(1, (0, 1), 3), setting, cycle_markov, 1, cfg, seed=1)
-        assert rec.levenshtein == 1  # a one-edit flip exists and must win
+        assert rec.levenshtein == 1  # a one-edit flip exists and the GA must find it
 
     def test_returned_counterfactual_verifies(self, walk_markov):
         setting = SettingSpec.from_name("un_un")
