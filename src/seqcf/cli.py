@@ -41,10 +41,6 @@ def _float_list(value) -> list[float]:
 
 def _config_value(action: argparse.Action, value):
     """A config file's value for `action`'s flag, cast as the flag casts, with no silent coercion."""
-    if isinstance(action, argparse.BooleanOptionalAction):
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {action.dest} takes true or false, got {value!r}")
-        return value
     if action.type is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"config key {action.dest} takes an integer, got {value!r}")
     return action.type(value) if action.type else value
@@ -331,13 +327,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         if f.name == "max_len":  # the split fixes it
             continue
         dest = GA_FLAG_NAMES.get(f.name, f.name)
-        flag = "--" + dest.replace("_", "-")
-        # unset flags keep the GaConfig default; a tuple field's comma list is parsed by _ga_config
-        if isinstance(f.default, bool):
-            knobs.append(p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction))
-        else:
-            cast = None if isinstance(f.default, tuple) else type(f.default)
-            knobs.append(p.add_argument(flag, dest=dest, type=cast))
+        # a tuple field's comma list is parsed by _ga_config; unset flags keep the GaConfig default
+        cast = None if isinstance(f.default, tuple) else type(f.default)
+        knobs.append(p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast))
     if config is not None:
         if not isinstance(config, dict):
             raise ValueError("a config file holds one JSON object of flag values")

@@ -26,12 +26,12 @@ rows batched with it, and batches are scored in blocks of about 4 MiB of
 float64 scores, whose (rows, m) passes stay in cache.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
-(every sequence one replace, add or delete away, for the mutation kinds
-with a positive weight), one chunk of positions at a time. A valid member
-is the answer: the one of minimal (loss, items) is exactly what harvesting
-would pick among all distance-1 sequences, so no evolved candidate can beat
-it, and it is recorded as found in generation 0. Only when no member is
-valid does the GA run; `GaConfig.radius1=False` skips the ball.
+(every sequence one replace, add or delete away, whatever the mutation
+weights, since crossover alone also reaches deletions), one chunk of
+positions at a time. A valid member is the answer: the one of minimal
+(loss, items) is exactly what harvesting would pick among all distance-1
+sequences, so no evolved candidate can beat it, and it is recorded as
+found in generation 0. Only when no member is valid does the GA run.
 
 Everything is reproducible: randomness comes from streams keyed by
 (master seed, purpose, user, generation), and evaluation is pure, so the
@@ -77,7 +77,6 @@ class GaConfig:
     max_len: int = DEFAULT_MAX_LEN
     elitism_fraction: float = 1.0
     mutation_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    radius1: bool = True
 
     def __post_init__(self) -> None:
         if self.generations < 1:
@@ -91,8 +90,6 @@ class GaConfig:
             raise ValueError("mutation_weights are 3 non-negative reals")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if not isinstance(self.radius1, bool):
-            raise ValueError("radius1 must be a bool")
 
 
 @dataclass(frozen=True)
@@ -388,25 +385,21 @@ class _RowEvaluator:
         return fitness, loss, lev, valid
 
 
-def radius1_ball(
-    source_items: tuple[int, ...], m: int, max_len: int, weights: Sequence[float], chunk_rows: int
-):
+def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int, chunk_rows: int):
     """Every duplicate-free sequence one edit away from the source, in chunks.
 
-    The edits are the mutation kinds with a positive weight: a replace puts
-    an item absent from the source at one of its L positions, an add
-    inserts one at one of its L + 1 slots while L < max_len, and a delete
-    removes one of its positions while L >= 2. No two edits give the same
-    sequence. Yields (rows, lengths) per group of positions of one kind, a
-    group holding at most `chunk_rows` rows when one position fits.
+    A replace puts an item absent from the source at one of its L
+    positions, an add inserts one at one of its L + 1 slots while
+    L < max_len, and a delete removes one of its positions while L >= 2.
+    No two edits give the same sequence. Yields (rows, lengths) per group of
+    positions of one kind, a group holding at most `chunk_rows` rows when
+    one position fits.
     """
     src = np.asarray(source_items, dtype=np.int64)
     n = len(src)
     absent = np.setdiff1d(np.arange(m), src)
     # positions per kind, in MUTATION_KINDS order; 0 where the kind does not apply
     for kind, positions in enumerate((n, n + 1 if n < max_len else 0, n if n >= 2 else 0)):
-        if weights[kind] <= 0:
-            continue
         per_position = 1 if kind == _DELETE else len(absent)
         step = max(1, chunk_rows // per_position)
         for first in range(0, positions, step):
@@ -427,11 +420,10 @@ def _radius1_best(evaluate: _RowEvaluator, max_len: int) -> tuple[int, ...] | No
     """The ball member with minimal (loss, items) among the valid ones, or None.
 
     Every member is at edit distance 1, so this is the harvest rule's
-    winner over all distance-1 sequences the mutation kinds can reach.
+    winner over all distance-1 sequences.
     """
     best = None
-    m, weights = evaluate.model.num_items, evaluate.config.mutation_weights
-    chunks = radius1_ball(evaluate.source_items, m, max_len, weights, evaluate.block_rows)
+    chunks = radius1_ball(evaluate.source_items, evaluate.model.num_items, max_len, evaluate.block_rows)
     for rows, lengths in chunks:
         loss, valid = evaluate.loss_valid(rows, lengths)
         hit = np.flatnonzero(valid)
@@ -582,6 +574,19 @@ def genetic(
     return _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
 
 
+def _harvest(population: Population) -> tuple[tuple[int, ...], int] | None:
+    """The closest valid candidate of a final population and its birth generation, or None.
+
+    Among candidates valid at the search's k the winner minimizes edit
+    distance (ties: lower objective loss, then lexicographic items).
+    """
+    valid = population.take(np.flatnonzero(population.valid))
+    if len(valid) == 0:
+        return None
+    best = np.lexsort((valid.born, *valid.rows.T[::-1], valid.loss, valid.lev))[0]
+    return valid.items(best), int(valid.born[best])
+
+
 def explain(
     source: UserSequence,
     setting: SettingSpec,
@@ -593,14 +598,12 @@ def explain(
 ) -> ExplanationRecord:
     """The closest valid candidate: from the radius-1 ball, else from the evolved population.
 
-    With `config.radius1` the whole distance-1 neighbourhood is scored
-    first, and its valid member of minimal (loss, items) is the result,
-    recorded as found in generation 0; no evolved candidate can be closer
-    or rank before it. Otherwise, and when no ball member is valid, the
-    genetic search runs, and among final-population candidates valid at
-    rank k the winner minimizes edit distance (ties: lower objective loss,
-    then lexicographic items). No valid candidate is a legitimate outcome,
-    recorded as an absent counterfactual.
+    The whole distance-1 neighbourhood is scored first, and its valid
+    member of minimal (loss, items) is the result, recorded as found in
+    generation 0; no evolved candidate can be closer or rank before it.
+    When no ball member is valid, the genetic search runs and its final
+    population is harvested (`_harvest`). No valid candidate is a
+    legitimate outcome, recorded as an absent counterfactual.
     """
     evaluate, max_len = _evaluator(source, setting, model, k, config, categories)
 
@@ -610,11 +613,8 @@ def explain(
             source_scores=evaluate.source_scores,
         )
 
-    if config.radius1 and (best := _radius1_best(evaluate, max_len)) is not None:
+    if (best := _radius1_best(evaluate, max_len)) is not None:
         return record(best, 0)
     population = _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
-    valid = population.take(np.flatnonzero(population.valid))
-    if len(valid) == 0:
-        return record(None, None)
-    best = np.lexsort((valid.born, *valid.rows.T[::-1], valid.loss, valid.lev))[0]
-    return record(valid.items(best), int(valid.born[best]))
+    found = _harvest(population)
+    return record(*found) if found else record(None, None)

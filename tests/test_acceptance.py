@@ -18,6 +18,7 @@ from seqcf import (
     count_search_space,
     explain,
     fidelity_at_k,
+    genetic,
     hamming,
     k_core_filter,
     leave_one_out_split,
@@ -35,7 +36,7 @@ from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.oracle import substitutions
 from seqcf.records import read_records
-from seqcf.search import _RowEvaluator, radius1_ball
+from seqcf.search import _harvest, _RowEvaluator, radius1_ball
 
 from conftest import EchoScorer
 from test_metrics import brute_levenshtein
@@ -44,6 +45,12 @@ from test_metrics import brute_levenshtein
 def report(number, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def ga_distance(source, setting, model, k, cfg, seed, categories=None):
+    """Edit distance of the genetic search's own answer, without the radius-1 pre-pass; None if none is valid."""
+    found = _harvest(genetic(source, setting, model, k, cfg, seed=seed, categories=categories))
+    return None if found is None else levenshtein(source.items, found[0])
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +101,6 @@ def test_c03_oracle_equivalence_for_genetic_search():
         mutation_weights=(1.0, 0.0, 0.0),
         crossover_prob=0.0,
         max_len=3,
-        radius1=False,  # the paper's GA, not the radius-1 pre-pass (c12)
     )
     matches = beats = comparable = 0
     for inst in range(50):
@@ -104,15 +110,16 @@ def test_c03_oracle_equivalence_for_genetic_search():
         user = split.users[inst % len(split.users)]
         source = UserSequence(user, split.train[user].items[:3], 3)
         optimal = oracle_optimal(source, setting, model, 1, max_distance=3)
-        record = explain(source, setting, model, 1, cfg, seed=inst)
-        if optimal is None and record.counterfactual is None:
+        # the paper's GA, not the radius-1 pre-pass (c12)
+        distance = ga_distance(source, setting, model, 1, cfg, seed=inst)
+        if optimal is None and distance is None:
             matches += 1
             continue
         comparable += 1
-        if record.counterfactual is not None and optimal is not None:
-            if record.levenshtein == optimal[1]:
+        if distance is not None and optimal is not None:
+            if distance == optimal[1]:
                 matches += 1
-            elif record.levenshtein < optimal[1]:
+            elif distance < optimal[1]:
                 beats += 1
     ok = matches >= 45 and beats == 0
     report(3, ok, f"distance match {matches}/50, beats-oracle {beats} (must be 0)")
@@ -121,14 +128,14 @@ def test_c03_oracle_equivalence_for_genetic_search():
 @pytest.mark.slow
 def test_c04_untargeted_easy_reproduction(reference_split, reference_model):
     setting = SettingSpec.from_name("un_un")
-    cfg = GaConfig(generations=30, population_size=1024, max_len=reference_split.max_len, radius1=False)
+    cfg = GaConfig(generations=30, population_size=1024, max_len=reference_split.max_len)
     found = 0
     distances = []
     for user in reference_split.users:
-        rec = explain(reference_split.train[user], setting, reference_model, 1, cfg, seed=0)
-        if rec.counterfactual is not None:
+        distance = ga_distance(reference_split.train[user], setting, reference_model, 1, cfg, seed=0)
+        if distance is not None:
             found += 1
-            distances.append(rec.levenshtein)
+            distances.append(distance)
     fraction = found / len(reference_split.users)
     mean_lev = float(np.mean(distances)) if distances else math.inf
     ok = fraction >= 0.95 and mean_lev <= 1.5
@@ -138,7 +145,7 @@ def test_c04_untargeted_easy_reproduction(reference_split, reference_model):
 @pytest.mark.slow
 def test_c05_targeted_categorized_dominance(reference_split, reference_model):
     cats = reference_split.categories
-    cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len, radius1=False)
+    cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len)
     margins = []
     lines = []
     for seed in (0, 1, 2):
@@ -148,10 +155,7 @@ def test_c05_targeted_categorized_dominance(reference_split, reference_model):
         ga = rnd = 0
         for user in users:
             source = reference_split.train[user]
-            ga += (
-                explain(source, setting, reference_model, 1, cfg, seed=seed, categories=cats).counterfactual
-                is not None
-            )
+            ga += ga_distance(source, setting, reference_model, 1, cfg, seed, cats) is not None
             rnd += (
                 baseline_random(
                     source, setting, reference_model, 1, budget=10, seed=seed, categories=cats
@@ -325,9 +329,10 @@ def test_c11_preprocessing_invariants():
 
 @pytest.mark.slow
 def test_c12_radius1_prepass_exactness(reference_split, reference_model):
-    # replace-only: the ball's valid members are exactly the oracle's level-1 valid candidates
+    # at the window's length the ball holds replacements and deletions: its valid
+    # members are exactly the oracle's valid level-1 substitutions and valid deletions
     setting = SettingSpec.from_name("un_un")
-    cfg = GaConfig(mutation_weights=(1.0, 0.0, 0.0), max_len=3)
+    cfg = GaConfig(max_len=3)
     equal_sets = nonempty = 0
     for inst in range(50):  # c03's instances
         logdata, _ = synthesize_corpus(num_users=30, num_items=8, seed=1000 + inst, walk_min=5, walk_max=6)
@@ -336,12 +341,15 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
         user = split.users[inst % len(split.users)]
         source = split.train[user].items[:3]
         src_scores = model.score(source)
+        deletions = [source[:p] + source[p + 1 :] for p in range(len(source))]
         oracle_set = {
-            c for c in substitutions(source, model.num_items, 1) if is_valid(setting, src_scores, model.score(c), 1)
+            c
+            for c in (*substitutions(source, model.num_items, 1), *deletions)
+            if is_valid(setting, src_scores, model.score(c), 1)
         }
         evaluate = _RowEvaluator(model, setting, source, 1, cfg, None)
         ball_set = set()
-        for rows, lengths in radius1_ball(source, model.num_items, 3, cfg.mutation_weights, 4):
+        for rows, lengths in radius1_ball(source, model.num_items, 3, 4):
             ball_set |= {tuple(int(x) for x in row) for row in rows[evaluate.loss_valid(rows, lengths)[1]]}
         equal_sets += ball_set == oracle_set
         nonempty += bool(oracle_set)
@@ -356,27 +364,25 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
         SettingSpec.from_name("un_cat"),
         SettingSpec.from_name("targ_cat", target_category=int(derive_stream(0, [TAG_TARGET]).integers(6))),
     ]
-    ga_cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len, radius1=False)
-    ball_cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len)
+    cfg = GaConfig(generations=20, population_size=512, max_len=reference_split.max_len)
     worse, lines = 0, []
     for setting in settings:
         users = sample_users(reference_split, 30, derive_stream(0, [TAG_SAMPLE]))
         hits = closer = 0
         for user in users:
             source = reference_split.train[user]
-            ga = explain(source, setting, reference_model, 1, ga_cfg, seed=0, categories=cats)
-            ball = explain(source, setting, reference_model, 1, ball_cfg, seed=0, categories=cats)
-            hits += ball.generation_found == 0
-            if ga.counterfactual is not None:
-                worse += ball.counterfactual is None or ball.levenshtein > ga.levenshtein
-            closer += ball.counterfactual is not None and (
-                ga.counterfactual is None or ball.levenshtein < ga.levenshtein
-            )
+            ga = ga_distance(source, setting, reference_model, 1, cfg, seed=0, categories=cats)
+            rec = explain(source, setting, reference_model, 1, cfg, seed=0, categories=cats)
+            hits += rec.generation_found == 0
+            if ga is not None:
+                worse += rec.counterfactual is None or rec.levenshtein > ga
+            closer += rec.counterfactual is not None and (ga is None or rec.levenshtein < ga)
         lines.append(f"{setting.name}: ball valid for {hits}/{len(users)}, closer than the GA for {closer}")
     print("\n".join("    " + line for line in lines))
     report(
         12,
         equal_sets == 50 and worse == 0,
-        f"ball valid set = oracle level-1 set on {equal_sets}/50 replace-only instances ({nonempty} non-empty); "
-        f"ball worse than the GA on {worse} of {30 * len(settings)} reference users (must be 0)",
+        f"ball valid set = oracle level-1 substitutions and deletions on {equal_sets}/50 instances "
+        f"({nonempty} non-empty); "
+        f"explain worse than the GA on {worse} of {30 * len(settings)} reference users (must be 0)",
     )

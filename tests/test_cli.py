@@ -133,23 +133,6 @@ class TestPipeline:
         assert ga == json.loads(json.dumps(vars(expected)))
         assert header["config"]["setting"] == SettingSpec.from_name("un_un").to_dict()
 
-    def test_radius1_flag_and_config_key(self, pipeline, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"radius1": False}))
-        runs = {}
-        for name, flags in [("default", []), ("off", ["--no-radius1"]), ("file", ["--config", str(cfg)]),
-                            ("flag-beats-file", ["--config", str(cfg), "--radius1"])]:
-            out = tmp_path / f"{name}.jsonl"
-            assert main(explain_args(pipeline, out)[:-2] + flags + ["--out", str(out)]) == 0
-            runs[name] = read_records(out)
-        for name, on in [("default", True), ("off", False), ("file", False), ("flag-beats-file", True)]:
-            header, recs = runs[name]
-            assert header["config"]["ga"]["radius1"] is on
-            assert [r.to_dict() for r in recs] == [r.to_dict() for r in runs["default" if on else "off"][1]]
-        # the ball finds distance-1 edits here; the GA alone records later generations
-        assert any(r.generation_found == 0 for r in runs["default"][1])
-        assert all(r.generation_found != 0 for r in runs["off"][1])
-
     def test_oracle_command(self, pipeline):
         out = pipeline["root"] / "oracle.jsonl"
         assert main(["oracle", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
@@ -222,10 +205,8 @@ class TestFailureModes:
         [
             ({"population": 16.9}, "config key population takes an integer, got 16.9"),
             ({"generations": True}, "config key generations takes an integer, got True"),
-            ({"radius1": "0"}, "config key radius1 takes true or false, got '0'"),
-            ({"radius1": 0}, "config key radius1 takes true or false, got 0"),
         ],
-        ids=["float-for-int", "bool-for-int", "string-for-bool", "int-for-bool"],
+        ids=["float-for-int", "bool-for-int"],
     )
     def test_config_values_are_not_coerced(self, pipeline, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"

@@ -25,7 +25,7 @@ from seqcf.core import derive_stream
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
-from seqcf.search import _RowEvaluator, crossover_rows, mutate_rows, radius1_ball, splice_rows
+from seqcf.search import _harvest, _RowEvaluator, crossover_rows, mutate_rows, radius1_ball, splice_rows
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
 
@@ -328,38 +328,27 @@ class TestRowEvaluator:
             for got, want in zip(evaluate(rows, lengths), whole):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_block_is_about_4_mib_of_scores(self, walk_markov):
-        evaluate = _RowEvaluator(walk_markov, SettingSpec.from_name("un_un"), (0, 1), 1, GaConfig(), None)
-        assert evaluate.block_rows == (4 << 20) // (8 * 12)
 
-
-def distance1_sequences(items, m, max_len, weights):
-    """Brute force: every duplicate-free sequence over range(m) at edit distance 1 the weights allow."""
-    n = len(items)
-    lengths = [(n, weights[0]), (n + 1, weights[1] if n + 1 <= max_len else 0), (n - 1, weights[2])]
+def distance1_sequences(items, m, max_len):
+    """Brute force: every duplicate-free sequence over range(m), at most max_len long, at edit distance 1."""
     return {
         cand
-        for length, weight in lengths
-        if weight > 0 and length >= 1
+        for length in range(max(1, len(items) - 1), min(len(items) + 1, max_len) + 1)
         for cand in permutations(range(m), length)
         if levenshtein(items, cand) == 1
     }
 
 
 class TestRadius1Ball:
-    WEIGHTS = [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0),
-               (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, 0.0)]
-
-    @pytest.mark.parametrize("weights", WEIGHTS)
     @pytest.mark.parametrize(
         "items, m, max_len",
-        [((3,), 6, 5), ((0, 4, 2), 6, 5), ((5, 1, 0, 3), 7, 4), ((1, 0, 2, 4, 3), 6, 5)],
+        [((3,), 6, 5), ((0, 4, 2), 6, 5), ((5, 1, 0, 3), 7, 4), ((1, 0, 2, 4, 3), 6, 5), ((2, 0), 3, 2)],
     )
-    def test_matches_brute_force_enumeration(self, items, m, max_len, weights):
-        expected = distance1_sequences(items, m, max_len, weights)
+    def test_matches_brute_force_enumeration(self, items, m, max_len):
+        expected = distance1_sequences(items, m, max_len)
         for chunk_rows in (1, 5, 1000):
             got = []
-            for rows, lengths in radius1_ball(items, m, max_len, weights, chunk_rows):
+            for rows, lengths in radius1_ball(items, m, max_len, chunk_rows):
                 assert rows.dtype == np.int64 and (lengths == rows.shape[1]).all()
                 # a chunk is whole positions: at most chunk_rows rows unless one position is more
                 assert len(rows) <= max(chunk_rows, m - len(items))
@@ -466,13 +455,13 @@ class TestGenetic:
         # trained cycle 0->1->2->3; from (0,1) the model suggests 2, and one
         # replacement (0,2) flips the suggestion to 3
         setting = SettingSpec.from_name("un_un")
-        cfg = GaConfig(generations=30, population_size=64, max_len=3, radius1=False)
+        cfg = GaConfig(generations=30, population_size=64, max_len=3)
         src = UserSequence(1, (0, 1), 3)
-        rec = explain(src, setting, cycle_markov, 1, cfg, seed=2)
-        assert rec.counterfactual is not None
+        found = _harvest(genetic(src, setting, cycle_markov, 1, cfg, seed=2))
+        assert found is not None
         optimal = oracle_optimal(src, setting, cycle_markov, 1, max_distance=2)
         assert optimal is not None
-        assert rec.levenshtein == optimal[1] == 1
+        assert levenshtein(src.items, found[0]) == optimal[1] == 1
 
     def test_partial_elitism_keeps_size_and_determinism(self, walk_markov):
         cfg = GaConfig(generations=4, population_size=20, elitism_fraction=0.5, max_len=8)
@@ -530,34 +519,43 @@ class TestExplain:
     )
     @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
     def test_radius1_returns_the_harvest_optimum_over_distance_1(self, walk_markov, setting, weights):
+        # whatever the weights, the ball holds every distance-1 sequence: the
+        # GA reaches deletions by crossover even when delete's weight is 0
         cats = overlapping_categories(12)
         cfg = GaConfig(generations=4, population_size=24, max_len=6, mutation_weights=weights)
         hits = 0
         for user, items in enumerate([(0, 1, 2, 3), (4, 9), (7, 3, 11, 5, 1, 0), (2,), (8, 6, 10)], start=1):
             src = UserSequence(user, items, 6)
             rec = explain(src, setting, walk_markov, 3, cfg, seed=user, categories=cats)
+            ga = _harvest(genetic(src, setting, walk_markov, 3, cfg, seed=user, categories=cats))
             src_scores = walk_markov.score(items)
+
+            def key(cand):  # the harvest rule's order: distance, loss, items
+                loss = objective_loss(setting, src_scores, walk_markov.score(cand), cats)
+                return levenshtein(items, cand), loss, cand
+
             valid = sorted(
-                (objective_loss(setting, src_scores, walk_markov.score(cand), cats), cand)
-                for cand in set().union(*scalar_mutants(items, 12, 6, weights).values())
+                key(cand)
+                for cand in set().union(*scalar_mutants(items, 12, 6).values())
                 if levenshtein(items, cand) == 1  # an add at max_len also drops the oldest item
                 if is_valid(setting, src_scores, walk_markov.score(cand), 3, cats)
             )
             if valid:
                 hits += 1
-                assert rec.counterfactual == valid[0][1]
+                assert rec.counterfactual == valid[0][2]
                 assert rec.generation_found == 0 and rec.levenshtein == 1
-            else:  # no valid member: the GA runs as without the ball
-                no_ball = GaConfig(generations=4, population_size=24, max_len=6, mutation_weights=weights,
-                                   radius1=False)
-                assert rec == explain(src, setting, walk_markov, 3, no_ball, seed=user, categories=cats)
+                assert ga is None or key(rec.counterfactual) <= key(ga[0])
+            else:  # no valid member: the GA's harvest is the answer
+                assert (rec.counterfactual, rec.generation_found) == (ga or (None, None))
         assert hits > 0
 
-    def test_radius1_off_runs_only_the_ga(self, walk_markov, monkeypatch):
-        monkeypatch.setattr(search, "radius1_ball", lambda *a: pytest.fail("ball scored"))
-        cfg = GaConfig(generations=3, population_size=16, max_len=8, radius1=False)
-        rec = explain(UserSequence(1, (0, 1, 2, 3), 8), SettingSpec.from_name("un_un"), walk_markov, 1, cfg)
-        assert rec.generation_found != 0
+    def test_crossover_reaches_deletions_the_weights_rule_out(self, walk_markov):
+        cfg = GaConfig(generations=1, population_size=32, mutation_prob=0.0, mutation_weights=(1.0, 0.0, 0.0),
+                       crossover_prob=1.0, max_len=8)
+        src = (0, 1, 2, 3)
+        pop = genetic(src, SettingSpec.from_name("un_un"), walk_markov, 1, cfg, seed=0)
+        shorter = {pop.items(i) for i in range(len(pop)) if len(pop.items(i)) < len(src)}
+        assert any(levenshtein(src, cand) == 1 for cand in shorter)
 
     def test_absent_counterfactual_is_a_result(self):
         model = ConstScorer(8)
@@ -571,9 +569,10 @@ class TestExplain:
 
     def test_minimal_distance_wins(self, cycle_markov):
         setting = SettingSpec.from_name("un_un")
-        cfg = GaConfig(generations=25, population_size=64, max_len=3, radius1=False)
-        rec = explain(UserSequence(1, (0, 1), 3), setting, cycle_markov, 1, cfg, seed=1)
-        assert rec.levenshtein == 1  # a one-edit flip exists and the GA must find it
+        cfg = GaConfig(generations=25, population_size=64, max_len=3)
+        src = UserSequence(1, (0, 1), 3)
+        found = _harvest(genetic(src, setting, cycle_markov, 1, cfg, seed=1))
+        assert levenshtein(src.items, found[0]) == 1  # a one-edit flip exists and the GA must find it
 
     def test_returned_counterfactual_verifies(self, walk_markov):
         setting = SettingSpec.from_name("un_un")
