@@ -48,7 +48,9 @@ print(f"suggested next item: {suggestion} "
 # while the new top item clears the validity threshold.
 
 setting = SettingSpec.from_name("un_un")  # untargeted, item-level
-config = GaConfig(generations=20, population_size=256, max_len=split.max_len)
+# 512 x 20 is large enough for the radius-1 pre-pass (a ball of at most a
+# quarter of the 10k rows the search scores) at this 60-item catalog
+config = GaConfig(generations=20, population_size=512, max_len=split.max_len)
 
 record = explain(source, setting, model, k=1, config=config, seed=0)
 print(f"counterfactual: {list(record.counterfactual)}")

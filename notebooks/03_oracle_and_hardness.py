@@ -46,8 +46,9 @@ config = GaConfig(
     generations=50, population_size=256, mutation_weights=(1.0, 0.0, 0.0),
     crossover_prob=0.0, max_len=3,
 )
-# explain scores the whole radius-1 ball before the genetic search, so a
-# one-edit flip is answered there (generation 0)
+# explain scores the whole radius-1 ball before the genetic search (it is
+# far below a quarter of the search's rows here), so a one-edit flip is
+# answered there (generation 0)
 record = explain(source, setting, model, 1, config, seed=0)
 print(f"explain: {list(record.counterfactual)} at distance {record.levenshtein}, "
       f"generation {record.generation_found}")

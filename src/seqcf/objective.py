@@ -148,6 +148,16 @@ def _in_top_k(norm: np.ndarray, top1: np.ndarray, item: np.ndarray, k: int, wher
     return out
 
 
+def _threshold_secures_top_k(threshold: float, k: int) -> bool:
+    """Whether every item scoring at least `threshold` is in its row's top k.
+
+    A row sums to 1, so at most 1/threshold items score that much and such
+    an item ranks at most 1/threshold - 1, which is below k when
+    threshold · (k + 1) > 1; the slack covers the rounding of the row sum.
+    """
+    return threshold * (k + 1) > 1.0 + 1e-9
+
+
 def valid_rows(
     setting: SettingSpec,
     source_top1: int,
@@ -163,7 +173,10 @@ def valid_rows(
     lower ids scoring the same, is below k. Under `targ_cat` the
     target-category item ranked best is the argmax over the category's
     columns, and some member of the top k clears the threshold exactly
-    when that item does and ranks below k.
+    when that item does and ranks below k. A targeted item that clears the
+    threshold needs no rank when the threshold alone puts it in the top k
+    (threshold · (k + 1) > 1), so a row that passes costs no more than
+    one that fails.
     """
     n, m = norm.shape
     if not 1 <= k <= m:
@@ -180,6 +193,8 @@ def valid_rows(
         return ok
     if setting.targeted and not setting.categorized:
         ok &= norm[:, setting.target_item] >= t
+        if _threshold_secures_top_k(t, k):
+            return ok
         return _in_top_k(norm, top1, np.full(n, setting.target_item), k, ok)
     member = _require_categories(setting, categories).membership
     if not setting.targeted:
@@ -190,6 +205,8 @@ def valid_rows(
         return np.zeros(n, dtype=bool)
     best = members[np.argmax(norm[:, members], axis=1)]
     ok &= norm[at, best] >= t
+    if _threshold_secures_top_k(t, k):
+        return ok
     return _in_top_k(norm, top1, best, k, ok)
 
 

@@ -28,10 +28,16 @@ float64 scores, whose (rows, m) passes stay in cache.
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation
 weights, since crossover alone also reaches deletions), one chunk of
-positions at a time. A valid member is the answer: the one of minimal
-(loss, items) is exactly what harvesting would pick among all distance-1
-sequences, so no evolved candidate can beat it, and it is recorded as
-found in generation 0. Only when no member is valid does the GA run.
+positions at a time, when the ball holds at most a quarter of the rows the
+GA would score (`_BALL_SHARE` of population_size × generations): then a
+miss adds at most that much to the search. A valid member is the answer:
+the one of minimal (loss, items) is exactly what harvesting would pick
+among all distance-1 sequences, so no evolved candidate can beat it, and
+it is recorded as found in generation 0. Only when no member is valid, or
+the ball is too large to score first, does the GA run. At a catalog of
+1000 items the ball of a 12-item source is 25k rows, about as many as a
+1024 × 30 search scores; scored first, it would make a user's cost
+differ twofold by whether the target happens to be one edit away.
 
 Everything is reproducible: randomness comes from streams keyed by
 (master seed, purpose, user, generation), and evaluation is pure, so the
@@ -63,6 +69,9 @@ from .records import ExplanationRecord, explanation_record
 MUTATION_KINDS = ("replace", "add", "delete")
 _ADD, _DELETE = MUTATION_KINDS.index("add"), MUTATION_KINDS.index("delete")
 _BLOCK_BYTES = 4 << 20  # float64 scores per evaluation block: about an L2 cache
+# the pre-pass runs when the ball has at most this share of the rows the GA
+# scores (about population_size a generation), so a miss costs at most that much more
+_BALL_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -385,6 +394,17 @@ class _RowEvaluator:
         return fitness, loss, lev, valid
 
 
+def _ball_positions(n: int, max_len: int) -> tuple[int, int, int]:
+    """Edit positions per kind, in MUTATION_KINDS order, of a length-n source; 0 where the kind does not apply."""
+    return n, n + 1 if n < max_len else 0, n if n >= 2 else 0
+
+
+def radius1_size(source_items: tuple[int, ...], m: int, max_len: int) -> int:
+    """How many rows `radius1_ball` yields, without building them."""
+    replace, add, delete = _ball_positions(len(source_items), max_len)
+    return (replace + add) * (m - len(set(source_items))) + delete
+
+
 def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int, chunk_rows: int):
     """Every duplicate-free sequence one edit away from the source, in chunks.
 
@@ -398,8 +418,7 @@ def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int, chunk_rows
     src = np.asarray(source_items, dtype=np.int64)
     n = len(src)
     absent = np.setdiff1d(np.arange(m), src)
-    # positions per kind, in MUTATION_KINDS order; 0 where the kind does not apply
-    for kind, positions in enumerate((n, n + 1 if n < max_len else 0, n if n >= 2 else 0)):
+    for kind, positions in enumerate(_ball_positions(n, max_len)):
         per_position = 1 if kind == _DELETE else len(absent)
         step = max(1, chunk_rows // per_position)
         for first in range(0, positions, step):
@@ -598,10 +617,12 @@ def explain(
 ) -> ExplanationRecord:
     """The closest valid candidate: from the radius-1 ball, else from the evolved population.
 
-    The whole distance-1 neighbourhood is scored first, and its valid
-    member of minimal (loss, items) is the result, recorded as found in
-    generation 0; no evolved candidate can be closer or rank before it.
-    When no ball member is valid, the genetic search runs and its final
+    When the ball is small next to the search (at most `_BALL_SHARE` of
+    the population_size × generations rows the GA scores), the whole
+    distance-1 neighbourhood is scored first, and its valid member of
+    minimal (loss, items) is the result, recorded as found in generation 0;
+    no evolved candidate can be closer or rank before it. Otherwise, or
+    when no ball member is valid, the genetic search runs and its final
     population is harvested (`_harvest`). No valid candidate is a
     legitimate outcome, recorded as an absent counterfactual.
     """
@@ -613,8 +634,10 @@ def explain(
             source_scores=evaluate.source_scores,
         )
 
-    if (best := _radius1_best(evaluate, max_len)) is not None:
-        return record(best, 0)
+    ball_rows = radius1_size(evaluate.source_items, model.num_items, max_len)
+    if ball_rows <= _BALL_SHARE * config.population_size * config.generations:
+        if (best := _radius1_best(evaluate, max_len)) is not None:
+            return record(best, 0)
     population = _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
     found = _harvest(population)
     return record(*found) if found else record(None, None)

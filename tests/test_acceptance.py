@@ -36,7 +36,7 @@ from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.oracle import substitutions
 from seqcf.records import read_records
-from seqcf.search import _harvest, _RowEvaluator, radius1_ball
+from seqcf.search import _BALL_SHARE, _harvest, _RowEvaluator, radius1_ball, radius1_size
 
 from conftest import EchoScorer
 from test_metrics import brute_levenshtein
@@ -371,6 +371,9 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
         hits = closer = 0
         for user in users:
             source = reference_split.train[user]
+            # the search is large enough for every reference ball to be scored first
+            ball_rows = radius1_size(source.items, reference_model.num_items, cfg.max_len)
+            assert ball_rows <= _BALL_SHARE * cfg.population_size * cfg.generations
             ga = ga_distance(source, setting, reference_model, 1, cfg, seed=0, categories=cats)
             rec = explain(source, setting, reference_model, 1, cfg, seed=0, categories=cats)
             hits += rec.generation_found == 0

@@ -163,6 +163,17 @@ class TestValidRows:
         assert valid_rows(setting, 0, norm, 3).tolist() == [False, False]
         assert valid_rows(setting, 2, norm, 3).tolist() == [True, True]
 
+    @pytest.mark.parametrize("t, k", [(0.5, 1), (1 / 3, 2)])
+    def test_target_tied_at_the_threshold_still_needs_its_rank(self, t, k):
+        # k + 1 items score exactly t, so the target (the last of them) ranks k: t alone does not secure it
+        norm = np.zeros((1, 5))
+        norm[0, : k + 1] = t
+        cats = CategoryMap(categories_of=tuple(frozenset({int(i == k)}) for i in range(5)), num_categories=2)
+        for setting in (SettingSpec.from_name("targ_un", target_item=k, threshold=t),
+                        SettingSpec.from_name("targ_cat", target_category=1, threshold=t)):
+            assert valid_rows(setting, 4, norm, k, cats).tolist() == [False]
+            assert valid_rows(setting, 4, norm, k + 1, cats).tolist() == [True]
+
     @pytest.mark.parametrize("m", [2, 7, 40])
     def test_matches_valid_from_topk_on_tie_heavy_rows(self, m):
         rng = np.random.default_rng(m)

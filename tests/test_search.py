@@ -25,7 +25,15 @@ from seqcf.core import derive_stream
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
-from seqcf.search import _harvest, _RowEvaluator, crossover_rows, mutate_rows, radius1_ball, splice_rows
+from seqcf.search import (
+    _harvest,
+    _RowEvaluator,
+    crossover_rows,
+    mutate_rows,
+    radius1_ball,
+    radius1_size,
+    splice_rows,
+)
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
 
@@ -355,6 +363,7 @@ class TestRadius1Ball:
                 got += row_tuples(rows, lengths)
             assert len(got) == len(set(got))
             assert set(got) == expected
+        assert radius1_size(items, m, max_len) == len(expected)
 
 
 class TestFitness:
@@ -522,7 +531,8 @@ class TestExplain:
         # whatever the weights, the ball holds every distance-1 sequence: the
         # GA reaches deletions by crossover even when delete's weight is 0
         cats = overlapping_categories(12)
-        cfg = GaConfig(generations=4, population_size=24, max_len=6, mutation_weights=weights)
+        # 4 x 80 GA rows admit balls of up to 80 rows; the largest here has 76
+        cfg = GaConfig(generations=4, population_size=80, max_len=6, mutation_weights=weights)
         hits = 0
         for user, items in enumerate([(0, 1, 2, 3), (4, 9), (7, 3, 11, 5, 1, 0), (2,), (8, 6, 10)], start=1):
             src = UserSequence(user, items, 6)
@@ -548,6 +558,22 @@ class TestExplain:
             else:  # no valid member: the GA's harvest is the answer
                 assert (rec.counterfactual, rec.generation_found) == (ga or (None, None))
         assert hits > 0
+
+    def test_ball_larger_than_its_share_of_the_search_is_not_scored(self, walk_markov):
+        # 4 x 24 GA rows admit balls of up to 24 rows, and every ball here is larger
+        cfg = GaConfig(generations=4, population_size=24, max_len=6)
+        setting = SettingSpec.from_name("un_un", threshold=0.2)
+        prepass = GaConfig(generations=4, population_size=80, max_len=6)
+        differ = 0
+        for user, items in enumerate([(0, 1, 2, 3), (4, 9), (7, 3, 11, 5, 1, 0), (8, 6, 10)], start=1):
+            src = UserSequence(user, items, 6)
+            assert radius1_size(items, 12, 6) > 24
+            rec = explain(src, setting, walk_markov, 3, cfg, seed=user)
+            ga = _harvest(genetic(src, setting, walk_markov, 3, cfg, seed=user))
+            assert (rec.counterfactual, rec.generation_found) == (ga or (None, None))
+            ball = explain(src, setting, walk_markov, 3, prepass, seed=user)
+            differ += ball.generation_found == 0 and ball.counterfactual != rec.counterfactual
+        assert differ > 0  # the share decided the answer somewhere
 
     def test_crossover_reaches_deletions_the_weights_rule_out(self, walk_markov):
         cfg = GaConfig(generations=1, population_size=32, mutation_prob=0.0, mutation_weights=(1.0, 0.0, 0.0),
