@@ -24,7 +24,7 @@ from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
 log = logging.getLogger(__name__)
 
 # explain flags of the GaConfig fields whose flag is not the field name
-GA_FLAG_NAMES = {"population_size": "population", "elitism_fraction": "elitism"}
+GA_FLAG_NAMES = {"population_size": "population"}
 
 
 def _int_list(value) -> list[int]:
@@ -41,8 +41,10 @@ def _float_list(value) -> list[float]:
 
 def _config_value(action: argparse.Action, value):
     """A config file's value for `action`'s flag, cast as the flag casts, with no silent coercion."""
-    if action.type is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"config key {action.dest} takes an integer, got {value!r}")
+    kind = {int: "an integer", float: "a number"}.get(action.type)
+    fraction = action.type is int and isinstance(value, float) and not value.is_integer()
+    if kind and (isinstance(value, bool) or fraction):
+        raise ValueError(f"config key {action.dest} takes {kind}, got {value!r}")
     return action.type(value) if action.type else value
 
 
@@ -95,23 +97,24 @@ def cmd_train(args) -> int:
 
 
 def _build_setting(args, split) -> SettingSpec:
+    """The setting flags as a SettingSpec, which rejects a target the setting does not take."""
     name = args.setting
-    target_item = None
+    if name == "targ_un" and args.target_item is None and args.target_stratum is None:
+        raise ValueError("targ_un needs --target-item or --target-stratum")
+    if name == "targ_cat" and args.target_category is None:
+        raise ValueError("targ_cat needs --target-category")
+    if args.target_item is not None and args.target_stratum is not None:
+        raise ValueError("give --target-item or --target-stratum, not both")
+    target_item = args.target_item
+    if target_item is not None:
+        m = split.catalog.num_items
+        if not 0 <= target_item < m:
+            raise ValueError(f"target item {target_item} outside the catalog of {m} items")
+    elif args.target_stratum is not None:
+        stream = derive_stream(args.seed, [TAG_TARGET])
+        target_item = dataset.sample_target_item(split, args.target_stratum, stream)
     target_category = None
-    if name == "targ_un":
-        if args.target_item is not None:
-            target_item = args.target_item
-            m = split.catalog.num_items
-            if not 0 <= target_item < m:
-                raise ValueError(f"target item {target_item} outside the catalog of {m} items")
-        elif args.target_stratum is not None:
-            stream = derive_stream(args.seed, [TAG_TARGET])
-            target_item = dataset.sample_target_item(split, args.target_stratum, stream)
-        else:
-            raise ValueError("targ_un needs --target-item or --target-stratum")
-    elif name == "targ_cat":
-        if args.target_category is None:
-            raise ValueError("targ_cat needs --target-category")
+    if args.target_category is not None:
         if split.categories is None:
             raise ValueError("split has no categories; preprocess with --categories")
         target_category = split.categories.category_id(args.target_category)

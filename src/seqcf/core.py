@@ -17,7 +17,6 @@ DEFAULT_MAX_LEN = 50
 # stream's key, so renumbering them changes all downstream randomness.
 TAG_MUTATE = 1
 TAG_CROSSOVER = 2
-TAG_SELECT = 3
 TAG_SAMPLE = 4
 TAG_BASELINE = 5
 TAG_DATA = 6

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,8 +71,8 @@ def _detect_delimiter(line: str) -> str:
     raise ValueError("rows must be tab- or comma-delimited")
 
 
-def load_interactions(path, delimiter: str | None = None) -> InteractionLog:
-    """Parse an interactions file; malformed rows are counted and reported."""
+def load_interactions(path) -> InteractionLog:
+    """Parse a tab- or comma-delimited interactions file; malformed rows are counted and reported."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n\r") for ln in fh]
@@ -80,8 +81,7 @@ def load_interactions(path, delimiter: str | None = None) -> InteractionLog:
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ValueError(f"zero valid rows in {path}")
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[0])
+    delimiter = _detect_delimiter(lines[0])
     first_field = lines[0].split(delimiter)[0].strip()
     if not first_field.lstrip("-").isdigit():
         lines = lines[1:]  # header row
@@ -122,15 +122,11 @@ def k_core_filter(logdata: InteractionLog, k: int = 5) -> InteractionLog:
     changed = True
     while changed and rows:
         changed = False
-        user_counts: dict[int, int] = {}
-        for u, _, _ in rows:
-            user_counts[u] = user_counts.get(u, 0) + 1
+        user_counts = Counter(u for u, _, _ in rows)
         kept = [r for r in rows if user_counts[r[0]] >= k]
         changed |= len(kept) != len(rows)
         rows = kept
-        item_counts: dict[str, int] = {}
-        for _, i, _ in rows:
-            item_counts[i] = item_counts.get(i, 0) + 1
+        item_counts = Counter(i for _, i, _ in rows)
         kept = [r for r in rows if item_counts[r[1]] >= k]
         changed |= len(kept) != len(rows)
         rows = kept
@@ -148,14 +144,7 @@ def _sorted_external_ids(ids) -> list[str]:
 
 
 def _dedup_keep_recent(items: list[int]) -> list[int]:
-    seen: set[int] = set()
-    out: list[int] = []
-    for item in reversed(items):
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    out.reverse()
-    return out
+    return list(dict.fromkeys(reversed(items)))[::-1]
 
 
 def leave_one_out_split(logdata: InteractionLog, max_len: int = DEFAULT_MAX_LEN) -> SplitDataset:
@@ -303,6 +292,9 @@ def load_split(path) -> SplitDataset:
     )
 
 
+_SECOND_CATEGORY_PROB = 0.2  # share of synthetic items with a second category label
+
+
 def synthesize_corpus(
     num_users: int,
     num_items: int,
@@ -312,7 +304,6 @@ def synthesize_corpus(
     chain_prob: float = 0.9,
     zipf_exponent: float = 0.8,
     num_categories: int = 6,
-    second_category_prob: float = 0.2,
 ) -> tuple[InteractionLog, dict[str, tuple[str, ...]]]:
     """Generate a synthetic interaction log plus item category labels.
 
@@ -367,7 +358,7 @@ def synthesize_corpus(
     categories: dict[str, tuple[str, ...]] = {}
     for item in range(num_items):
         labels = [f"cat{item // block}"]
-        if rng.random() < second_category_prob:
+        if rng.random() < _SECOND_CATEGORY_PROB:
             extra = int(rng.integers(num_categories))
             if f"cat{extra}" not in labels:
                 labels.append(f"cat{extra}")

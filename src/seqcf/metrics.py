@@ -212,29 +212,17 @@ def aggregate_report(
     rows = []
     for method in sorted(by_method):
         recs = by_method[method]
-        cf_scores = {
-            id(r): model.score(r.counterfactual)
+        # (source, counterfactual) scores per record, None without a counterfactual; scored once for every k
+        scored = [
+            None if r.counterfactual is None else (model.score(r.source), model.score(r.counterfactual))
             for r in recs
-            if r.counterfactual is not None
-        }
+        ]
         found = [r for r in recs if r.counterfactual is not None]
+        mean_ham = mean_hamming(found) if found else float("nan")
+        mean_lev = mean_levenshtein(found) if found else float("nan")
         for k in k_list:
-            fid = np.mean(
-                [
-                    fidelity_at_k(cf_scores[id(r)], k, t)
-                    if r.counterfactual is not None
-                    else 0.0
-                    for r in recs
-                ]
-            )
-            valid = np.mean(
-                [
-                    is_valid(setting, model.score(r.source), cf_scores[id(r)], k, categories)
-                    if r.counterfactual is not None
-                    else False
-                    for r in recs
-                ]
-            )
+            fid = np.mean([0.0 if s is None else fidelity_at_k(s[1], k, t) for s in scored])
+            valid = np.mean([s is not None and is_valid(setting, *s, k, categories) for s in scored])
             rows.append(
                 {
                     "method": method,
@@ -244,8 +232,8 @@ def aggregate_report(
                     "seed": meta.get("seed", ""),
                     "k": k,
                     "fidelity": float(fid),
-                    "mean_hamming": mean_hamming(found) if found else float("nan"),
-                    "mean_levenshtein": mean_levenshtein(found) if found else float("nan"),
+                    "mean_hamming": mean_ham,
+                    "mean_levenshtein": mean_lev,
                     "valid_fraction": float(valid),
                     "n_users": len(recs),
                 }

@@ -9,7 +9,7 @@ ground truth for the genetic search, so it deliberately does no pruning.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb
+from math import comb, perm
 
 from .core import CategoryMap, as_items
 from .objective import SettingSpec, is_valid
@@ -28,10 +28,7 @@ def count_search_space(n: int, length: int) -> int:
     """
     if length < 1 or n < length:
         raise ValueError("need n >= length >= 1")
-    total = 1
-    for factor in range(n - length + 1, n + 1):
-        total *= factor
-    return total
+    return perm(n, length)
 
 
 def _level_size_bound(length: int, n: int, max_distance: int) -> int:

@@ -5,9 +5,10 @@ Each generation appends mutants (replace / add / delete, one edit each) and
 single-cut crossover children to the pool, scores the new sequences through
 the black-box model, and keeps the best `population_size` individuals by a
 fitness that blends normalized edit distance with the regime's objective
-loss. Selection ranks distinct sequences (clones of a front-runner would
-otherwise take over the population within a few generations); slots left
-over when few distinct sequences exist are padded with duplicates.
+loss. Selection has one rule: the `population_size` best distinct
+sequences of the pool by (fitness, items) (clones of a front-runner would
+otherwise take over the population within a few generations), padded
+cyclically with duplicates when fewer distinct sequences exist.
 Validity never steers evolution; it is only applied when the final
 population is harvested for the closest valid candidate.
 
@@ -16,14 +17,15 @@ padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
 numpy steps whatever N is: `mutate_rows` and `crossover_rows` are the array
 forms of the scalar operators `mutate_*` and `crossover` (kept as their
-reference and used by the baselines); selection's one sort of the pool by
-(items, born) keeps each sequence's earliest-born copy, and the copies born
-this generation, the sequences new to the population, are scored in one
-batch. A row is scored by itself (softmax; validity by `valid_rows`, from
-argmax and rank counts with no top-k; objective mass by one dot product;
-edit distance by `levenshtein_batch`), so its results do not depend on the
-rows batched with it, and batches are scored in blocks of about 4 MiB of
-float64 scores, whose (rows, m) passes stay in cache.
+reference and used by the baselines); selection's one stable sort of the
+pool by items keeps each sequence's first copy in pool order, which is its
+earliest-born copy, and the copies born this generation, the sequences new
+to the population, are scored in one batch. A row is scored by itself
+(softmax; validity by `valid_rows`, from argmax and rank counts with no
+top-k; objective mass by one dot product; edit distance by
+`levenshtein_batch`), so its results do not depend on the rows batched
+with it, and batches are scored in blocks of about 4 MiB of float64
+scores, whose (rows, m) passes stay in cache.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation
@@ -55,7 +57,6 @@ from .core import (
     DEFAULT_MAX_LEN,
     TAG_CROSSOVER,
     TAG_MUTATE,
-    TAG_SELECT,
     CategoryMap,
     UserSequence,
     as_items,
@@ -84,7 +85,6 @@ class GaConfig:
     crossover_prob: float = 0.7
     edit_weight: float = 0.5
     max_len: int = DEFAULT_MAX_LEN
-    elitism_fraction: float = 1.0
     mutation_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
@@ -92,7 +92,7 @@ class GaConfig:
             raise ValueError("generations must be >= 1")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        for name in ("mutation_prob", "crossover_prob", "edit_weight", "elitism_fraction"):
+        for name in ("mutation_prob", "crossover_prob", "edit_weight"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if len(self.mutation_weights) != 3 or any(w < 0 for w in self.mutation_weights):
@@ -174,13 +174,7 @@ def mutate_delete(seq, rng: np.random.Generator) -> tuple[int, ...]:
 
 
 def _dedup_keep_first(items: tuple[int, ...]) -> tuple[int, ...]:
-    seen: set[int] = set()
-    out = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
+    return tuple(dict.fromkeys(items))
 
 
 def crossover(
@@ -473,11 +467,17 @@ def _row_words(rows: np.ndarray, m: int) -> np.ndarray:
     return words
 
 
-def _earliest_copies(rows: np.ndarray, born: np.ndarray, m: int) -> np.ndarray:
-    """Index of the earliest-born copy of each distinct row, in row order."""
-    # NULL_ITEM padding sorts below every item, so row order is tuple order
+def _earliest_copies(rows: np.ndarray, m: int) -> np.ndarray:
+    """Index of the first copy in pool order of each distinct row, in row order.
+
+    In a pool the population's copies of a sequence share one birth and
+    come before the generation's new rows, so the first copy is the
+    earliest-born one.
+    """
+    # NULL_ITEM padding sorts below every item, so row order is tuple order;
+    # lexsort is stable, so equal rows stay in pool order
     words = _row_words(rows, m)
-    order = np.lexsort((born, *words.T[::-1]))
+    order = np.lexsort(words.T[::-1])
     words = words[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
@@ -491,20 +491,19 @@ def _select(
     gen: int,
     evaluate: _RowEvaluator,
     m: int,
-    elitism_fraction: float,
-    seed: int,
-    user: int,
 ) -> Population:
     """The next population, from the pool `rows`: `population`, then the rows born in `gen`.
 
-    Selection is over distinct sequences (clones of one strong candidate
-    would otherwise flood truncation selection and stall the search); the
-    copies born in `gen` are the sequences absent from `population`, and
-    only they are scored.
+    The next population is the `len(population)` best distinct sequences of
+    the pool by (fitness, items), padded cyclically with duplicates when
+    there are fewer (clones of one strong candidate would otherwise flood
+    truncation selection and stall the search). Each sequence keeps its
+    first copy in pool order, so the copies born in `gen` are the
+    sequences absent from `population`, and only they are scored.
     """
     n = len(population)
     born = np.concatenate([population.born, np.full(len(lengths) - n, gen)])
-    distinct = _earliest_copies(rows, born, m)
+    distinct = _earliest_copies(rows, m)
     new = distinct >= n
     fresh = distinct[new]
     scored = evaluate(rows[fresh, : lengths[fresh].max(initial=0)], lengths[fresh])
@@ -512,12 +511,6 @@ def _select(
     at = np.where(new, n - 1 + np.cumsum(new), distinct)
     results = [np.concatenate([getattr(population, f), s])[at] for f, s in zip(_RESULTS, scored)]
     ranked = np.argsort(results[0], kind="stable")  # by (fitness, items)
-    n_best = int(round(n * elitism_fraction))
-    if n_best < n and len(ranked) > n:
-        s_rng = derive_stream(seed, [TAG_SELECT, user, gen])
-        rest = ranked[n_best:]
-        picked = s_rng.choice(len(rest), size=n - n_best, replace=False)
-        ranked = np.concatenate([ranked[:n_best], rest[np.sort(picked)]])
     # fewer distinct sequences than slots: pad cyclically with duplicates
     keep = ranked[np.arange(n) % min(len(ranked), n)]
     idx = distinct[keep]
@@ -572,7 +565,7 @@ def _evolve(evaluate: _RowEvaluator, max_len: int, seed: int, user: int) -> Popu
 
     for gen in range(1, config.generations + 1):
         rows, lengths = _variation(population, gen, m, max_len, config, seed, user)
-        population = _select(population, rows, lengths, gen, evaluate, m, config.elitism_fraction, seed, user)
+        population = _select(population, rows, lengths, gen, evaluate, m)
 
     # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
     words = _row_words(population.rows, m)
@@ -602,7 +595,8 @@ def _harvest(population: Population) -> tuple[tuple[int, ...], int] | None:
     valid = population.take(np.flatnonzero(population.valid))
     if len(valid) == 0:
         return None
-    best = np.lexsort((valid.born, *valid.rows.T[::-1], valid.loss, valid.lev))[0]
+    # equal sequences are copies of one row, so born breaks no tie
+    best = np.lexsort((*valid.rows.T[::-1], valid.loss, valid.lev))[0]
     return valid.items(best), int(valid.born[best])
 
 

@@ -44,6 +44,17 @@ class ConstScorer:
         return ScoreVector(logits)
 
 
+class CountingScorer:
+    """Wraps a scorer and records every sequence it is asked to score."""
+
+    def __init__(self, model):
+        self.model, self.num_items, self.calls = model, model.num_items, []
+
+    def score(self, seq):
+        self.calls.append(tuple(seq.items if isinstance(seq, UserSequence) else seq))
+        return self.model.score(seq)
+
+
 class QueuedRng:
     """Stand-in generator releasing scripted integers/floats in order."""
 

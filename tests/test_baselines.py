@@ -10,7 +10,7 @@ from seqcf import (
 from seqcf.core import CategoryMap
 from seqcf.objective import SettingSpec
 
-from conftest import EchoScorer, SumScorer
+from conftest import CountingScorer, EchoScorer, SumScorer
 
 
 CATS6 = CategoryMap(
@@ -109,17 +109,6 @@ class TestEducatedBaseline:
         a = baseline_educated(src, setting, model, 1, budget=10, seed=6, categories=CATS6)
         b = baseline_educated(src, setting, model, 1, budget=10, seed=6, categories=CATS6)
         assert a.to_dict() == b.to_dict()
-
-
-class CountingScorer:
-    """Wraps a scorer and records every sequence it is asked to score."""
-
-    def __init__(self, model):
-        self.model, self.num_items, self.calls = model, model.num_items, []
-
-    def score(self, seq):
-        self.calls.append(tuple(seq.items if isinstance(seq, UserSequence) else seq))
-        return self.model.score(seq)
 
 
 @pytest.mark.parametrize(

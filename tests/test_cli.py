@@ -180,14 +180,12 @@ class TestFailureModes:
         "content, message",
         [
             # the header's own `ga` names are not config keys
-            (
-                {"population_size": 16, "elitism_fraction": 0.5},
-                "unknown config keys elitism_fraction, population_size;",
-            ),
+            ({"population_size": 16, "max_len": 8}, "unknown config keys max_len, population_size;"),
             ({"populaton": 16, "generations": 2}, "unknown config keys populaton;"),
             ([["population", 16]], "one JSON object"),
+            ({"elitism": 0.5}, "unknown config keys elitism;"),
         ],
-        ids=["header-ga-names", "typo", "not-an-object"],
+        ids=["header-ga-names", "typo", "not-an-object", "removed-elitism"],
     )
     def test_unknown_config_keys_rejected(self, pipeline, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -205,8 +203,10 @@ class TestFailureModes:
         [
             ({"population": 16.9}, "config key population takes an integer, got 16.9"),
             ({"generations": True}, "config key generations takes an integer, got True"),
+            ({"mutation_prob": True}, "config key mutation_prob takes a number, got True"),
+            ({"edit_weight": False}, "config key edit_weight takes a number, got False"),
         ],
-        ids=["float-for-int", "bool-for-int"],
+        ids=["float-for-int", "bool-for-int", "true-for-float", "false-for-float"],
     )
     def test_config_values_are_not_coerced(self, pipeline, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -216,6 +216,42 @@ class TestFailureModes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_removed_elitism_flag_rejected(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(explain_args(pipeline, out, **{"--elitism": 0.5}))
+        assert exc.value.code != 0
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["seqcf: error: unrecognized arguments: --elitism 0.5"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "oracle"])
+    @pytest.mark.parametrize(
+        "setting, flags, message",
+        [
+            ("un_un", {"--target-item": 3}, "untargeted settings take no target"),
+            ("un_un", {"--target-item": 3, "--target-category": "cat1"}, "untargeted settings take no target"),
+            ("un_cat", {"--target-stratum": "popular"}, "untargeted settings take no target"),
+            ("targ_un", {"--target-item": 3, "--target-stratum": "popular"}, "or --target-stratum, not both"),
+            ("targ_un", {"--target-item": 3, "--target-category": "cat1"}, "takes no target_category"),
+            ("targ_cat", {"--target-category": "cat1", "--target-item": 3}, "takes no target_item"),
+        ],
+        ids=["un-item", "un-item-category", "un-stratum", "item-and-stratum", "item-category", "category-item"],
+    )
+    def test_target_flags_the_setting_does_not_take_rejected(
+        self, pipeline, tmp_path, capsys, command, setting, flags, message
+    ):
+        out = tmp_path / "out.jsonl"
+        args = [command, "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
+                "--setting", setting, "--sample-users", "1", "--out", str(out)]
+        for flag, value in flags.items():
+            args += [flag, str(value)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()
 
     def test_integral_float_config_value_is_accepted(self, pipeline, tmp_path):

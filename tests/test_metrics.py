@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from seqcf import SettingSpec, fidelity_at_k, hamming, levenshtein, mean_hamming
 from seqcf.metrics import (
     NULL_ITEM,
+    aggregate_report,
     levenshtein_batch,
     mean_levenshtein,
     merge_seed_reports,
 )
 from seqcf.models import ScoreVector
 from seqcf.records import ExplanationRecord
+
+from conftest import CountingScorer, EchoScorer
 
 short_seq = st.lists(st.integers(0, 5), min_size=0, max_size=8).map(tuple)
 
@@ -165,6 +168,18 @@ class TestAggregates:
     def test_mean_hamming_all_absent_is_error(self):
         with pytest.raises(ValueError):
             mean_hamming([_record(1, None, None, None)])
+
+    def test_aggregate_report_scores_each_sequence_once(self):
+        # two found records at three k: each source and counterfactual is scored once
+        model = CountingScorer(EchoScorer(12))
+        recs = [_record(1, (1, 2, 4), 1, 1), _record(2, (1, 5, 3), 2, 2), _record(3, None, None, None)]
+        rows = aggregate_report(recs, model, [1, 5, 10], 0.5)
+        assert sorted(model.calls) == [(1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 5, 3)]
+        assert [r["k"] for r in rows] == [1, 5, 10]
+        assert all(r["mean_hamming"] == 1.5 and r["mean_levenshtein"] == 1.5 and r["n_users"] == 3 for r in rows)
+        # the echo model recommends the last item: (1, 2, 4) flips the source's top-1 (3), (1, 5, 3) does not
+        assert rows[0]["valid_fraction"] == pytest.approx(1 / 3)
+        assert rows[0]["fidelity"] == pytest.approx(2 / 3)
 
     def test_merge_seed_reports(self):
         row = {

@@ -472,14 +472,6 @@ class TestGenetic:
         assert optimal is not None
         assert levenshtein(src.items, found[0]) == optimal[1] == 1
 
-    def test_partial_elitism_keeps_size_and_determinism(self, walk_markov):
-        cfg = GaConfig(generations=4, population_size=20, elitism_fraction=0.5, max_len=8)
-        src = UserSequence(2, (1, 5, 7), 8)
-        a = genetic(src, SettingSpec.from_name("un_un"), walk_markov, 1, cfg, seed=8)
-        b = genetic(src, SettingSpec.from_name("un_un"), walk_markov, 1, cfg, seed=8)
-        assert len(a) == 20
-        assert [a.items(i) for i in range(len(a))] == [b.items(i) for i in range(len(b))]
-
     def test_replace_only_weights_keep_length(self, walk_markov):
         cfg = GaConfig(
             generations=5, population_size=16, mutation_weights=(1.0, 0.0, 0.0),
