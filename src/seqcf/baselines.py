@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import TAG_BASELINE, CategoryMap, UserSequence, as_items, derive_stream
+from .core import TAG_BASELINE, CategoryMap, UserSequence, as_items, derive_stream, user_of
 from .search import mutate_replace
 from .objective import SettingSpec, is_valid
 from .records import ExplanationRecord, explanation_record
@@ -10,6 +10,18 @@ from .records import ExplanationRecord, explanation_record
 
 class SettingNotApplicableError(ValueError):
     """The requested baseline has no defined behaviour in this regime."""
+
+
+def _first_valid(source, method, setting, model, k, seed, categories, candidates) -> ExplanationRecord:
+    """The record of the first valid candidate, numbered from 1 as `candidates` yields them, or of none."""
+    src_scores = model.score(as_items(source))
+    for number, cand in enumerate(candidates, start=1):
+        cand_scores = model.score(cand)
+        if is_valid(setting, src_scores, cand_scores, k, categories):
+            return explanation_record(
+                source, method, setting, model, cand, number, seed, categories, src_scores, cand_scores
+            )
+    return explanation_record(source, method, setting, model, None, None, seed, categories)
 
 
 def baseline_random(
@@ -29,19 +41,15 @@ def baseline_random(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    source_items = as_items(source)
-    user = source.user if isinstance(source, UserSequence) else 0
-    rng = derive_stream(seed, [TAG_BASELINE, user])
-    src_scores = model.score(source_items)
-    items = source_items
-    for edit in range(1, budget + 1):
-        items = mutate_replace(items, model.num_items, rng)
-        cand_scores = model.score(items)
-        if is_valid(setting, src_scores, cand_scores, k, categories):
-            return explanation_record(
-                source, "random", setting, model, items, edit, seed, categories, src_scores, cand_scores
-            )
-    return explanation_record(source, "random", setting, model, None, None, seed, categories)
+    rng = derive_stream(seed, [TAG_BASELINE, user_of(source)])
+
+    def edits():
+        items = as_items(source)
+        for _ in range(budget):
+            items = mutate_replace(items, model.num_items, rng)
+            yield items
+
+    return _first_valid(source, "random", setting, model, k, seed, categories, edits())
 
 
 def baseline_educated(
@@ -69,43 +77,32 @@ def baseline_educated(
             "educated baseline does not apply to untargeted settings"
         )
     source_items = as_items(source)
-    user = source.user if isinstance(source, UserSequence) else 0
-    rng = derive_stream(seed, [TAG_BASELINE, user])
-    src_scores = model.score(source_items)
+    rng = derive_stream(seed, [TAG_BASELINE, user_of(source)])
+
+    def placements(members: tuple[int, ...]):
+        items = source_items
+        for _ in range(budget):
+            pool = [z for z in members if z not in items]
+            if not pool:
+                return  # every member already present; nothing left to place
+            z = pool[int(rng.integers(len(pool)))]
+            i = int(rng.integers(len(items)))
+            items = items[:i] + (z,) + items[i + 1 :]
+            yield items
 
     if not setting.categorized:
         target = setting.target_item
         if not 0 <= target < model.num_items:
             raise ValueError(f"target item {target} outside the catalog")
-        if target in source_items:
-            # the target cannot be substituted in without duplicating itself
-            return explanation_record(source, "educated", setting, model, None, None, seed, categories)
-        for attempt in range(1, budget + 1):
-            i = int(rng.integers(len(source_items)))
-            cand = source_items[:i] + (target,) + source_items[i + 1 :]
-            cand_scores = model.score(cand)
-            if is_valid(setting, src_scores, cand_scores, k, categories):
-                return explanation_record(
-                    source, "educated", setting, model, cand, attempt, seed, categories, src_scores, cand_scores
-                )
-        return explanation_record(source, "educated", setting, model, None, None, seed, categories)
-
-    if categories is None:
-        raise ValueError("targeted-categorized baseline needs a category map")
-    members = categories.members(setting.target_category)
-    if not members:
-        raise ValueError(f"target category {setting.target_category} has no items")
-    items = source_items
-    for edit in range(1, budget + 1):
-        pool = [z for z in members if z not in items]
-        if not pool:
-            break  # every member already present; nothing left to place
-        z = pool[int(rng.integers(len(pool)))]
-        i = int(rng.integers(len(items)))
-        items = items[:i] + (z,) + items[i + 1 :]
-        cand_scores = model.score(items)
-        if is_valid(setting, src_scores, cand_scores, k, categories):
-            return explanation_record(
-                source, "educated", setting, model, items, edit, seed, categories, src_scores, cand_scores
-            )
-    return explanation_record(source, "educated", setting, model, None, None, seed, categories)
+        # the target cannot be substituted in without duplicating itself
+        attempts = 0 if target in source_items else budget
+        positions = (int(rng.integers(len(source_items))) for _ in range(attempts))
+        candidates = (source_items[:i] + (target,) + source_items[i + 1 :] for i in positions)
+    else:
+        if categories is None:
+            raise ValueError("targeted-categorized baseline needs a category map")
+        members = categories.members(setting.target_category)
+        if not members:
+            raise ValueError(f"target category {setting.target_category} has no items")
+        candidates = placements(members)
+    return _first_valid(source, "educated", setting, model, k, seed, categories, candidates)

@@ -39,24 +39,26 @@ def _float_list(value) -> list[float]:
     return [float(x) for x in str(value).split(",") if x.strip()]
 
 
+# entry type of each comma-list flag, which a config file may also give as a JSON list
+_LIST_FLAGS = {"k_eval": (int, "integers"), "mutation_weights": (float, "numbers")}
+
+
 def _config_value(action: argparse.Action, value):
-    """A config file's value for `action`'s flag, cast as the flag casts, with no silent coercion."""
-    kind = {int: "an integer", float: "a number"}.get(action.type)
-    fraction = action.type is int and isinstance(value, float) and not value.is_integer()
-    if kind and (isinstance(value, bool) or fraction):
-        raise ValueError(f"config key {action.dest} takes {kind}, got {value!r}")
+    """A config file's value for `action`'s flag, cast as the flag casts, with no silent coercion.
+
+    A list flag's entries are checked the same way and left to its list parser.
+    """
+    scalar = (action.type, {int: "an integer", float: "a number"}.get(action.type))
+    cast, kind = _LIST_FLAGS.get(action.dest, scalar)
+    for entry in value if isinstance(value, list) else [value]:
+        fraction = cast is int and isinstance(entry, float) and not entry.is_integer()
+        if kind and (isinstance(entry, bool) or fraction):
+            raise ValueError(f"config key {action.dest} takes {kind}, got {entry!r}")
     return action.type(value) if action.type else value
 
 
 def cmd_synth(args) -> int:
-    logdata, cats = dataset.synthesize_corpus(
-        num_users=args.users,
-        num_items=args.items,
-        seed=args.seed,
-        chain_prob=args.chain_prob,
-        zipf_exponent=args.zipf_exponent,
-        num_categories=args.num_categories,
-    )
+    logdata, cats = dataset.synthesize_corpus(num_users=args.users, num_items=args.items, seed=args.seed)
     dataset.write_interactions(logdata, args.out)
     if args.categories_out:
         dataset.write_categories(cats, args.categories_out)
@@ -80,17 +82,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     split = dataset.load_split(args.split)
-    mask_seen = not args.no_mask_seen
-    if args.scorer == "markov":
-        model = models.train_markov(
-            split.train, split.catalog.num_items, alpha=args.alpha, beta=args.beta, mask_seen=mask_seen
-        )
-    elif args.scorer == "popularity":
-        model = models.train_popularity(
-            split.train, split.catalog.num_items, alpha=args.alpha, mask_seen=mask_seen
-        )
-    else:
-        raise ValueError(f"unknown scorer {args.scorer!r}")
+    train = {"markov": models.train_markov, "popularity": models.train_popularity}[args.scorer]
+    model = train(split.train, split.catalog.num_items)
     models.save_model(model, args.out)
     print(f"trained {args.scorer} scorer on {len(split.train)} users -> {args.out}")
     return 0
@@ -148,21 +141,14 @@ def cmd_explain(args) -> int:
     config = _ga_config(args, split.max_len)
     users = dataset.sample_users(split, sample, derive_stream(seed, [TAG_SAMPLE]))
 
+    baseline = {"random": baselines.baseline_random, "educated": baselines.baseline_educated}.get(args.method)
     out: list[records.ExplanationRecord] = []
     for user in users:
         source = split.train[user]
-        if args.method == "gece":
+        if baseline is None:
             rec = search.explain(source, setting, model, k, config, seed, categories=split.categories)
-        elif args.method == "random":
-            rec = baselines.baseline_random(
-                source, setting, model, k, budget=budget, seed=seed, categories=split.categories
-            )
-        elif args.method == "educated":
-            rec = baselines.baseline_educated(
-                source, setting, model, k, budget=budget, seed=seed, categories=split.categories
-            )
         else:
-            raise ValueError(f"unknown method {args.method!r}")
+            rec = baseline(source, setting, model, k, budget=budget, seed=seed, categories=split.categories)
         out.append(rec)
 
     header = {
@@ -192,9 +178,8 @@ def cmd_evaluate(args) -> int:
     if args.split:
         categories = dataset.load_split(args.split).categories
     cfg = header.get("config", {})
-    threshold = args.threshold if args.threshold is not None else recs[0].setting.threshold
-    k_list = _int_list(args.k_list) if args.k_list else list(recs[0].setting.k_eval)
-    k_list = [k for k in k_list if k <= model.num_items]
+    threshold = recs[0].setting.threshold
+    k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]
     meta = {
         "dataset": Path(cfg.get("split") or args.split or "").stem,
         "model": Path(cfg.get("model") or str(args.model)).stem,
@@ -295,9 +280,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=200)
     p.add_argument("--items", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chain-prob", type=float, default=0.9)
-    p.add_argument("--zipf-exponent", type=float, default=0.8)
-    p.add_argument("--num-categories", type=int, default=6)
     p.add_argument("--out", required=True)
     p.add_argument("--categories-out")
     p.set_defaults(func=cmd_synth)
@@ -313,9 +295,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a reference scorer on a split")
     p.add_argument("--split", required=True)
     p.add_argument("--scorer", choices=("markov", "popularity"), default="markov")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.9)
-    p.add_argument("--no-mask-seen", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -354,8 +333,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--split", help="needed for categorized settings")
-    p.add_argument("--k-list", dest="k_list")
-    p.add_argument("--threshold", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

@@ -70,11 +70,6 @@ class Catalog:
         if self.item_labels is not None and len(self.item_labels) != self.num_items:
             raise ValueError("item_labels length must equal num_items")
 
-    def label(self, item: int) -> str:
-        if self.item_labels is None:
-            return str(item)
-        return self.item_labels[item]
-
 
 @dataclass(frozen=True)
 class CategoryMap:
@@ -152,3 +147,8 @@ def as_items(seq: "UserSequence | Iterable[int]") -> tuple[int, ...]:
     if isinstance(seq, UserSequence):
         return seq.items
     return tuple(seq)
+
+
+def user_of(seq: "UserSequence | Iterable[int]") -> int:
+    """The user id of a UserSequence; 0 for a bare item sequence."""
+    return seq.user if isinstance(seq, UserSequence) else 0

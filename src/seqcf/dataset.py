@@ -292,6 +292,9 @@ def load_split(path) -> SplitDataset:
     )
 
 
+_CHAIN_PROB = 0.9  # chance that a synthetic walk steps to its item's cycle successor
+_ZIPF_EXPONENT = 0.8  # skew of synthetic item popularity
+_NUM_CATEGORIES = 6  # synthetic category labels cat0..cat5, one block of items each
 _SECOND_CATEGORY_PROB = 0.2  # share of synthetic items with a second category label
 
 
@@ -301,14 +304,11 @@ def synthesize_corpus(
     seed: int = 0,
     walk_min: int = 10,
     walk_max: int = 16,
-    chain_prob: float = 0.9,
-    zipf_exponent: float = 0.8,
-    num_categories: int = 6,
 ) -> tuple[InteractionLog, dict[str, tuple[str, ...]]]:
     """Generate a synthetic interaction log plus item category labels.
 
     Users walk a hidden random cycle over the items: with probability
-    chain_prob the next interaction is the current item's fixed successor,
+    _CHAIN_PROB the next interaction is the current item's fixed successor,
     otherwise a Zipf-popular jump. Walks never revisit an item, so every
     user history is duplicate-free; the cycle structure gives the item
     transition statistics sharp modes, the Zipf term skews popularity.
@@ -326,7 +326,7 @@ def synthesize_corpus(
     successor = np.empty(num_items, dtype=np.int64)
     successor[cycle] = np.roll(cycle, -1)
 
-    weights = 1.0 / np.arange(1, num_items + 1, dtype=float) ** zipf_exponent
+    weights = 1.0 / np.arange(1, num_items + 1, dtype=float) ** _ZIPF_EXPONENT
     weights /= weights.sum()
 
     def zipf_draw(exclude: set[int]) -> int:
@@ -343,7 +343,7 @@ def synthesize_corpus(
         visited = {cur}
         walk = [cur]
         while len(walk) < length:
-            if rng.random() < chain_prob:
+            if rng.random() < _CHAIN_PROB:
                 nxt = int(successor[cur])
             else:
                 nxt = zipf_draw(visited)
@@ -354,12 +354,12 @@ def synthesize_corpus(
             cur = nxt
         rows.extend((user, str(item), step) for step, item in enumerate(walk))
 
-    block = -(-num_items // num_categories)  # ceil division
+    block = -(-num_items // _NUM_CATEGORIES)  # ceil division
     categories: dict[str, tuple[str, ...]] = {}
     for item in range(num_items):
         labels = [f"cat{item // block}"]
         if rng.random() < _SECOND_CATEGORY_PROB:
-            extra = int(rng.integers(num_categories))
+            extra = int(rng.integers(_NUM_CATEGORIES))
             if f"cat{extra}" not in labels:
                 labels.append(f"cat{extra}")
         categories[str(item)] = tuple(labels)

@@ -3,9 +3,9 @@
 A scorer maps an item sequence to one raw score (logit) per catalog item.
 Raw scores are normalized to a probability-like scale with a softmax; the
 validity threshold used elsewhere applies to that normalized scale. The
-count-based scorers emit log-probabilities as their raw scores, so the
-softmax reproduces the underlying smoothed probabilities exactly
-(restricted to unmasked items).
+count-based scorers emit log-probabilities as their raw scores and mask
+the items already in the sequence (-inf), so the softmax reproduces the
+underlying smoothed probabilities renormalized over the unseen items.
 
 Search code must treat every scorer as opaque: the only sanctioned channel
 is `score` (and the batched convenience wrapper around it).
@@ -17,14 +17,14 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .core import UserSequence, as_items, atomic_write
 
 MODEL_MAGIC = "SEQCF-MODEL"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -74,7 +74,6 @@ def top_k(scores: ScoreVector, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
-@runtime_checkable
 class BlackBoxScorer(Protocol):
     num_items: int
 
@@ -116,7 +115,6 @@ class PopularityScorer:
 
     frequency: np.ndarray
     alpha: float = 0.1
-    mask_seen: bool = True
 
     def __post_init__(self) -> None:
         freq = np.asarray(self.frequency, dtype=np.int64)
@@ -140,14 +138,12 @@ class PopularityScorer:
         items = as_items(seq)
         _check_sequence(items, self.num_items)
         logits = self._log_pop.copy()
-        if self.mask_seen:
-            logits[list(items)] = -np.inf
+        logits[list(items)] = -np.inf
         return ScoreVector(logits)
 
     def score_batch(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         logits = np.tile(self._log_pop, (rows.shape[0], 1))
-        if self.mask_seen:
-            _mask_rows(logits, rows)
+        _mask_rows(logits, rows)
         return logits
 
 
@@ -161,15 +157,14 @@ class MarkovScorer:
           + (1 - beta) * (F[j] + alpha) / (sum F + alpha*m)
 
     and the emitted raw score is its log (so the softmax-normalized scores
-    equal these probabilities renormalized over unmasked items). Items of S
-    get -inf when mask_seen is on.
+    equal these probabilities renormalized over the items not in S). Items
+    of S get -inf.
     """
 
     transition: np.ndarray
     frequency: np.ndarray
     alpha: float = 0.1
     beta: float = 0.9
-    mask_seen: bool = True
 
     def __post_init__(self) -> None:
         trans = np.asarray(self.transition, dtype=np.int64)
@@ -203,15 +198,13 @@ class MarkovScorer:
         items = as_items(seq)
         _check_sequence(items, self.num_items)
         logits = self._log_mix[items[-1]].copy()
-        if self.mask_seen:
-            logits[list(items)] = -np.inf
+        logits[list(items)] = -np.inf
         return ScoreVector(logits)
 
     def score_batch(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         last = rows[np.arange(rows.shape[0]), lengths - 1]
         logits = self._log_mix[last]  # fancy indexing already copies
-        if self.mask_seen:
-            _mask_rows(logits, rows)
+        _mask_rows(logits, rows)
         return logits
 
 
@@ -223,20 +216,14 @@ def count_items(sequences: Iterable, num_items: int) -> np.ndarray:
     return np.bincount(items, minlength=num_items)
 
 
-def train_popularity(
-    train: Mapping[int, UserSequence], num_items: int, alpha: float = 0.1, mask_seen: bool = True
-) -> PopularityScorer:
+def train_popularity(train: Mapping[int, UserSequence], num_items: int, alpha: float = 0.1) -> PopularityScorer:
     if not train:
         raise ValueError("empty training split")
-    return PopularityScorer(frequency=count_items(train.values(), num_items), alpha=alpha, mask_seen=mask_seen)
+    return PopularityScorer(frequency=count_items(train.values(), num_items), alpha=alpha)
 
 
 def train_markov(
-    train: Mapping[int, UserSequence],
-    num_items: int,
-    alpha: float = 0.1,
-    beta: float = 0.9,
-    mask_seen: bool = True,
+    train: Mapping[int, UserSequence], num_items: int, alpha: float = 0.1, beta: float = 0.9
 ) -> MarkovScorer:
     """Count adjacent pairs and item occurrences over the training split."""
     if not train:
@@ -247,7 +234,7 @@ def train_markov(
     tails = np.fromiter(chain.from_iterable(s[1:] for s in seqs), dtype=np.int64)
     trans = np.zeros((num_items, num_items), dtype=np.int64)
     np.add.at(trans, (heads, tails), 1)
-    return MarkovScorer(transition=trans, frequency=freq, alpha=alpha, beta=beta, mask_seen=mask_seen)
+    return MarkovScorer(transition=trans, frequency=freq, alpha=alpha, beta=beta)
 
 
 def save_model(model, path) -> None:
@@ -257,13 +244,13 @@ def save_model(model, path) -> None:
         payload = {
             "transition": model.transition.tolist(),
             "frequency": model.frequency.tolist(),
-            "params": {"alpha": model.alpha, "beta": model.beta, "mask_seen": model.mask_seen},
+            "params": {"alpha": model.alpha, "beta": model.beta},
         }
     elif isinstance(model, PopularityScorer):
         kind = "popularity"
         payload = {
             "frequency": model.frequency.tolist(),
-            "params": {"alpha": model.alpha, "mask_seen": model.mask_seen},
+            "params": {"alpha": model.alpha},
         }
     else:
         raise ModelFormatError(f"cannot persist scorer of type {type(model).__name__}")
@@ -273,7 +260,7 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
-_PARAMS = {"markov": {"alpha", "beta", "mask_seen"}, "popularity": {"alpha", "mask_seen"}}
+_PARAMS = {"markov": {"alpha", "beta"}, "popularity": {"alpha"}}
 
 
 def _counts(doc: dict, key: str, ndim: int) -> np.ndarray:

@@ -47,6 +47,8 @@ class SettingSpec:
             raise ValueError("threshold must lie in (0, 1)")
         if not self.k_eval or any(k < 1 for k in self.k_eval):
             raise ValueError("k_eval must be positive")
+        if len(set(self.k_eval)) != len(self.k_eval):
+            raise ValueError(f"k_eval repeats an entry: {list(self.k_eval)}")
         if self.untargeted_rank_rule not in RANK_RULES:
             raise ValueError(f"unknown rank rule {self.untargeted_rank_rule!r}")
         object.__setattr__(self, "k_eval", tuple(self.k_eval))
@@ -270,16 +272,14 @@ def objective_loss(
     return 1.0 - mass if targeted else mass
 
 
-def verify_eps_vcs(model, source, candidate, eps: float, distance=levenshtein) -> bool:
+def verify_eps_vcs(model, source, candidate, eps: float) -> bool:
     """Two-check certificate verifier for a bounded-distance counterfactual.
 
     First check: the model's outputs (top-1 items) differ. Second check:
-    the distance from source to candidate is at most eps. Runs in time
+    the edit distance from source to candidate is at most eps. Runs in time
     polynomial in the model evaluation and the distance computation.
     """
     src_items, cand_items = as_items(source), as_items(candidate)
     if top_k(model.score(cand_items), 1)[0] == top_k(model.score(src_items), 1)[0]:
         return False
-    if distance(cand_items, src_items) > eps:
-        return False
-    return True
+    return levenshtein(cand_items, src_items) <= eps

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import CategoryMap, UserSequence, as_items, atomic_write
+from .core import CategoryMap, as_items, atomic_write, user_of
 from .metrics import hamming, levenshtein
 from .models import ScoreVector
 from .objective import SettingSpec, is_valid
@@ -99,7 +99,7 @@ def explanation_record(
         valid_at_k = {k: is_valid(setting, source_scores, cf_scores, k, categories) for k in ks}
         ham, lev = hamming(source_items, counterfactual), levenshtein(source_items, counterfactual)
     return ExplanationRecord(
-        user=source.user if isinstance(source, UserSequence) else 0,
+        user=user_of(source),
         method=method,
         setting=setting,
         source=source_items,

@@ -61,10 +61,11 @@ from .core import (
     UserSequence,
     as_items,
     derive_stream,
+    user_of,
 )
-from .metrics import NULL_ITEM, levenshtein_batch
+from .metrics import NULL_ITEM, levenshtein, levenshtein_batch
 from .models import ScoreVector, score_batch_logits, softmax, top_k
-from .objective import SettingSpec, loss_weights, valid_rows
+from .objective import SettingSpec, loss_weights, objective_loss, valid_rows
 from .records import ExplanationRecord, explanation_record
 
 MUTATION_KINDS = ("replace", "add", "delete")
@@ -204,9 +205,6 @@ def fitness(
     categories: CategoryMap | None = None,
 ) -> float:
     """Stand-alone fitness of one scored candidate (lower is better)."""
-    from .metrics import levenshtein
-    from .objective import objective_loss
-
     lev = levenshtein(as_items(source), as_items(cand))
     loss = objective_loss(setting, source_scores, cand_scores, categories)
     return combine_fitness(lev, loss, edit_weight, max_len)
@@ -583,7 +581,7 @@ def genetic(
 ) -> Population:
     """Run the evolutionary loop; return the final population ranked by (fitness, items)."""
     evaluate, max_len = _evaluator(source, setting, model, k, config, categories)
-    return _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
+    return _evolve(evaluate, max_len, seed, user_of(source))
 
 
 def _harvest(population: Population) -> tuple[tuple[int, ...], int] | None:
@@ -632,6 +630,6 @@ def explain(
     if ball_rows <= _BALL_SHARE * config.population_size * config.generations:
         if (best := _radius1_best(evaluate, max_len)) is not None:
             return record(best, 0)
-    population = _evolve(evaluate, max_len, seed, source.user if isinstance(source, UserSequence) else 0)
+    population = _evolve(evaluate, max_len, seed, user_of(source))
     found = _harvest(population)
     return record(*found) if found else record(None, None)

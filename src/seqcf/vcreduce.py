@@ -19,7 +19,6 @@ from itertools import combinations, product
 import numpy as np
 
 from .core import as_items
-from .metrics import levenshtein
 from .models import ScoreVector
 from .objective import verify_eps_vcs
 
@@ -150,7 +149,7 @@ def check_equivalence(graph: Graph, k: int) -> bool:
     lhs = brute_force_vc(graph, k)
     model, sbar = reduce(graph)
     rhs = any(
-        verify_eps_vcs(model, sbar, cand, k, levenshtein)
+        verify_eps_vcs(model, sbar, cand, k)
         for cand in product(*[(i, n + i) for i in range(n)])
     )
     return lhs == rhs

@@ -10,7 +10,7 @@ from seqcf import (
 from seqcf.core import CategoryMap
 from seqcf.objective import SettingSpec
 
-from conftest import CountingScorer, EchoScorer, SumScorer
+from conftest import ConstScorer, CountingScorer, EchoScorer, SumScorer
 
 
 CATS6 = CategoryMap(
@@ -133,3 +133,31 @@ def test_baselines_score_each_sequence_once(run):
     assert rec.counterfactual is not None
     assert len(model.calls) == 1 + rec.generation_found  # the source, then one call per attempt
     assert model.calls[0] == src.items and model.calls[-1] == rec.counterfactual
+
+
+
+@pytest.mark.parametrize(
+    "run, items, attempts",
+    [
+        (lambda model, src: baseline_random(src, SettingSpec.from_name("un_un"), model, 1, budget=4, seed=2),
+         (0, 2), 4),
+        (lambda model, src: baseline_educated(
+            src, SettingSpec.from_name("targ_un", target_item=9), model, 1, budget=4, seed=2), (0, 2), 4),
+        (lambda model, src: baseline_educated(
+            src, SettingSpec.from_name("targ_un", target_item=2), model, 1, budget=4, seed=2), (0, 2), 0),
+        (lambda model, src: baseline_educated(
+            src, SettingSpec.from_name("targ_cat", target_category=1), model, 1, budget=4, seed=2,
+            categories=CATS6), (0, 2), 4),
+        # the source already holds every item of category 1: nothing to place
+        (lambda model, src: baseline_educated(
+            src, SettingSpec.from_name("targ_cat", target_category=1), model, 1, budget=4, seed=2,
+            categories=CATS6), (1, 3, 5, 7, 9, 11), 0),
+    ],
+    ids=["random", "educated-item", "educated-target-present", "educated-category", "educated-category-full"],
+)
+def test_absent_record_scores_the_source_and_each_attempt(run, items, attempts):
+    src = UserSequence(1, items, 50)
+    model = CountingScorer(ConstScorer(12))
+    rec = run(model, src)
+    assert rec.counterfactual is None and rec.generation_found is None
+    assert len(model.calls) == 1 + attempts and model.calls[0] == src.items

@@ -1,9 +1,10 @@
+import argparse
 import json
 from dataclasses import fields
 
 import pytest
 
-from seqcf.cli import main
+from seqcf.cli import build_parser, main
 from seqcf.dataset import load_split
 from seqcf.metrics import read_report_csv
 from seqcf.objective import SettingSpec
@@ -62,6 +63,16 @@ class TestPipeline:
         assert config["command"] == "evaluate"
         assert {r["k"] for r in rows} == {"1", "5", "10"}
         assert all(r["method"] == "gece" for r in rows)
+
+    def test_evaluate_reads_k_and_threshold_from_the_records(self, pipeline):
+        out = pipeline["root"] / "k5-1.jsonl"
+        report = pipeline["root"] / "k5-1.csv"
+        assert main(explain_args(pipeline, out, **{"--k-eval": "5,1", "--threshold": 0.3})) == 0
+        assert main(["evaluate", "--records", str(out), "--model", str(pipeline["model"]),
+                     "--split", str(pipeline["split"]), "--out", str(report)]) == 0
+        config, rows = read_report_csv(report)
+        assert (config["k_list"], config["threshold"]) == ([5, 1], 0.3)
+        assert [r["k"] for r in rows] == ["5", "1"]
 
     def test_report_merges_seeds(self, pipeline):
         csvs = []
@@ -205,8 +216,12 @@ class TestFailureModes:
             ({"generations": True}, "config key generations takes an integer, got True"),
             ({"mutation_prob": True}, "config key mutation_prob takes a number, got True"),
             ({"edit_weight": False}, "config key edit_weight takes a number, got False"),
+            ({"mutation_weights": [True, False, True]}, "config key mutation_weights takes numbers, got True"),
+            ({"k_eval": [1.5, True]}, "config key k_eval takes integers, got 1.5"),
+            ({"k_eval": [1, True]}, "config key k_eval takes integers, got True"),
         ],
-        ids=["float-for-int", "bool-for-int", "true-for-float", "false-for-float"],
+        ids=["float-for-int", "bool-for-int", "true-for-float", "false-for-float",
+             "bools-in-weights", "fraction-in-k-eval", "bool-in-k-eval"],
     )
     def test_config_values_are_not_coerced(self, pipeline, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -218,13 +233,62 @@ class TestFailureModes:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_removed_elitism_flag_rejected(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out.jsonl"
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("explain", ["--elitism", "0.5"]),
+            ("synth", ["--chain-prob", "0.5"]),
+            ("synth", ["--zipf-exponent", "1.0"]),
+            ("synth", ["--num-categories", "4"]),
+            ("train", ["--alpha", "0.2"]),
+            ("train", ["--beta", "0.5"]),
+            ("train", ["--no-mask-seen"]),
+            ("evaluate", ["--k-list", "1,5"]),
+            ("evaluate", ["--threshold", "0.3"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_removed_flags_rejected(self, pipeline, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        records = pipeline["root"] / "removed-flags.jsonl"
+        if command == "evaluate" and not records.exists():
+            assert main(explain_args(pipeline, records, method="random")) == 0
+        args = {
+            "explain": explain_args(pipeline, out),
+            "synth": ["synth", "--out", str(out)],
+            "train": ["train", "--split", str(pipeline["split"]), "--out", str(out)],
+            "evaluate": ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                         "--out", str(out)],
+        }[command]
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(explain_args(pipeline, out, **{"--elitism": 0.5}))
+            main(args + flag)
         assert exc.value.code != 0
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert errors == ["seqcf: error: unrecognized arguments: --elitism 0.5"]
+        assert errors == [f"seqcf: error: unrecognized arguments: {' '.join(flag)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_repeated_k_eval_rejected(self, pipeline, tmp_path, capsys, via):
+        out = tmp_path / "out.jsonl"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_eval": [1, 5, 1]}))
+        extra = {"--k-eval": "1,5,1"} if via == "flag" else {"--config": cfg}
+        assert main(explain_args(pipeline, out, **extra)) == 1
+        assert capsys.readouterr().err == "error: k_eval repeats an entry: [1, 5, 1]\n"
+        assert not out.exists()
+
+    def test_version_1_model_file_rejected(self, pipeline, tmp_path, capsys):
+        doc = json.loads(pipeline["model"].read_text())
+        doc["version"] = 1
+        doc["params"]["mask_seen"] = True
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        out = tmp_path / "out.jsonl"
+        args = explain_args(pipeline, out)
+        args[args.index("--model") + 1] = str(old)
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: unsupported model version 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["explain", "oracle"])
@@ -270,6 +334,34 @@ class TestFailureModes:
         rc = main(["evaluate", "--records", str(empty), "--model", str(pipeline["model"]),
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
+
+
+# every subcommand's flags; a flag added or removed is a deliberate edit here
+PARSER_FLAGS = {
+    "synth": ["--users", "--items", "--seed", "--out", "--categories-out"],
+    "preprocess": ["--input", "--categories", "--k-core", "--max-len", "--out"],
+    "train": ["--split", "--scorer", "--out"],
+    "explain": ["--model", "--split", "--method", "--config", "--setting", "--target-item", "--target-stratum",
+                "--target-category", "--k", "--seed", "--sample-users", "--threshold", "--k-eval",
+                "--untargeted-rank-rule", "--budget", "--generations", "--population", "--mutation-prob",
+                "--crossover-prob", "--edit-weight", "--mutation-weights", "--threads", "--out"],
+    "evaluate": ["--records", "--model", "--split", "--format", "--out"],
+    "oracle": ["--model", "--split", "--setting", "--target-item", "--target-stratum", "--target-category", "--k",
+               "--seed", "--sample-users", "--threshold", "--k-eval", "--untargeted-rank-rule", "--max-distance",
+               "--out"],
+    "reduce-vc": ["--graph", "--k"],
+    "report": ["--inputs", "--format", "--out"],
+}
+
+
+def test_parser_flags_snapshot():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: [a.option_strings[0] for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+    assert flags == PARSER_FLAGS
+    assert sum(map(len, flags.values())) == 60
 
 
 class TestReduceVc:

@@ -174,11 +174,16 @@ class TestPersistence:
             assert np.array_equal(model.score(seq).logits, loaded.score(seq).logits)
 
     def test_popularity_round_trip(self, tmp_path):
-        model = train_popularity(seqs({1: (0, 1, 2)}), 4, alpha=0.3, mask_seen=False)
+        model = train_popularity(seqs({1: (0, 1, 2)}), 4, alpha=0.3)
         save_model(model, tmp_path / "p.json")
         loaded = load_model(tmp_path / "p.json")
         assert isinstance(loaded, PopularityScorer)
-        assert loaded.alpha == 0.3 and loaded.mask_seen is False
+        assert loaded.alpha == 0.3
+
+    def test_file_holds_version_2_params(self, tmp_path):
+        save_model(train_markov(seqs({1: (0, 1, 2)}), 3), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["version"] == 2 and doc["params"] == {"alpha": 0.1, "beta": 0.9}
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -186,10 +191,12 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="magic"):
             load_model(path)
 
-    def test_wrong_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, 1])  # 1: the layout whose params also held mask_seen
+    def test_wrong_version_rejected(self, tmp_path, version):
         path = tmp_path / "bad.json"
-        path.write_text('{"magic": "SEQCF-MODEL", "version": 99, "kind": "markov"}')
-        with pytest.raises(ModelFormatError, match="version"):
+        path.write_text(json.dumps({"magic": "SEQCF-MODEL", "version": version, "kind": "markov",
+                                    "params": {"alpha": 0.1, "beta": 0.9, "mask_seen": True}}))
+        with pytest.raises(ModelFormatError, match=f"^unsupported model version {version}$"):
             load_model(path)
 
     @staticmethod
@@ -213,9 +220,10 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=f"{field}.*negative"):
             load_model(self._tamper(tmp_path, edit))
 
-    def test_unknown_params_rejected(self, tmp_path):
-        path = self._tamper(tmp_path, lambda doc: doc["params"].update(gamma=0.3))
-        with pytest.raises(ModelFormatError, match="unknown markov params.*gamma"):
+    @pytest.mark.parametrize("param", ["gamma", "mask_seen"])
+    def test_unknown_params_rejected(self, tmp_path, param):
+        path = self._tamper(tmp_path, lambda doc: doc["params"].update({param: 0.3}))
+        with pytest.raises(ModelFormatError, match=f"unknown markov params.*{param}"):
             load_model(path)
 
     def test_non_square_transition_rejected(self, tmp_path):

@@ -51,6 +51,11 @@ class TestSettingSpec:
         with pytest.raises(ValueError):
             SettingSpec(targeted=False, categorized=False, threshold=1.0)
 
+    @pytest.mark.parametrize("k_eval", [(1, 1), (5, 1, 10, 5)])
+    def test_repeated_k_eval_rejected(self, k_eval):
+        with pytest.raises(ValueError, match="k_eval repeats an entry"):
+            SettingSpec(targeted=False, categorized=False, k_eval=k_eval)
+
 
 class TestIsValid:
     def test_un_un_requires_topk_absence(self):
