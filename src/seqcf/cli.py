@@ -6,12 +6,15 @@ single-line error on stderr otherwise. The resolved run configuration is
 embedded in each output file header; the worker-count flag and output
 destination are execution details and deliberately stay out of the header
 so reruns compare byte for byte.
+
+Arguments can also come from a file: `seqcf explain @run.args --out x.jsonl`
+reads one argument per line (`--population=1024`), checked and cast exactly
+as on the command line, and a flag given after `@run.args` overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict, fields
@@ -27,34 +30,12 @@ log = logging.getLogger(__name__)
 GA_FLAG_NAMES = {"population_size": "population"}
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(x) for x in value]
-    return [int(x) for x in str(value).split(",") if x.strip()]
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in value.split(",") if x.strip())
 
 
-def _float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(x) for x in value]
-    return [float(x) for x in str(value).split(",") if x.strip()]
-
-
-# entry type of each comma-list flag, which a config file may also give as a JSON list
-_LIST_FLAGS = {"k_eval": (int, "integers"), "mutation_weights": (float, "numbers")}
-
-
-def _config_value(action: argparse.Action, value):
-    """A config file's value for `action`'s flag, cast as the flag casts, with no silent coercion.
-
-    A list flag's entries are checked the same way and left to its list parser.
-    """
-    scalar = (action.type, {int: "an integer", float: "a number"}.get(action.type))
-    cast, kind = _LIST_FLAGS.get(action.dest, scalar)
-    for entry in value if isinstance(value, list) else [value]:
-        fraction = cast is int and isinstance(entry, float) and not entry.is_integer()
-        if kind and (isinstance(entry, bool) or fraction):
-            raise ValueError(f"config key {action.dest} takes {kind}, got {entry!r}")
-    return action.type(value) if action.type else value
+def _float_list(value: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in value.split(",") if x.strip())
 
 
 def cmd_synth(args) -> int:
@@ -112,9 +93,7 @@ def _build_setting(args, split) -> SettingSpec:
             raise ValueError("split has no categories; preprocess with --categories")
         target_category = split.categories.category_id(args.target_category)
     # an unset flag leaves the field at its SettingSpec default
-    given = {"threshold": args.threshold, "untargeted_rank_rule": args.untargeted_rank_rule}
-    if args.k_eval is not None:
-        given["k_eval"] = _int_list(args.k_eval)
+    given = {"threshold": args.threshold, "k_eval": args.k_eval, "untargeted_rank_rule": args.untargeted_rank_rule}
     return SettingSpec.from_name(
         name,
         target_item=target_item,
@@ -125,12 +104,8 @@ def _build_setting(args, split) -> SettingSpec:
 
 def _ga_config(args, max_len: int) -> search.GaConfig:
     """The explain GA flags as a GaConfig; an unset flag leaves its field at the default."""
-    given = {}
-    for f in fields(search.GaConfig):
-        value = getattr(args, GA_FLAG_NAMES.get(f.name, f.name), None)
-        if value is not None:
-            given[f.name] = tuple(_float_list(value)) if isinstance(f.default, tuple) else value
-    return search.GaConfig(max_len=max_len, **given)
+    given = {f.name: getattr(args, GA_FLAG_NAMES.get(f.name, f.name), None) for f in fields(search.GaConfig)}
+    return search.GaConfig(max_len=max_len, **{key: value for key, value in given.items() if value is not None})
 
 
 def cmd_explain(args) -> int:
@@ -226,7 +201,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_reduce_vc(args) -> int:
     graph = vcreduce.Graph.parse(Path(args.graph).read_text(encoding="utf-8"))
-    ks = _int_list(args.k) if args.k else list(range(graph.num_vertices + 1))
+    ks = args.k or range(graph.num_vertices + 1)
     for k in ks:
         has_cover = vcreduce.brute_force_vc(graph, k)
         equivalent = vcreduce.check_equivalence(graph, k)
@@ -249,30 +224,25 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_run_flags(p) -> list[argparse.Action]:
-    """The setting and sampling flags of explain and oracle.
-
-    Returns the flags a config file may also set.
-    """
+def _add_run_flags(p) -> None:
+    """The setting and sampling flags of explain and oracle."""
     p.add_argument("--setting", choices=SETTING_NAMES, required=True)
     p.add_argument("--target-item", type=int)
     p.add_argument("--target-stratum", choices=dataset.TARGET_STRATA)
     p.add_argument("--target-category")
-    return [
-        p.add_argument("--k", type=int, default=1),
-        p.add_argument("--seed", type=int, default=0),
-        p.add_argument("--sample-users", type=int, default=0),
-        p.add_argument("--threshold", type=float),
-        p.add_argument("--k-eval"),
-        p.add_argument("--untargeted-rank-rule", choices=RANK_RULES),
-    ]
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sample-users", type=int, default=0)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--k-eval", type=_int_list)
+    p.add_argument("--untargeted-rank-rule", choices=RANK_RULES)
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The seqcf parser; `config` (a --config file's content) supplies explain defaults."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqcf",
         description="Counterfactual explanations for sequential recommenders",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -302,23 +272,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--method", choices=("gece", "random", "educated"), default="gece")
-    p.add_argument("--config", help="JSON file supplying defaults for the knobs below")
-    knobs = _add_run_flags(p)
-    knobs.append(p.add_argument("--budget", type=int, default=10))
+    _add_run_flags(p)
+    p.add_argument("--budget", type=int, default=10)
     for f in fields(search.GaConfig):
         if f.name == "max_len":  # the split fixes it
             continue
         dest = GA_FLAG_NAMES.get(f.name, f.name)
-        # a tuple field's comma list is parsed by _ga_config; unset flags keep the GaConfig default
-        cast = None if isinstance(f.default, tuple) else type(f.default)
-        knobs.append(p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast))
-    if config is not None:
-        if not isinstance(config, dict):
-            raise ValueError("a config file holds one JSON object of flag values")
-        if unknown := sorted(set(config) - {a.dest for a in knobs}):
-            raise ValueError(f"unknown config keys {', '.join(unknown)}; keys are explain flag names with _ for -")
-        # flag > config file > default: the file's values, cast as their flags cast, become the defaults
-        p.set_defaults(**{a.dest: _config_value(a, config[a.dest]) for a in knobs if a.dest in config})
+        # unset flags keep the GaConfig default
+        cast = _float_list if isinstance(f.default, tuple) else type(f.default)
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast)
     p.add_argument(
         "--threads",
         type=int,
@@ -347,7 +309,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-vc", help="vertex-cover reduction equivalence verdicts")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", help="comma-separated k values (default 0..n)")
+    p.add_argument("--k", type=_int_list, help="comma-separated k values (default 0..n)")
     p.set_defaults(func=cmd_reduce_vc)
 
     p = sub.add_parser("report", help="merge per-seed reports into mean columns")
@@ -362,9 +324,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                args = build_parser(json.load(fh)).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # single-line machine-parsable failure
         message = " ".join(str(exc).split()) or type(exc).__name__

@@ -243,11 +243,21 @@ def save_split(split: SplitDataset, path) -> None:
         fh.write("\n")
 
 
+def _user_key(path, field: str, key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"{path}: {field} has user key {key!r}, not an integer") from None
+
+
 def load_split(path) -> SplitDataset:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != SPLIT_FORMAT:
         raise ValueError(f"not a split file: {path}")
+    for key in ("max_len", "catalog", "train", "validation", "test"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key}")
     max_len = doc["max_len"]
     labels = doc["catalog"]["item_labels"]
     catalog = Catalog(
@@ -255,17 +265,16 @@ def load_split(path) -> SplitDataset:
         item_labels=tuple(labels) if labels else None,
     )
     m = catalog.num_items
-    # min/max reductions per sequence: no per-item Python step and no
-    # split-sized temporary array
-    for field, groups in (
-        ("train", doc["train"].values()),
-        ("validation", [doc["validation"].values()]),
-        ("test", [doc["test"].values()]),
-    ):
-        for ids in groups:
-            if ids and not (0 <= min(ids) and max(ids) < m):
-                bad = next(i for i in ids if not 0 <= i < m)
-                raise ValueError(f"{path}: {field} holds item {bad} outside the catalog [0, {m})")
+    users = {}
+    for field in ("train", "validation", "test"):
+        section = doc[field]
+        # a type set and min/max reductions per sequence: no per-item Python
+        # step and no split-sized temporary array; bool is not an item id
+        for ids in section.values() if field == "train" else [section.values()]:
+            if ids and not (set(map(type, ids)) == {int} and 0 <= min(ids) and max(ids) < m):
+                bad = next(i for i in ids if type(i) is not int or not 0 <= i < m)
+                raise ValueError(f"{path}: {field} holds item {bad!r}, not an integer id in the catalog [0, {m})")
+        users[field] = {_user_key(path, field, u): value for u, value in section.items()}
     categories = None
     if doc.get("categories"):
         cdoc = doc["categories"]
@@ -278,14 +287,11 @@ def load_split(path) -> SplitDataset:
             num_categories=cdoc["num_categories"],
             category_labels=tuple(cdoc["category_labels"]) if cdoc.get("category_labels") else None,
         )
-    train = {
-        int(u): UserSequence(user=int(u), items=tuple(items), max_len=max_len)
-        for u, items in doc["train"].items()
-    }
+    train = {u: UserSequence(user=u, items=tuple(items), max_len=max_len) for u, items in users["train"].items()}
     return SplitDataset(
         train=train,
-        validation={int(u): i for u, i in doc["validation"].items()},
-        test={int(u): i for u, i in doc["test"].items()},
+        validation=users["validation"],
+        test=users["test"],
         catalog=catalog,
         categories=categories,
         max_len=max_len,
@@ -380,8 +386,10 @@ def write_categories(categories: dict[str, tuple[str, ...]], path) -> None:
 
 def sample_users(split: SplitDataset, count: int, stream: np.random.Generator) -> list[int]:
     """Deterministic user sample without replacement (all users if count is 0)."""
+    if count < 0:
+        raise ValueError(f"cannot sample {count} users; give a count >= 0 (0 means every user)")
     users = split.users
-    if count <= 0 or count >= len(users):
+    if count == 0 or count >= len(users):
         return users
     picked = stream.choice(len(users), size=count, replace=False)
     return sorted(users[i] for i in picked)

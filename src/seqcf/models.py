@@ -265,9 +265,13 @@ _PARAMS = {"markov": {"alpha", "beta"}, "popularity": {"alpha"}}
 
 def _counts(doc: dict, key: str, ndim: int) -> np.ndarray:
     try:
-        counts = np.asarray(doc[key], dtype=np.int64)
+        # no dtype= cast, which would load 2.5 as 2 and "3" as 3: a float or a
+        # string entry makes numpy infer float64 or str, rejected below
+        counts = np.asarray(doc[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model field {key!r} is missing or not an integer array") from exc
+    if counts.dtype != np.int64:
+        raise ModelFormatError(f"model field {key!r} holds entries that are not integers ({counts.dtype})")
     if counts.ndim != ndim:
         raise ModelFormatError(f"model field {key!r} must be {ndim}-dimensional, got shape {counts.shape}")
     if counts.min(initial=0) < 0:  # a reduction: no count-sized temporary
@@ -295,6 +299,9 @@ def load_model(path):
     unknown = sorted(set(params) - _PARAMS[kind])
     if unknown:
         raise ModelFormatError(f"unknown {kind} params {unknown}")
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ModelFormatError(f"{kind} param {name} must be a number, got {value!r}")
     frequency = _counts(doc, "frequency", 1)
     if kind == "markov":
         transition = _counts(doc, "transition", 2)

@@ -1,9 +1,11 @@
 import argparse
+import inspect
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
+import seqcf
 from seqcf.cli import build_parser, main
 from seqcf.dataset import load_split
 from seqcf.metrics import read_report_csv
@@ -64,6 +66,20 @@ class TestPipeline:
         assert {r["k"] for r in rows} == {"1", "5", "10"}
         assert all(r["method"] == "gece" for r in rows)
 
+    def test_evaluate_json_rows_equal_the_csv_rows(self, pipeline):
+        out = pipeline["root"] / "g3.jsonl"
+        assert main(explain_args(pipeline, out)) == 0
+        reports = {fmt: pipeline["root"] / f"report3.{fmt}" for fmt in ("csv", "json")}
+        for fmt, report in reports.items():
+            assert main(["evaluate", "--records", str(out), "--model", str(pipeline["model"]),
+                         "--split", str(pipeline["split"]), "--format", fmt, "--out", str(report)]) == 0
+        config, rows = read_report_csv(reports["csv"])
+        doc = json.loads(reports["json"].read_text())
+        assert rows and doc["config"] == config
+        # csv writes each value with str(), and None as an empty cell
+        as_text = [{key: "" if v is None else str(v) for key, v in row.items()} for row in doc["rows"]]
+        assert as_text == rows
+
     def test_evaluate_reads_k_and_threshold_from_the_records(self, pipeline):
         out = pipeline["root"] / "k5-1.jsonl"
         report = pipeline["root"] / "k5-1.csv"
@@ -107,30 +123,39 @@ class TestPipeline:
         assert all(r.setting.name == "targ_cat" for r in recs)
 
     @staticmethod
-    def config_run(pipeline, *flags):
-        """explain with a config file setting a GA, a setting and a run field, plus `flags`."""
-        cfg = pipeline["root"] / "cfg.json"
-        cfg.write_text(json.dumps({"generations": 2, "population": 16, "threshold": 0.3, "sample_users": 2}))
-        out = pipeline["root"] / "cfgrun.jsonl"
+    def args_file_run(pipeline, *flags, name="argsrun.jsonl"):
+        """explain with `flags`, which may name an args file setting a GA, a setting and a run flag."""
+        args_file = pipeline["root"] / "run.args"
+        # both line forms: `--flag=value`, and flag and value on lines of their own
+        args_file.write_text("--generations=2\n--population=16\n--threshold\n0.3\n--sample-users=2\n")
+        out = pipeline["root"] / name
         args = ["explain", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
                 "--method", "gece", "--setting", "un_un", "--k", "1", "--seed", "0",
-                "--config", str(cfg), *flags, "--out", str(out)]
+                *[f"@{args_file}" if flag == "@FILE" else flag for flag in flags], "--out", str(out)]
         assert main(args) == 0
-        return read_records(out)
+        return out
 
-    def test_config_file_supplies_defaults(self, pipeline):
-        header, recs = self.config_run(pipeline)
+    def test_args_file_supplies_flags(self, pipeline):
+        out = self.args_file_run(pipeline, "@FILE")
+        header, recs = read_records(out)
         assert header["config"]["ga"]["generations"] == 2
         assert header["config"]["ga"]["population_size"] == 16
         assert header["config"]["setting"]["threshold"] == 0.3
         assert header["config"]["sample_users"] == len(recs) == 2
+        spelled_out = self.args_file_run(pipeline, "--generations", "2", "--population", "16",
+                                         "--threshold", "0.3", "--sample-users", "2", name="spelled.jsonl")
+        assert out.read_bytes() == spelled_out.read_bytes()
 
-    def test_flags_beat_the_config_file(self, pipeline):
-        header, recs = self.config_run(pipeline, "--population", "24", "--threshold", "0.7", "--sample-users", "3")
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_later_flags_win_over_the_args_file(self, pipeline, position):
+        flags = ["--population", "24", "--threshold", "0.7", "--sample-users", "3"]
+        order = flags + ["@FILE"] if position == "before" else ["@FILE"] + flags
+        header, recs = read_records(self.args_file_run(pipeline, *order))
+        population, threshold, sample = (16, 0.3, 2) if position == "before" else (24, 0.7, 3)
         assert header["config"]["ga"]["generations"] == 2
-        assert header["config"]["ga"]["population_size"] == 24
-        assert header["config"]["setting"]["threshold"] == 0.7
-        assert header["config"]["sample_users"] == len(recs) == 3
+        assert header["config"]["ga"]["population_size"] == population
+        assert header["config"]["setting"]["threshold"] == threshold
+        assert header["config"]["sample_users"] == len(recs) == sample
 
     def test_unset_flags_take_the_dataclass_defaults(self, pipeline):
         out = pipeline["root"] / "defaults.jsonl"
@@ -188,55 +213,45 @@ class TestFailureModes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "content, message",
+        "line, status, message",
         [
-            # the header's own `ga` names are not config keys
-            ({"population_size": 16, "max_len": 8}, "unknown config keys max_len, population_size;"),
-            ({"populaton": 16, "generations": 2}, "unknown config keys populaton;"),
-            ([["population", 16]], "one JSON object"),
-            ({"elitism": 0.5}, "unknown config keys elitism;"),
+            ("--population=16.9", 2, "seqcf explain: error: argument --population: invalid int value: '16.9'"),
+            ("--k-eval=1,1", 1, "error: k_eval repeats an entry: [1, 1]"),
+            # a records header's `ga` name is not a flag
+            ("--population-size=16", 2, "seqcf: error: unrecognized arguments: --population-size=16"),
         ],
-        ids=["header-ga-names", "typo", "not-an-object", "removed-elitism"],
+        ids=["float-for-int", "repeated-k-eval", "unknown-flag"],
     )
-    def test_unknown_config_keys_rejected(self, pipeline, tmp_path, capsys, content, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(content))
+    def test_args_file_fails_as_the_command_line(self, pipeline, tmp_path, capsys, line, status, message):
+        args_file = tmp_path / "run.args"
+        args_file.write_text(line + "\n")
         out = tmp_path / "out.jsonl"
-        rc = main(explain_args(pipeline, out, **{"--config": cfg}))
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
-        assert not out.exists()
+        results = []
+        for arg in (line, f"@{args_file}"):
+            capsys.readouterr()
+            try:
+                rc = main(explain_args(pipeline, out) + [arg])
+            except SystemExit as exc:
+                rc = exc.code
+            errors = [text for text in capsys.readouterr().err.splitlines() if "error:" in text]
+            results.append((rc, errors))
+            assert not out.exists()
+        assert results[0] == results[1] == (status, [message])
 
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            ({"population": 16.9}, "config key population takes an integer, got 16.9"),
-            ({"generations": True}, "config key generations takes an integer, got True"),
-            ({"mutation_prob": True}, "config key mutation_prob takes a number, got True"),
-            ({"edit_weight": False}, "config key edit_weight takes a number, got False"),
-            ({"mutation_weights": [True, False, True]}, "config key mutation_weights takes numbers, got True"),
-            ({"k_eval": [1.5, True]}, "config key k_eval takes integers, got 1.5"),
-            ({"k_eval": [1, True]}, "config key k_eval takes integers, got True"),
-        ],
-        ids=["float-for-int", "bool-for-int", "true-for-float", "false-for-float",
-             "bools-in-weights", "fraction-in-k-eval", "bool-in-k-eval"],
-    )
-    def test_config_values_are_not_coerced(self, pipeline, tmp_path, capsys, content, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(content))
+    @pytest.mark.parametrize("command", ["explain", "oracle"])
+    def test_negative_sample_users_rejected(self, pipeline, tmp_path, capsys, command):
         out = tmp_path / "out.jsonl"
-        rc = main(explain_args(pipeline, out, **{"--config": cfg}))
+        rc = main([command, "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
+                   "--setting", "un_un", "--sample-users", "-3", "--out", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert capsys.readouterr().err == "error: cannot sample -3 users; give a count >= 0 (0 means every user)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag",
         [
             ("explain", ["--elitism", "0.5"]),
+            ("explain", ["--config", "run.json"]),
             ("synth", ["--chain-prob", "0.5"]),
             ("synth", ["--zipf-exponent", "1.0"]),
             ("synth", ["--num-categories", "4"]),
@@ -268,13 +283,9 @@ class TestFailureModes:
         assert errors == [f"seqcf: error: unrecognized arguments: {' '.join(flag)}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_repeated_k_eval_rejected(self, pipeline, tmp_path, capsys, via):
+    def test_repeated_k_eval_rejected(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k_eval": [1, 5, 1]}))
-        extra = {"--k-eval": "1,5,1"} if via == "flag" else {"--config": cfg}
-        assert main(explain_args(pipeline, out, **extra)) == 1
+        assert main(explain_args(pipeline, out, **{"--k-eval": "1,5,1"})) == 1
         assert capsys.readouterr().err == "error: k_eval repeats an entry: [1, 5, 1]\n"
         assert not out.exists()
 
@@ -318,14 +329,6 @@ class TestFailureModes:
         assert message in err
         assert not out.exists()
 
-    def test_integral_float_config_value_is_accepted(self, pipeline, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"population": 16.0, "generations": 2}))
-        out = tmp_path / "out.jsonl"
-        assert main(["explain", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
-                     "--setting", "un_un", "--sample-users", "1", "--config", str(cfg), "--out", str(out)]) == 0
-        assert read_records(out)[0]["config"]["ga"]["population_size"] == 16
-
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text(
@@ -341,7 +344,7 @@ PARSER_FLAGS = {
     "synth": ["--users", "--items", "--seed", "--out", "--categories-out"],
     "preprocess": ["--input", "--categories", "--k-core", "--max-len", "--out"],
     "train": ["--split", "--scorer", "--out"],
-    "explain": ["--model", "--split", "--method", "--config", "--setting", "--target-item", "--target-stratum",
+    "explain": ["--model", "--split", "--method", "--setting", "--target-item", "--target-stratum",
                 "--target-category", "--k", "--seed", "--sample-users", "--threshold", "--k-eval",
                 "--untargeted-rank-rule", "--budget", "--generations", "--population", "--mutation-prob",
                 "--crossover-prob", "--edit-weight", "--mutation-weights", "--threads", "--out"],
@@ -361,7 +364,32 @@ def test_parser_flags_snapshot():
         for name, p in sub.choices.items()
     }
     assert flags == PARSER_FLAGS
-    assert sum(map(len, flags.values())) == 60
+    assert sum(map(len, flags.values())) == 59
+
+
+# keyword defaults of the public API: a settable value added or removed is a deliberate edit here
+PUBLIC_KEYWORD_DEFAULTS = {
+    "Catalog": 1, "CategoryMap": 1, "GaConfig": 7, "MarkovScorer": 2, "PopularityScorer": 1, "SettingSpec": 5,
+    "SplitDataset": 2, "UserSequence": 1, "aggregate_report": 2, "baseline_educated": 3, "baseline_random": 3,
+    "crossover": 1, "explain": 3, "fitness": 3, "genetic": 3, "is_valid": 1, "k_core_filter": 1,
+    "leave_one_out_split": 1, "mutate_add": 1, "objective_loss": 1, "oracle_optimal": 1, "synthesize_corpus": 3,
+    "train_markov": 2, "train_popularity": 1, "write_records": 1,
+}
+
+
+def _keyword_defaults(obj) -> int:
+    """Dataclass fields with a default, or a callable's parameters with one; exceptions hold none."""
+    if is_dataclass(obj):
+        return sum(f.default is not MISSING or f.default_factory is not MISSING for f in fields(obj))
+    if isinstance(obj, type) and issubclass(obj, Exception):
+        return 0
+    return sum(p.default is not p.empty for p in inspect.signature(obj).parameters.values())
+
+
+def test_public_keyword_defaults_snapshot():
+    counts = {name: _keyword_defaults(getattr(seqcf, name)) for name in seqcf.__all__}
+    assert {name: n for name, n in counts.items() if n} == PUBLIC_KEYWORD_DEFAULTS
+    assert sum(counts.values()) == 51
 
 
 class TestReduceVc:

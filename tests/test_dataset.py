@@ -197,19 +197,43 @@ class TestSplitRoundTrip:
         save_split(split.with_categories(load_categories(tmp_path / "cats.tsv", split.catalog)), path)
         return path, json.loads(path.read_text())
 
-    @pytest.mark.parametrize("field", ["train", "validation", "test"])
-    def test_item_outside_catalog_rejected(self, tmp_path, field):
+    @staticmethod
+    def _set_item(field, bad):
+        def edit(doc):
+            user = next(iter(doc[field]))
+            if field == "train":
+                doc[field][user][-1] = bad
+            else:
+                doc[field][user] = bad
+
+        return edit
+
+    @staticmethod
+    def _rename_user(doc):
+        doc["train"]["u1"] = doc["train"].pop(next(iter(doc["train"])))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # 30 is the first id past the 30-item catalog
+            (_set_item("train", 99999), r"train holds item 99999, not an integer id in the catalog \[0, 30\)"),
+            (_set_item("validation", 30), r"validation holds item 30, not an integer id in the catalog \[0, 30\)"),
+            (_set_item("test", -1), r"test holds item -1, not an integer id in the catalog \[0, 30\)"),
+            (_set_item("train", True), "train holds item True, not an integer id"),
+            (_set_item("train", 2.5), "train holds item 2.5, not an integer id"),
+            (_set_item("validation", "x"), "validation holds item 'x', not an integer id"),
+            (_rename_user, "train has user key 'u1', not an integer"),
+            (lambda doc: doc.pop("max_len"), "missing field max_len"),
+        ],
+        ids=["train", "validation", "test", "bool-item", "fraction-item", "string-item", "user-key", "no-max_len"],
+    )
+    def test_item_outside_catalog_rejected(self, tmp_path, edit, message):
         path, doc = self._saved_doc(tmp_path)
-        # 30 is the first id past the 30-item catalog
-        bad = {"train": 99999, "validation": 30, "test": -1}[field]
-        user = next(iter(doc[field]))
-        if field == "train":
-            doc[field][user][-1] = bad
-        else:
-            doc[field][user] = bad
+        edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"{field} holds item {bad} outside the catalog \[0, 30\)"):
+        with pytest.raises(ValueError, match=message) as exc:
             load_split(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_category_map_length_mismatch_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)

@@ -98,11 +98,10 @@ class TestScoring:
             for k in range(1, 10 - length + 1):
                 assert not set(top_k(model.score(seq), k)) & set(seq)
 
-    def test_batch_matches_scalar(self):
+    @pytest.mark.parametrize("train", [train_markov, train_popularity], ids=["markov", "popularity"])
+    def test_batch_matches_scalar(self, train):
         rng = np.random.default_rng(4)
-        model = train_markov(
-            seqs({u: tuple(rng.permutation(12)[:7].tolist()) for u in range(1, 9)}), 12
-        )
+        model = train(seqs({u: tuple(rng.permutation(12)[:7].tolist()) for u in range(1, 9)}), 12)
         cands = [tuple(rng.permutation(12)[: rng.integers(1, 8)].tolist()) for _ in range(40)]
         width = max(len(c) for c in cands)
         rows = np.full((len(cands), width), -1, dtype=np.int64)
@@ -209,21 +208,39 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         return path
 
-    @pytest.mark.parametrize("field", ["transition", "frequency"])
-    def test_negative_counts_rejected(self, tmp_path, field):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("transition", -4, "negative"),
+            ("frequency", -1, "negative"),
+            ("transition", 2.5, r"not integers \(float64\)"),
+            ("frequency", "3", r"not integers \(<U21\)"),
+        ],
+        ids=["transition", "frequency", "transition-fraction", "frequency-string"],
+    )
+    def test_negative_counts_rejected(self, tmp_path, field, value, message):
         def edit(doc):
             if field == "transition":
-                doc["transition"][1][0] = -4
+                doc["transition"][1][0] = value
             else:
-                doc["frequency"][2] = -1
+                doc["frequency"][2] = value
 
-        with pytest.raises(ModelFormatError, match=f"{field}.*negative"):
+        with pytest.raises(ModelFormatError, match=f"{field}.*{message}"):
             load_model(self._tamper(tmp_path, edit))
 
-    @pytest.mark.parametrize("param", ["gamma", "mask_seen"])
-    def test_unknown_params_rejected(self, tmp_path, param):
-        path = self._tamper(tmp_path, lambda doc: doc["params"].update({param: 0.3}))
-        with pytest.raises(ModelFormatError, match=f"unknown markov params.*{param}"):
+    @pytest.mark.parametrize(
+        "param, value, message",
+        [
+            ("gamma", 0.3, "unknown markov params.*gamma"),
+            ("mask_seen", 0.3, "unknown markov params.*mask_seen"),
+            ("alpha", True, "markov param alpha must be a number, got True"),
+            ("beta", "0.9", "markov param beta must be a number, got '0.9'"),
+        ],
+        ids=["gamma", "mask_seen", "bool-alpha", "string-beta"],
+    )
+    def test_unknown_params_rejected(self, tmp_path, param, value, message):
+        path = self._tamper(tmp_path, lambda doc: doc["params"].update({param: value}))
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_non_square_transition_rejected(self, tmp_path):
