@@ -259,15 +259,23 @@ def load_split(path) -> SplitDataset:
         if key not in doc:
             raise ValueError(f"{path}: missing field {key}")
     max_len = doc["max_len"]
+    if type(max_len) is not int:
+        raise ValueError(f"{path}: max_len is {max_len!r}, not an integer")
+    num_items = doc["catalog"].get("num_items") if isinstance(doc["catalog"], dict) else None
+    if type(num_items) is not int:
+        raise ValueError(f"{path}: catalog.num_items is {num_items!r}, not an integer")
     labels = doc["catalog"]["item_labels"]
-    catalog = Catalog(
-        num_items=doc["catalog"]["num_items"],
-        item_labels=tuple(labels) if labels else None,
-    )
+    catalog = Catalog(num_items=num_items, item_labels=tuple(labels) if labels else None)
     m = catalog.num_items
     users = {}
     for field in ("train", "validation", "test"):
         section = doc[field]
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: {field} is a {type(section).__name__}, not an object keyed by user id")
+        if field == "train":
+            bad = next((u for u, ids in section.items() if type(ids) is not list), None)
+            if bad is not None:
+                raise ValueError(f"{path}: train user {bad} holds {section[bad]!r}, not a list of item ids")
         # a type set and min/max reductions per sequence: no per-item Python
         # step and no split-sized temporary array; bool is not an item id
         for ids in section.values() if field == "train" else [section.values()]:

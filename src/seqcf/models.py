@@ -9,6 +9,17 @@ underlying smoothed probabilities renormalized over the unseen items.
 
 Search code must treat every scorer as opaque: the only sanctioned channel
 is `score` (and the batched convenience wrapper around it).
+
+Counts are held sparsely. A Markov scorer keeps only the adjacent pairs
+seen in training, as row ids, column ids and counts in row-major order; no
+m x m count matrix is built by training, the model file or the scorer. The
+one m x m array is the scorer's float table of log-probabilities.
+
+Model file (`save_model`, `load_model`): one JSON object with magic
+`SEQCF-MODEL`, version 3, the scorer `kind`, its `params`, `frequency`
+(one count per catalog item; its length is the catalog size m) and, for
+`markov`, `transition` = {"rows": [...], "cols": [...], "counts": [...]}.
+Files of versions 1 and 2 (a dense transition matrix) are rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import numpy as np
 from .core import UserSequence, as_items, atomic_write
 
 MODEL_MAGIC = "SEQCF-MODEL"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 class ModelFormatError(ValueError):
@@ -109,6 +120,25 @@ def _mask_rows(logits: np.ndarray, rows: np.ndarray) -> None:
     logits[idx[0], rows[idx]] = -np.inf
 
 
+def _int_array(name: str, values) -> np.ndarray:
+    """`values` as a 1-d int64 array; float, string and boolean arrays are refused, not cast."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} holds entries that are not integers ({arr.dtype})")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _frequency(values) -> np.ndarray:
+    freq = _int_array("frequency", values)
+    if freq.shape[0] < 2:
+        raise ValueError("frequency must hold one count per catalog item, and a catalog needs at least 2 items")
+    if freq.min() < 0:
+        raise ValueError("frequency holds negative counts")
+    return freq
+
+
 @dataclass(frozen=True)
 class PopularityScorer:
     """Frequency-proportional scorer; items already in the sequence masked out."""
@@ -117,9 +147,7 @@ class PopularityScorer:
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
-        freq = np.asarray(self.frequency, dtype=np.int64)
-        if freq.ndim != 1 or freq.shape[0] < 2:
-            raise ValueError("frequency must be one count per catalog item")
+        freq = _frequency(self.frequency)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "frequency", freq)
@@ -151,7 +179,9 @@ class PopularityScorer:
 class MarkovScorer:
     """First-order transition scorer blended with a popularity prior.
 
-    The smoothed probability of item j after sequence S with last item i is
+    With T[i,j] the number of times item j directly followed item i in
+    training and F[j] the number of occurrences of j, the smoothed
+    probability of item j after sequence S with last item i is
 
         beta * (T[i,j] + alpha) / (sum_j' T[i,j'] + alpha*m)
           + (1 - beta) * (F[j] + alpha) / (sum F + alpha*m)
@@ -159,28 +189,45 @@ class MarkovScorer:
     and the emitted raw score is its log (so the softmax-normalized scores
     equal these probabilities renormalized over the items not in S). Items
     of S get -inf.
+
+    T is held sparsely: `counts[n]` is T[rows[n], cols[n]], every other
+    entry is 0, and the pairs are strictly increasing in row-major order
+    (`rows * m + cols`), so none is repeated. The catalog size m is the
+    length of `frequency`. All four arrays must hold integers; the
+    constructor checks them, for a scorer built in code and one read from
+    a file alike.
     """
 
-    transition: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
     frequency: np.ndarray
     alpha: float = 0.1
     beta: float = 0.9
 
     def __post_init__(self) -> None:
-        trans = np.asarray(self.transition, dtype=np.int64)
-        freq = np.asarray(self.frequency, dtype=np.int64)
-        if trans.ndim != 2 or trans.shape[0] != trans.shape[1]:
-            raise ValueError("transition must be square")
-        if freq.shape != (trans.shape[0],):
-            raise ValueError("frequency must match the transition matrix")
-        if trans.shape[0] < 2:
-            raise ValueError("a catalog needs at least 2 items")
+        freq = _frequency(self.frequency)
+        m = freq.shape[0]
+        rows, cols, counts = (_int_array(f"transition.{name}", getattr(self, name))
+                              for name in ("rows", "cols", "counts"))
+        if not rows.shape == cols.shape == counts.shape:
+            raise ValueError(
+                f"transition.rows, .cols and .counts differ in length ({rows.size}, {cols.size}, {counts.size})"
+            )
+        for name, ids in (("rows", rows), ("cols", cols)):
+            if ids.min(initial=0) < 0 or ids.max(initial=0) >= m:
+                raise ValueError(f"transition.{name} holds an item id outside the catalog [0, {m})")
+        flat = rows * m + cols
+        if np.any(flat[1:] <= flat[:-1]):
+            raise ValueError("transition pairs are not strictly increasing in row-major order (unsorted or repeated)")
+        if counts.min(initial=1) < 1:
+            raise ValueError("transition.counts holds a count below 1")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        object.__setattr__(self, "transition", trans)
-        object.__setattr__(self, "frequency", freq)
+        for name, arr in (("rows", rows), ("cols", cols), ("counts", counts), ("frequency", freq)):
+            object.__setattr__(self, name, arr)
 
     @property
     def num_items(self) -> int:
@@ -188,11 +235,23 @@ class MarkovScorer:
 
     @cached_property
     def _log_mix(self) -> np.ndarray:
+        """log P(column item | last item = row), in one m x m buffer.
+
+        The dense formula's float operations in its order, so the same bits:
+        the unseen-pair value everywhere, the seen pairs' values over it,
+        then the blend and the log.
+        """
         m = self.num_items
-        row_totals = self.transition.sum(axis=1, keepdims=True)
-        p_trans = (self.transition + self.alpha) / (row_totals + self.alpha * m)
+        # float sums of integer counts, exact below 2**53
+        denom = np.bincount(self.rows, weights=self.counts, minlength=m) + self.alpha * m
+        out = np.empty((m, m))
+        out[...] = (self.alpha / denom)[:, None]
+        out[self.rows, self.cols] = (self.counts + self.alpha) / denom[self.rows]
         p_pop = (self.frequency + self.alpha) / (self.frequency.sum() + self.alpha * m)
-        return np.log(self.beta * p_trans + (1.0 - self.beta) * p_pop[None, :])
+        out *= self.beta
+        out += (1.0 - self.beta) * p_pop
+        np.log(out, out=out)
+        return out
 
     def score(self, seq) -> ScoreVector:
         items = as_items(seq)
@@ -232,9 +291,9 @@ def train_markov(
     freq = count_items(seqs, num_items)  # also checks every item lies in the catalog
     heads = np.fromiter(chain.from_iterable(s[:-1] for s in seqs), dtype=np.int64)
     tails = np.fromiter(chain.from_iterable(s[1:] for s in seqs), dtype=np.int64)
-    trans = np.zeros((num_items, num_items), dtype=np.int64)
-    np.add.at(trans, (heads, tails), 1)
-    return MarkovScorer(transition=trans, frequency=freq, alpha=alpha, beta=beta)
+    pairs, counts = np.unique(heads * num_items + tails, return_counts=True)  # sorted: row-major
+    rows, cols = np.divmod(pairs, num_items)
+    return MarkovScorer(rows=rows, cols=cols, counts=counts, frequency=freq, alpha=alpha, beta=beta)
 
 
 def save_model(model, path) -> None:
@@ -242,7 +301,7 @@ def save_model(model, path) -> None:
     if isinstance(model, MarkovScorer):
         kind = "markov"
         payload = {
-            "transition": model.transition.tolist(),
+            "transition": {name: getattr(model, name).tolist() for name in ("rows", "cols", "counts")},
             "frequency": model.frequency.tolist(),
             "params": {"alpha": model.alpha, "beta": model.beta},
         }
@@ -263,20 +322,19 @@ def save_model(model, path) -> None:
 _PARAMS = {"markov": {"alpha", "beta"}, "popularity": {"alpha"}}
 
 
-def _counts(doc: dict, key: str, ndim: int) -> np.ndarray:
+def _counts(values, field: str) -> np.ndarray:
+    """A JSON list of integers as an int64 array; the scorer checks the values."""
+    if not isinstance(values, list):
+        raise ModelFormatError(f"model field {field} is missing or not a list of integers")
+    # an exact type test: numpy would load [1, true] as [1, 1], 2.5 and "3"
+    # as float and str arrays, and [] as a float array
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ModelFormatError(f"model field {field} holds {json.dumps(bad)}, not an integer")
     try:
-        # no dtype= cast, which would load 2.5 as 2 and "3" as 3: a float or a
-        # string entry makes numpy infer float64 or str, rejected below
-        counts = np.asarray(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"model field {key!r} is missing or not an integer array") from exc
-    if counts.dtype != np.int64:
-        raise ModelFormatError(f"model field {key!r} holds entries that are not integers ({counts.dtype})")
-    if counts.ndim != ndim:
-        raise ModelFormatError(f"model field {key!r} must be {ndim}-dimensional, got shape {counts.shape}")
-    if counts.min(initial=0) < 0:  # a reduction: no count-sized temporary
-        raise ModelFormatError(f"model field {key!r} holds negative counts")
-    return counts
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ModelFormatError(f"model field {field} holds a count outside the int64 range") from None
 
 
 def load_model(path):
@@ -302,18 +360,15 @@ def load_model(path):
     for name, value in params.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ModelFormatError(f"{kind} param {name} must be a number, got {value!r}")
-    frequency = _counts(doc, "frequency", 1)
+    arrays = {"frequency": _counts(doc.get("frequency"), "frequency")}
     if kind == "markov":
-        transition = _counts(doc, "transition", 2)
-        if transition.shape[0] != transition.shape[1]:
-            raise ModelFormatError(f"transition must be square, got shape {transition.shape}")
-        if frequency.shape != (transition.shape[0],):
-            raise ModelFormatError(
-                f"frequency shape {frequency.shape} does not match transition shape {transition.shape}"
-            )
+        transition = doc.get("transition")
+        if not isinstance(transition, dict) or set(transition) != {"rows", "cols", "counts"}:
+            raise ModelFormatError("model field transition must be an object with exactly rows, cols and counts")
+        arrays.update((name, _counts(values, f"transition.{name}")) for name, values in transition.items())
     try:
         if kind == "markov":
-            return MarkovScorer(transition=transition, frequency=frequency, **params)
-        return PopularityScorer(frequency=frequency, **params)
+            return MarkovScorer(**arrays, **params)
+        return PopularityScorer(**arrays, **params)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid {kind} model: {exc}") from exc

@@ -302,6 +302,18 @@ class TestFailureModes:
         assert capsys.readouterr().err == "error: unsupported model version 1\n"
         assert not out.exists()
 
+    def test_tampered_model_file_rejected(self, pipeline, tmp_path, capsys):
+        doc = json.loads(pipeline["model"].read_text())
+        doc["transition"]["counts"][0] = 0
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        out = tmp_path / "out.jsonl"
+        args = explain_args(pipeline, out)
+        args[args.index("--model") + 1] = str(tampered)
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: invalid markov model: transition.counts holds a count below 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["explain", "oracle"])
     @pytest.mark.parametrize(
         "setting, flags, message",

@@ -224,8 +224,13 @@ class TestSplitRoundTrip:
             (_set_item("validation", "x"), "validation holds item 'x', not an integer id"),
             (_rename_user, "train has user key 'u1', not an integer"),
             (lambda doc: doc.pop("max_len"), "missing field max_len"),
+            (lambda doc: doc.update(max_len="50"), "max_len is '50', not an integer"),
+            (lambda doc: doc["catalog"].update(num_items="30"), "catalog.num_items is '30', not an integer"),
+            (lambda doc: doc["train"].update({"1": 5}), "train user 1 holds 5, not a list of item ids"),
+            (lambda doc: doc.update(train=[[0, 1]]), "train is a list, not an object keyed by user id"),
         ],
-        ids=["train", "validation", "test", "bool-item", "fraction-item", "string-item", "user-key", "no-max_len"],
+        ids=["train", "validation", "test", "bool-item", "fraction-item", "string-item", "user-key", "no-max_len",
+             "string-max_len", "string-num_items", "int-sequence", "list-train"],
     )
     def test_item_outside_catalog_rejected(self, tmp_path, edit, message):
         path, doc = self._saved_doc(tmp_path)

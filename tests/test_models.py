@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,40 +114,48 @@ class TestScoring:
             assert np.array_equal(batch[i], model.score(c).logits)
 
 
+def transition_of(model) -> list[tuple[int, int, int]]:
+    """The scorer's sparse counts as (row, col, count) triples, in stored order."""
+    return list(zip(model.rows.tolist(), model.cols.tolist(), model.counts.tolist()))
+
+
 class TestTraining:
     def test_single_sequence_counts(self):
         model = train_markov(seqs({1: (0, 1, 2)}), 3)
-        assert model.transition[0, 1] == 1
-        assert model.transition[1, 2] == 1
-        assert model.transition.sum() == 2
+        assert transition_of(model) == [(0, 1, 1), (1, 2, 1)]
         assert model.frequency.tolist() == [1, 1, 1]
 
     def test_counts_add_across_users(self):
         model = train_markov(seqs({1: (0, 1), 2: (0, 1)}), 3)
-        assert model.transition[0, 1] == 2
+        assert transition_of(model) == [(0, 1, 2)]
 
     def test_training_deterministic(self):
         split = seqs({1: (0, 1, 2), 2: (2, 0)})
         a, b = train_markov(split, 3), train_markov(split, 3)
-        assert np.array_equal(a.transition, b.transition)
+        assert transition_of(a) == transition_of(b)
         assert np.array_equal(a.frequency, b.frequency)
 
-    def test_counts_match_independent_recount(self):
+    @pytest.mark.parametrize("m", [2, 3, 8, 50])
+    def test_counts_match_independent_recount(self, m):
         rng = np.random.default_rng(9)
         # lengths from 1 up, so no pair may be counted across two sequences
-        split = seqs({u: tuple(rng.permutation(8)[: rng.integers(1, 9)].tolist()) for u in range(1, 30)})
-        model = train_markov(split, 8)
-        recount = np.zeros((8, 8), dtype=np.int64)
-        freq = np.zeros(8, dtype=np.int64)
-        for seq in split.values():
-            for item in seq.items:
-                freq[item] += 1
-            for a, b in zip(seq.items, seq.items[1:]):
-                recount[a, b] += 1
-        assert np.array_equal(model.transition, recount)
-        assert np.array_equal(model.frequency, freq)
-        assert np.array_equal(train_popularity(split, 8).frequency, freq)
-        assert model.transition.dtype == model.frequency.dtype == np.int64
+        split = seqs({u: tuple(rng.permutation(m)[: rng.integers(1, m + 1)].tolist()) for u in range(1, 30)})
+        model = train_markov(split, m)
+        pairs = Counter(pair for seq in split.values() for pair in zip(seq.items, seq.items[1:]))
+        freq = Counter(item for seq in split.values() for item in seq.items)
+        assert transition_of(model) == [(a, b, n) for (a, b), n in sorted(pairs.items())]
+        assert model.frequency.tolist() == [freq[i] for i in range(m)]
+        assert np.array_equal(train_popularity(split, m).frequency, model.frequency)
+        for arr in (model.rows, model.cols, model.counts, model.frequency):
+            assert arr.dtype == np.int64
+
+    def test_length_one_sequences_have_no_pairs(self, tmp_path):
+        model = train_markov(seqs({1: (0,), 2: (2,), 3: (0,)}), 3)
+        assert transition_of(model) == []
+        save_model(model, tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["transition"] == {"rows": [], "cols": [], "counts": []}
+        loaded = load_model(tmp_path / "m.json")
+        assert np.array_equal(loaded.score((1,)).logits, model.score((1,)).logits)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
@@ -179,10 +188,12 @@ class TestPersistence:
         assert isinstance(loaded, PopularityScorer)
         assert loaded.alpha == 0.3
 
-    def test_file_holds_version_2_params(self, tmp_path):
-        save_model(train_markov(seqs({1: (0, 1, 2)}), 3), tmp_path / "m.json")
+    def test_file_holds_version_3_params(self, tmp_path):
+        save_model(train_markov(seqs({1: (0, 1, 2), 2: (1, 2)}), 3), tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
-        assert doc["version"] == 2 and doc["params"] == {"alpha": 0.1, "beta": 0.9}
+        assert doc["version"] == 3 and doc["params"] == {"alpha": 0.1, "beta": 0.9}
+        assert doc["transition"] == {"rows": [0, 1], "cols": [1, 2], "counts": [1, 2]}
+        assert doc["frequency"] == [1, 2, 2]
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -208,25 +219,81 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         return path
 
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("transition", -4, "negative"),
-            ("frequency", -1, "negative"),
-            ("transition", 2.5, r"not integers \(float64\)"),
-            ("frequency", "3", r"not integers \(<U21\)"),
-        ],
-        ids=["transition", "frequency", "transition-fraction", "frequency-string"],
-    )
-    def test_negative_counts_rejected(self, tmp_path, field, value, message):
+    @staticmethod
+    def _set(field, index, value):
         def edit(doc):
-            if field == "transition":
-                doc["transition"][1][0] = value
-            else:
-                doc["frequency"][2] = value
+            (doc["frequency"] if field == "frequency" else doc["transition"][field])[index] = value
 
-        with pytest.raises(ModelFormatError, match=f"{field}.*{message}"):
+        return edit
+
+    @staticmethod
+    def _swap_first_two(doc):
+        for values in doc["transition"].values():
+            values[0], values[1] = values[1], values[0]
+
+    @staticmethod
+    def _repeat_first_pair(doc):
+        doc["transition"]["rows"][1] = doc["transition"]["rows"][0]
+        doc["transition"]["cols"][1] = doc["transition"]["cols"][0]
+
+    # the tampered model holds the pairs (0, 1), (1, 2), (2, 1), each once, over 3 items
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set("rows", 2, 3), r"transition\.rows holds an item id outside the catalog \[0, 3\)"),
+            (_set("rows", 0, -1), r"transition\.rows holds an item id outside the catalog \[0, 3\)"),
+            (_set("cols", 1, 3), r"transition\.cols holds an item id outside the catalog \[0, 3\)"),
+            (_set("cols", 0, -1), r"transition\.cols holds an item id outside the catalog \[0, 3\)"),
+            (lambda doc: doc["frequency"].pop(), r"transition\.rows holds an item id outside the catalog \[0, 2\)"),
+            (_swap_first_two, "not strictly increasing in row-major order"),
+            (_repeat_first_pair, "not strictly increasing in row-major order"),
+            (_set("counts", 1, 0), r"transition\.counts holds a count below 1"),
+            (_set("counts", 1, -4), r"transition\.counts holds a count below 1"),
+            (_set("frequency", 2, -1), "frequency holds negative counts"),
+            (lambda doc: doc["transition"]["counts"].pop(), r"differ in length \(3, 3, 2\)"),
+            (_set("counts", 0, 2.5), r"transition\.counts holds 2\.5, not an integer"),
+            (_set("rows", 0, 0.0), r"transition\.rows holds 0\.0, not an integer"),
+            (_set("cols", 0, "1"), r'transition\.cols holds "1", not an integer'),
+            (_set("frequency", 2, "3"), r'model field frequency holds "3", not an integer'),
+            (_set("counts", 0, True), r"transition\.counts holds true, not an integer"),
+            (_set("rows", 0, False), r"transition\.rows holds false, not an integer"),
+            (_set("frequency", 2, True), "model field frequency holds true, not an integer"),
+            (_set("counts", 0, 2**63), r"transition\.counts holds a count outside the int64 range"),
+            (lambda doc: doc.pop("frequency"), "model field frequency is missing or not a list"),
+            (lambda doc: doc["transition"].update(rows=5), r"transition\.rows is missing or not a list"),
+            (lambda doc: doc.update(transition=[[0, 1, 0], [0, 0, 1], [0, 1, 0]]), "transition must be an object"),
+            (lambda doc: doc["transition"].pop("counts"), "transition must be an object with exactly rows"),
+            (lambda doc: doc["transition"].update(weights=[]), "transition must be an object with exactly rows"),
+        ],
+        ids=[
+            "row-past-catalog", "negative-row", "col-past-catalog", "negative-col", "short-frequency",
+            "unsorted", "duplicate-pair", "zero-count", "negative-count", "negative-frequency",
+            "unequal-lengths", "float-count", "float-row", "string-col", "string-frequency", "bool-count",
+            "bool-row", "bool-frequency", "count-past-int64", "no-frequency", "rows-not-a-list",
+            "dense-transition", "no-counts", "extra-key",
+        ],
+    )
+    def test_tampered_counts_rejected(self, tmp_path, edit, message):
+        with pytest.raises(ModelFormatError, match=message) as exc:
             load_model(self._tamper(tmp_path, edit))
+        assert "\n" not in str(exc.value)
+
+    def test_version_2_dense_file_rejected(self, tmp_path):
+        def edit(doc):
+            doc["version"] = 2
+            doc["transition"] = [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
+
+        with pytest.raises(ModelFormatError, match="^unsupported model version 2$"):
+            load_model(self._tamper(tmp_path, edit))
+
+    def test_bool_in_popularity_frequency_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        save_model(train_popularity(seqs({1: (0, 1, 2)}), 4), path)
+        doc = json.loads(path.read_text())
+        doc["frequency"][3] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="model field frequency holds true, not an integer"):
+            load_model(path)
 
     @pytest.mark.parametrize(
         "param, value, message",
@@ -243,25 +310,70 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
-    def test_non_square_transition_rejected(self, tmp_path):
-        path = self._tamper(tmp_path, lambda doc: doc["transition"].pop())
-        with pytest.raises(ModelFormatError, match="square"):
-            load_model(path)
-
-    def test_frequency_shape_mismatch_rejected(self, tmp_path):
-        path = self._tamper(tmp_path, lambda doc: doc["frequency"].append(5))
-        with pytest.raises(ModelFormatError, match="does not match"):
-            load_model(path)
-
     def test_unwritable_path_errors(self, tmp_path):
         model = train_popularity(seqs({1: (0, 1)}), 3)
         with pytest.raises(OSError):
             save_model(model, tmp_path)  # a directory, not a file
 
 
+def _sparse(rows, cols, counts, frequency):
+    return dict(rows=np.array(rows), cols=np.array(cols), counts=np.array(counts), frequency=np.array(frequency))
+
+
 def test_markov_beta_bounds():
     with pytest.raises(ValueError):
-        MarkovScorer(np.zeros((3, 3), dtype=np.int64), np.zeros(3, dtype=np.int64), beta=1.5)
+        MarkovScorer(**_sparse([0], [1], [2], [1, 1, 1]), beta=1.5)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (_sparse([0.0], [1], [2], [1, 1, 1]), r"transition\.rows holds entries that are not integers \(float64\)"),
+        (_sparse([0], [1], [2.0], [1, 1, 1]), r"transition\.counts holds entries that are not integers \(float64\)"),
+        (_sparse([0], [1], [True], [1, 1, 1]), r"transition\.counts holds entries that are not integers \(bool\)"),
+        (_sparse([0], [1], [2], [1.0, 1, 1]), r"frequency holds entries that are not integers \(float64\)"),
+        (_sparse([], [], [], [1, 1, 1]), r"transition\.rows holds entries that are not integers \(float64\)"),
+        (_sparse([[0]], [[1]], [[2]], [1, 1, 1]), r"transition\.rows must be one-dimensional"),
+        (_sparse([1, 0], [0, 1], [2, 2], [1, 1, 1]), "not strictly increasing"),
+    ],
+    ids=["float-rows", "float-counts", "bool-counts", "float-frequency", "untyped-empty", "2d", "unsorted"],
+)
+def test_markov_constructor_checks_counts(counts, message):
+    """A scorer built in code meets the same checks as one read from a file: nothing is cast."""
+    with pytest.raises(ValueError, match=message):
+        MarkovScorer(**counts)
+
+
+def _dense_log_mix(model):
+    """The dense formula the sparse score table replaced; it must agree bit for bit."""
+    m = model.num_items
+    trans = np.zeros((m, m), dtype=np.int64)
+    trans[model.rows, model.cols] = model.counts
+    row_totals = trans.sum(axis=1, keepdims=True)
+    p_trans = (trans + model.alpha) / (row_totals + model.alpha * m)
+    p_pop = (model.frequency + model.alpha) / (model.frequency.sum() + model.alpha * m)
+    return np.log(model.beta * p_trans + (1.0 - model.beta) * p_pop[None, :])
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 50])
+@pytest.mark.parametrize("corpus", ["random", "repeated-pair", "no-pairs"])
+def test_sparse_table_equals_dense_formula(tmp_path, m, corpus):
+    rng = np.random.default_rng(m)
+    for trial, (alpha, beta) in enumerate([(0.1, 0.9), (1e-9, 1.0), (1, 0.0), (2.5, 0.5)]):
+        longest = 1 if corpus == "no-pairs" else m
+        split = {u: tuple(rng.permutation(m)[: rng.integers(1, longest + 1)].tolist())
+                 for u in range(1, int(rng.integers(1, 3 * m)) + 1)}
+        if corpus == "repeated-pair":
+            split.update({len(split) + 1: (0, 1), len(split) + 2: (1, 0), len(split) + 3: (0, 1)})
+        model = train_markov(seqs(split), m, alpha=alpha, beta=beta)
+        assert np.array_equal(model._log_mix, _dense_log_mix(model))
+        path = tmp_path / f"m{trial}.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(loaded._log_mix, model._log_mix)
+        for _ in range(10):
+            seq = tuple(rng.permutation(m)[: rng.integers(1, m)].tolist())
+            assert np.array_equal(loaded.score(seq).logits, model.score(seq).logits)
 
 
 def test_softmax_rows_independent():

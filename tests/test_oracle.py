@@ -50,11 +50,14 @@ def two_edit_instance():
     threshold; the pair {position 1 -> 4, position 2 -> 3} flips to item 1.
     Hand-enumerated in TestOracle.test_two_edit_instance before freezing.
     """
-    trans = np.zeros((5, 5), dtype=np.int64)
-    for row in (0, 1, 2, 4):
-        trans[row, 3] = 10
-    trans[3, 1] = 10
-    model = MarkovScorer(transition=trans, frequency=np.ones(5, dtype=np.int64), alpha=0.1, beta=0.9)
+    model = MarkovScorer(
+        rows=np.array([0, 1, 2, 3, 4]),
+        cols=np.array([3, 3, 3, 1, 3]),
+        counts=np.full(5, 10),
+        frequency=np.ones(5, dtype=np.int64),
+        alpha=0.1,
+        beta=0.9,
+    )
     setting = SettingSpec.from_name("un_un", threshold=0.8)
     return model, setting, (0, 1, 2)
 
