@@ -1,11 +1,16 @@
 """Command-line orchestration for the full experiment pipeline.
 
-Subcommands: synth, preprocess, train, explain, evaluate, oracle,
-reduce-vc, report. Every command exits 0 on success and nonzero with a
-single-line error on stderr otherwise. The resolved run configuration is
-embedded in each output file header; the worker-count flag and output
-destination are execution details and deliberately stay out of the header
-so reruns compare byte for byte.
+Subcommands: synth, preprocess, train, explain, evaluate, reduce-vc,
+report. Every command exits 0 on success and nonzero with a single-line
+error on stderr otherwise. The resolved run configuration is embedded in
+each output file header; the worker-count flag and output destination are
+execution details and deliberately stay out of the header so reruns
+compare byte for byte.
+
+`explain --method {gece,random,educated,oracle}` runs every method through
+one per-user function; its header records only the chosen method's own
+parameter (`ga`, `budget` or `max_distance`), and other methods' flags are
+ignored.
 
 Arguments can also come from a file: `seqcf explain @run.args --out x.jsonl`
 reads one argument per line (`--population=1024`), checked and cast exactly
@@ -19,13 +24,12 @@ import ctypes
 import logging
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from . import baselines, dataset, metrics, models, oracle, records, search, vcreduce
 from .core import TAG_SAMPLE, TAG_TARGET, derive_stream
 from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
-
-log = logging.getLogger(__name__)
 
 # explain flags of the GaConfig fields whose flag is not the field name
 GA_FLAG_NAMES = {"population_size": "population"}
@@ -109,24 +113,32 @@ def _ga_config(args, max_len: int) -> search.GaConfig:
     return search.GaConfig(max_len=max_len, **{key: value for key, value in given.items() if value is not None})
 
 
+def _oracle_record(source, setting, model, k, *, max_distance, seed, categories=None):
+    """The oracle's record: the exhaustive optimum within `max_distance` substitutions, or its absence."""
+    result = oracle.oracle_optimal(source, setting, model, k, max_distance, categories=categories)
+    cand = None if result is None else result[0]
+    return records.explanation_record(source, "oracle", setting, model, cand, None, seed, categories)
+
+
+def _per_user(args, max_len: int):
+    """`f(source, setting, model, k, seed=..., categories=...)` for the method, and its parameter's header entry."""
+    if args.method == "gece":
+        config = _ga_config(args, max_len)
+        return partial(search.explain, config=config), {"ga": asdict(config)}
+    if args.method == "oracle":
+        return partial(_oracle_record, max_distance=args.max_distance), {"max_distance": args.max_distance}
+    baseline = {"random": baselines.baseline_random, "educated": baselines.baseline_educated}[args.method]
+    return partial(baseline, budget=args.budget), {"budget": args.budget}
+
+
 def cmd_explain(args) -> int:
     split = dataset.load_split(args.split)
     model = models.load_model(args.model)
     setting = _build_setting(args, split)
-    seed, k, budget, sample = args.seed, args.k, args.budget, args.sample_users
-    config = _ga_config(args, split.max_len)
-    users = dataset.sample_users(split, sample, derive_stream(seed, [TAG_SAMPLE]))
-
-    baseline = {"random": baselines.baseline_random, "educated": baselines.baseline_educated}.get(args.method)
-    out: list[records.ExplanationRecord] = []
-    for user in users:
-        source = split.train[user]
-        if baseline is None:
-            rec = search.explain(source, setting, model, k, config, seed, categories=split.categories)
-        else:
-            rec = baseline(source, setting, model, k, budget=budget, seed=seed, categories=split.categories)
-        out.append(rec)
-
+    seed, k = args.seed, args.k
+    explain_user, method_param = _per_user(args, split.max_len)
+    users = dataset.sample_users(split, args.sample_users, derive_stream(seed, [TAG_SAMPLE]))
+    out = [explain_user(split.train[u], setting, model, k, seed=seed, categories=split.categories) for u in users]
     header = {
         "command": "explain",
         "method": args.method,
@@ -135,9 +147,8 @@ def cmd_explain(args) -> int:
         "split": str(args.split),
         "k": k,
         "seed": seed,
-        "budget": budget,
-        "sample_users": sample,
-        "ga": asdict(config),
+        "sample_users": args.sample_users,
+        **method_param,
     }
     records.write_records(args.out, out, config=header)
     found = sum(1 for r in out if r.counterfactual is not None)
@@ -171,37 +182,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    split = dataset.load_split(args.split)
-    model = models.load_model(args.model)
-    setting = _build_setting(args, split)
-    seed, k = args.seed, args.k
-    users = dataset.sample_users(split, args.sample_users, derive_stream(seed, [TAG_SAMPLE]))
-    out = []
-    for user in users:
-        source = split.train[user]
-        result = oracle.oracle_optimal(
-            source, setting, model, k, args.max_distance, categories=split.categories
-        )
-        cand = None if result is None else result[0]
-        out.append(records.explanation_record(source, "oracle", setting, model, cand, None, seed, split.categories))
-    header = {
-        "command": "oracle",
-        "setting": setting.to_dict(),
-        "model": str(args.model),
-        "split": str(args.split),
-        "k": k,
-        "seed": seed,
-        "max_distance": args.max_distance,
-    }
-    records.write_records(args.out, out, config=header)
-    found = sum(1 for r in out if r.counterfactual is not None)
-    print(f"oracle: {found}/{len(out)} counterfactuals -> {args.out}")
-    return 0
-
-
 def cmd_reduce_vc(args) -> int:
-    graph = vcreduce.Graph.parse(Path(args.graph).read_text(encoding="utf-8"))
+    try:
+        graph = vcreduce.Graph.parse(Path(args.graph).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{args.graph}: {exc}") from None
     ks = args.k or range(graph.num_vertices + 1)
     for k in ks:
         has_cover = vcreduce.brute_force_vc(graph, k)
@@ -214,6 +199,9 @@ def cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
         _, rows = metrics.read_report_csv(path)
+        missing = next((c for c in metrics.REPORT_COLUMNS if rows and c not in rows[0]), None)
+        if missing is not None:
+            raise ValueError(f"{path}: no column {missing!r}; report merges CSV reports of seqcf evaluate")
         reports.append(rows)
     merged = metrics.merge_seed_reports(reports)
     config = {"command": "report", "inputs": [str(p) for p in args.inputs]}
@@ -223,20 +211,6 @@ def cmd_report(args) -> int:
         metrics.write_report_csv(args.out, merged, config)
     print(f"merged {len(args.inputs)} reports ({len(merged)} rows) -> {args.out}")
     return 0
-
-
-def _add_run_flags(p) -> None:
-    """The setting and sampling flags of explain and oracle."""
-    p.add_argument("--setting", choices=SETTING_NAMES, required=True)
-    p.add_argument("--target-item", type=int)
-    p.add_argument("--target-stratum", choices=dataset.TARGET_STRATA)
-    p.add_argument("--target-category")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-users", type=int, default=0)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--k-eval", type=_int_list)
-    p.add_argument("--untargeted-rank-rule", choices=RANK_RULES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,9 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="search counterfactuals for sampled users")
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--method", choices=("gece", "random", "educated"), default="gece")
-    _add_run_flags(p)
+    p.add_argument("--method", choices=("gece", "random", "educated", "oracle"), default="gece")
+    p.add_argument("--setting", choices=SETTING_NAMES, required=True)
+    p.add_argument("--target-item", type=int)
+    p.add_argument("--target-stratum", choices=dataset.TARGET_STRATA)
+    p.add_argument("--target-category")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sample-users", type=int, default=0)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--k-eval", type=_int_list)
+    p.add_argument("--untargeted-rank-rule", choices=RANK_RULES)
+    # each method reads its own: random and educated --budget, oracle --max-distance, gece the GA flags
     p.add_argument("--budget", type=int, default=10)
+    p.add_argument("--max-distance", type=int, default=2)
     for f in fields(search.GaConfig):
         if f.name == "max_len":  # the split fixes it
             continue
@@ -299,14 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("oracle", help="exhaustive optimal counterfactuals (small instances)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--split", required=True)
-    _add_run_flags(p)
-    p.add_argument("--max-distance", type=int, default=2)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("reduce-vc", help="vertex-cover reduction equivalence verdicts")
     p.add_argument("--graph", required=True)

@@ -250,23 +250,53 @@ def _user_key(path, field: str, key: str) -> int:
         raise ValueError(f"{path}: {field} has user key {key!r}, not an integer") from None
 
 
+def _labels(path, field: str, labels, count: int) -> tuple[str, ...] | None:
+    """A label list of `count` strings, or None for a null or empty one."""
+    if labels is None or labels == []:
+        return None
+    if type(labels) is not list or len(labels) != count or set(map(type, labels)) != {str}:
+        raise ValueError(f"{path}: {field} is not null or a list of {count} strings")
+    return tuple(labels)
+
+
+def _category_map(path, cdoc, m: int) -> CategoryMap:
+    if not isinstance(cdoc, dict):
+        raise ValueError(f"{path}: categories is a {type(cdoc).__name__}, not an object")
+    num, items = cdoc.get("num_categories"), cdoc.get("items")
+    if type(num) is not int or num < 0:
+        raise ValueError(f"{path}: categories.num_categories is {num!r}, not a count")
+    if type(items) is not list:
+        raise ValueError(f"{path}: categories.items is a {type(items).__name__}, not a list of category id lists")
+    if len(items) != m:
+        raise ValueError(f"{path}: categories.items covers {len(items)} items, catalog.num_items is {m}")
+    for item, cats in enumerate(items):
+        if type(cats) is not list or not all(type(c) is int and 0 <= c < num for c in cats):
+            raise ValueError(f"{path}: categories.items[{item}] is {cats!r}, not a list of ids in [0, {num})")
+    labels = _labels(path, "categories.category_labels", cdoc.get("category_labels"), num)
+    return CategoryMap(categories_of=tuple(frozenset(s) for s in items), num_categories=num, category_labels=labels)
+
+
 def load_split(path) -> SplitDataset:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != SPLIT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON split file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != SPLIT_FORMAT:
         raise ValueError(f"not a split file: {path}")
     for key in ("max_len", "catalog", "train", "validation", "test"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key}")
     max_len = doc["max_len"]
-    if type(max_len) is not int:
-        raise ValueError(f"{path}: max_len is {max_len!r}, not an integer")
-    num_items = doc["catalog"].get("num_items") if isinstance(doc["catalog"], dict) else None
-    if type(num_items) is not int:
-        raise ValueError(f"{path}: catalog.num_items is {num_items!r}, not an integer")
-    labels = doc["catalog"]["item_labels"]
-    catalog = Catalog(num_items=num_items, item_labels=tuple(labels) if labels else None)
-    m = catalog.num_items
+    if type(max_len) is not int or max_len < 1:
+        raise ValueError(f"{path}: max_len is {max_len!r}, not an integer >= 1")
+    cat = doc["catalog"] if isinstance(doc["catalog"], dict) else {}
+    m = cat.get("num_items")
+    if type(m) is not int or m < 2:
+        raise ValueError(f"{path}: catalog.num_items is {m!r}, not an integer >= 2")
+    if "item_labels" not in cat:
+        raise ValueError(f"{path}: missing field catalog.item_labels")
+    catalog = Catalog(num_items=m, item_labels=_labels(path, "catalog.item_labels", cat["item_labels"], m))
     users = {}
     for field in ("train", "validation", "test"):
         section = doc[field]
@@ -283,19 +313,11 @@ def load_split(path) -> SplitDataset:
                 bad = next(i for i in ids if type(i) is not int or not 0 <= i < m)
                 raise ValueError(f"{path}: {field} holds item {bad!r}, not an integer id in the catalog [0, {m})")
         users[field] = {_user_key(path, field, u): value for u, value in section.items()}
-    categories = None
-    if doc.get("categories"):
-        cdoc = doc["categories"]
-        if len(cdoc["items"]) != m:
-            raise ValueError(
-                f"{path}: categories.items covers {len(cdoc['items'])} items, catalog.num_items is {m}"
-            )
-        categories = CategoryMap(
-            categories_of=tuple(frozenset(s) for s in cdoc["items"]),
-            num_categories=cdoc["num_categories"],
-            category_labels=tuple(cdoc["category_labels"]) if cdoc.get("category_labels") else None,
-        )
-    train = {u: UserSequence(user=u, items=tuple(items), max_len=max_len) for u, items in users["train"].items()}
+    categories = None if doc.get("categories") is None else _category_map(path, doc["categories"], m)
+    try:
+        train = {u: UserSequence(user=u, items=tuple(items), max_len=max_len) for u, items in users["train"].items()}
+    except ValueError as exc:  # an empty, too long or repeating sequence, or a user id below 1
+        raise ValueError(f"{path}: train: {exc}") from None
     return SplitDataset(
         train=train,
         validation=users["validation"],

@@ -195,14 +195,14 @@ def aggregate_report(
     re-derived from the model rather than trusted from the records.
     All records must share one setting.
     """
-    from .objective import SettingSpec, is_valid
+    from .objective import is_valid
 
     if not records:
         raise ValueError("no records to aggregate")
-    settings = {json.dumps(r.setting.to_dict(), sort_keys=True) for r in records}
+    settings = {r.setting for r in records}
     if len(settings) != 1:
         raise ValueError("records mix different settings")
-    setting = SettingSpec.from_dict(json.loads(next(iter(settings))))
+    (setting,) = settings
 
     meta = dict(meta or {})
     by_method: dict[str, list] = {}

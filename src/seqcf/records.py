@@ -131,12 +131,22 @@ def write_records(path, records, config: dict | None = None) -> None:
 
 
 def read_records(path) -> tuple[dict, list[ExplanationRecord]]:
+    """The header and records of a .jsonl file; a malformed line fails naming the file and line number."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(number, ln) for number, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty records file {path}")
-    header = json.loads(lines[0])
+    header = _parse_line(path, *lines[0], dict)
     if header.get("record_type") != "header" or header.get("format") != RECORDS_FORMAT:
         raise ValueError(f"missing or unknown records header in {path}")
-    records = [ExplanationRecord.from_dict(json.loads(ln)) for ln in lines[1:]]
-    return header, records
+    return header, [_parse_line(path, number, line, ExplanationRecord.from_dict) for number, line in lines[1:]]
+
+
+def _parse_line(path, number: int, line: str, build):
+    """`build` of the line's JSON value; any failure is one error naming the file and line."""
+    try:
+        return build(json.loads(line))
+    except KeyError as exc:
+        raise ValueError(f"{path}:{number}: record lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{path}:{number}: {exc}") from None

@@ -52,15 +52,20 @@ class Graph:
 
     @classmethod
     def parse(cls, text: str) -> "Graph":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        """Read the graph file format; a malformed line fails naming its line number."""
+        lines = [(number, ln.split()) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise ValueError("empty graph file")
-        n = int(lines[0])
-        edges = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((int(u) - 1, int(v) - 1))
-        return cls(num_vertices=n, edges=tuple(edges))
+        (n,) = _ints(*lines[0], 1, "the vertex count n")
+        edges = tuple((u - 1, v - 1) for u, v in (_ints(*line, 2, "one edge `u v`") for line in lines[1:]))
+        return cls(num_vertices=n, edges=edges)
+
+
+def _ints(number: int, words: list[str], count: int, expected: str) -> list[int]:
+    """The `count` integers of graph file line `number`, else one error naming the line."""
+    if len(words) != count or not all(w.removeprefix("-").isdecimal() for w in words):
+        raise ValueError(f"line {number}: expected {expected}, got {' '.join(words)!r}")
+    return [int(w) for w in words]
 
 
 class VcModel:

@@ -80,6 +80,7 @@ def test_c01_fidelity_formula_exactness():
     report(1, ok and monotone, f"fidelity@1..3 = {exact}, monotone over 1000 vectors: {monotone}")
 
 
+@pytest.mark.slow
 def test_c02_reduction_equivalence_sweep():
     slots = list(combinations(range(5), 2))
     checked = failures = 0
@@ -202,6 +203,7 @@ def test_c07_cmd_explain_byte_determinism(tmp_path):
     report(7, identical, f"4 runs (threads 1,1,4,8) byte-identical: {identical}")
 
 
+@pytest.mark.slow
 def test_c08_verifier_soundness_fuzz():
     rng = np.random.default_rng(99)
     corpora = []

@@ -7,10 +7,13 @@ import pytest
 
 import seqcf
 from seqcf.cli import build_parser, main
-from seqcf.dataset import load_split
+from seqcf.core import TAG_SAMPLE, derive_stream
+from seqcf.dataset import load_split, sample_users
 from seqcf.metrics import read_report_csv
+from seqcf.models import load_model
 from seqcf.objective import SettingSpec
-from seqcf.records import read_records
+from seqcf.oracle import oracle_optimal
+from seqcf.records import explanation_record, read_records
 from seqcf.search import GaConfig
 
 
@@ -157,26 +160,70 @@ class TestPipeline:
         assert header["config"]["setting"]["threshold"] == threshold
         assert header["config"]["sample_users"] == len(recs) == sample
 
-    def test_unset_flags_take_the_dataclass_defaults(self, pipeline):
+    def test_unset_flags_take_the_dataclass_defaults(self, pipeline, monkeypatch):
+        # a search at the reference size is slow: record the config it is handed instead
+        handed = []
+
+        def search_explain(source, setting, model, k, config, seed, categories=None):
+            handed.append(config)
+            return explanation_record(source, "gece", setting, model, None, None, seed, categories)
+
+        monkeypatch.setattr(seqcf.search, "explain", search_explain)
         out = pipeline["root"] / "defaults.jsonl"
         args = ["explain", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
-                "--method", "random", "--setting", "un_un", "--sample-users", "1", "--out", str(out)]
+                "--setting", "un_un", "--sample-users", "1", "--out", str(out)]
         assert main(args) == 0
         header, _ = read_records(out)
+        expected = GaConfig(max_len=load_split(pipeline["split"]).max_len)
+        assert handed == [expected]
         ga = header["config"]["ga"]
         assert set(ga) == {f.name for f in fields(GaConfig)}
-        expected = GaConfig(max_len=load_split(pipeline["split"]).max_len)
         assert ga == json.loads(json.dumps(vars(expected)))
         assert header["config"]["setting"] == SettingSpec.from_name("un_un").to_dict()
 
     def test_oracle_command(self, pipeline):
         out = pipeline["root"] / "oracle.jsonl"
-        assert main(["oracle", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
-                     "--setting", "un_un", "--k", "1", "--max-distance", "1",
+        assert main(["explain", "--method", "oracle", "--model", str(pipeline["model"]),
+                     "--split", str(pipeline["split"]), "--setting", "un_un", "--k", "1", "--max-distance", "1",
                      "--sample-users", "3", "--out", str(out)]) == 0
         _, recs = read_records(out)
         assert len(recs) == 3
         assert all(r.method == "oracle" for r in recs)
+
+    @pytest.mark.parametrize("setting, flags", [("un_un", {}), ("targ_cat", {"--target-category": "cat1"})])
+    def test_oracle_records_equal_the_direct_oracle(self, pipeline, setting, flags):
+        out = pipeline["root"] / f"oracle-{setting}.jsonl"
+        args = explain_args(pipeline, out, method="oracle", setting=setting, **{"--max-distance": 1, **flags})
+        assert main(args) == 0
+        split, model = load_split(pipeline["split"]), load_model(pipeline["model"])
+        header, recs = read_records(out)
+        spec = SettingSpec.from_dict(header["config"]["setting"])
+        users = sample_users(split, 6, derive_stream(1, [TAG_SAMPLE]))
+        expected = []
+        for user in users:
+            source = split.train[user]
+            result = oracle_optimal(source, spec, model, 1, 1, categories=split.categories)
+            cand = None if result is None else result[0]
+            expected.append(explanation_record(source, "oracle", spec, model, cand, None, 1, split.categories))
+        lines = out.read_text().splitlines()[1:]
+        assert lines == [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in expected]
+        assert any(r.counterfactual is not None for r in recs)
+
+    @pytest.mark.parametrize(
+        "method, own, value",
+        [("gece", "ga", 48), ("random", "budget", 3), ("educated", "budget", 3), ("oracle", "max_distance", 1)],
+    )
+    def test_header_holds_the_method_parameter_only(self, pipeline, method, own, value):
+        out = pipeline["root"] / f"header-{method}.jsonl"
+        # every method's flags are given; each method records its own only
+        args = explain_args(pipeline, out, method=method, setting="targ_cat",
+                            **{"--target-category": "cat1", "--budget": 3, "--max-distance": 1})
+        assert main(args) == 0
+        header, _ = read_records(out)
+        config = header["config"]
+        assert set(config) == {"command", "method", "setting", "model", "split", "k", "seed", "sample_users", own}
+        assert (config["command"], config["method"]) == ("explain", method)
+        assert (config[own]["population_size"] if own == "ga" else config[own]) == value
 
 
 class TestFailureModes:
@@ -186,6 +233,16 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_oracle_subcommand_is_gone(self, pipeline, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
+                  "--setting", "un_un", "--out", str(pipeline["root"] / "gone.jsonl")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: seqcf ")
+        assert "error: argument command: invalid choice: 'oracle'" in err
+        assert not (pipeline["root"] / "gone.jsonl").exists()
 
     def test_educated_untargeted_refused(self, pipeline, capsys):
         out = pipeline["root"] / "na.jsonl"
@@ -238,10 +295,10 @@ class TestFailureModes:
             assert not out.exists()
         assert results[0] == results[1] == (status, [message])
 
-    @pytest.mark.parametrize("command", ["explain", "oracle"])
+    @pytest.mark.parametrize("command", [["explain"], ["explain", "--method", "oracle"]], ids=["explain", "oracle"])
     def test_negative_sample_users_rejected(self, pipeline, tmp_path, capsys, command):
         out = tmp_path / "out.jsonl"
-        rc = main([command, "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
+        rc = main([*command, "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
                    "--setting", "un_un", "--sample-users", "-3", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: cannot sample -3 users; give a count >= 0 (0 means every user)\n"
@@ -314,7 +371,7 @@ class TestFailureModes:
         assert capsys.readouterr().err == "error: invalid markov model: transition.counts holds a count below 1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["explain", "oracle"])
+    @pytest.mark.parametrize("command", [["explain"], ["explain", "--method", "oracle"]], ids=["explain", "oracle"])
     @pytest.mark.parametrize(
         "setting, flags, message",
         [
@@ -331,7 +388,7 @@ class TestFailureModes:
         self, pipeline, tmp_path, capsys, command, setting, flags, message
     ):
         out = tmp_path / "out.jsonl"
-        args = [command, "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
+        args = [*command, "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
                 "--setting", setting, "--sample-users", "1", "--out", str(out)]
         for flag, value in flags.items():
             args += [flag, str(value)]
@@ -340,6 +397,62 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    def _records_with(self, pipeline, tmp_path, edit):
+        """A gece records file whose second record line is replaced by `edit(line)`."""
+        good = pipeline["root"] / "malformed-base.jsonl"
+        if not good.exists():
+            assert main(explain_args(pipeline, good)) == 0
+        lines = good.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    def _error_line(self, capsys, args) -> str:
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_records_line_not_json_names_file_and_line(self, pipeline, tmp_path, capsys):
+        bad = self._records_with(pipeline, tmp_path, lambda line: "{" + line[2:])
+        err = self._error_line(capsys, ["evaluate", "--records", str(bad), "--model", str(pipeline["model"]),
+                                        "--out", str(tmp_path / "r.csv")])
+        assert err.startswith(f"error: {bad}:3: Expecting property name")
+
+    def test_record_missing_field_names_file_and_line(self, pipeline, tmp_path, capsys):
+        def drop_user(line):
+            doc = json.loads(line)
+            del doc["user"]
+            return json.dumps(doc)
+
+        bad = self._records_with(pipeline, tmp_path, drop_user)
+        err = self._error_line(capsys, ["evaluate", "--records", str(bad), "--model", str(pipeline["model"]),
+                                        "--out", str(tmp_path / "r.csv")])
+        assert err == f"error: {bad}:3: record lacks field 'user'\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv-without-columns"])
+    def test_report_input_that_is_not_a_seed_report_names_the_column(self, pipeline, tmp_path, capsys, fmt):
+        records = pipeline["root"] / "report-input.jsonl"
+        if not records.exists():
+            assert main(explain_args(pipeline, records, method="random")) == 0
+        report = tmp_path / "r.json"
+        if fmt == "json":
+            assert main(["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                         "--format", "json", "--out", str(report)]) == 0
+        else:
+            report.write_text("user,item\n1,2\n")
+        err = self._error_line(capsys, ["report", "--inputs", str(report), "--out", str(tmp_path / "m.csv")])
+        assert err.startswith(f"error: {report}: no column 'method'")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_graph_line_with_three_numbers_names_file_and_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("3\n1 2\n\n1 2 3\n")
+        err = self._error_line(capsys, ["reduce-vc", "--graph", str(graph)])
+        assert err == f"error: {graph}: line 4: expected one edge `u v`, got '1 2 3'\n"
 
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -358,12 +471,9 @@ PARSER_FLAGS = {
     "train": ["--split", "--scorer", "--out"],
     "explain": ["--model", "--split", "--method", "--setting", "--target-item", "--target-stratum",
                 "--target-category", "--k", "--seed", "--sample-users", "--threshold", "--k-eval",
-                "--untargeted-rank-rule", "--budget", "--generations", "--population", "--mutation-prob",
-                "--crossover-prob", "--edit-weight", "--mutation-weights", "--threads", "--out"],
+                "--untargeted-rank-rule", "--budget", "--max-distance", "--generations", "--population",
+                "--mutation-prob", "--crossover-prob", "--edit-weight", "--mutation-weights", "--threads", "--out"],
     "evaluate": ["--records", "--model", "--split", "--format", "--out"],
-    "oracle": ["--model", "--split", "--setting", "--target-item", "--target-stratum", "--target-category", "--k",
-               "--seed", "--sample-users", "--threshold", "--k-eval", "--untargeted-rank-rule", "--max-distance",
-               "--out"],
     "reduce-vc": ["--graph", "--k"],
     "report": ["--inputs", "--format", "--out"],
 }
@@ -376,7 +486,7 @@ def test_parser_flags_snapshot():
         for name, p in sub.choices.items()
     }
     assert flags == PARSER_FLAGS
-    assert sum(map(len, flags.values())) == 59
+    assert sum(map(len, flags.values())) == 46
 
 
 # keyword defaults of the public API: a settable value added or removed is a deliberate edit here

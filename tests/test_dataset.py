@@ -228,14 +228,25 @@ class TestSplitRoundTrip:
             (lambda doc: doc["catalog"].update(num_items="30"), "catalog.num_items is '30', not an integer"),
             (lambda doc: doc["train"].update({"1": 5}), "train user 1 holds 5, not a list of item ids"),
             (lambda doc: doc.update(train=[[0, 1]]), "train is a list, not an object keyed by user id"),
+            (lambda doc: doc["categories"].update(items=30), "categories.items is a int, not a list"),
+            (lambda doc: doc["categories"].update(num_categories="6"), "categories.num_categories is '6', not a count"),
+            (lambda doc: doc["categories"]["items"][2].append("x"), r"categories.items\[2\] is \[.*'x'\], not a list"),
+            (lambda doc: doc.update(categories=[[0]] * 30), "categories is a list, not an object"),
+            (lambda doc: doc["catalog"].pop("item_labels"), "missing field catalog.item_labels"),
+            (lambda doc: doc["catalog"].update(item_labels=7), "catalog.item_labels is not null or a list of 30 strings"),
+            (lambda doc: doc.update(max_len=0), "max_len is 0, not an integer >= 1"),
+            # an edit that returns text replaces the whole file
+            (lambda doc: "{not json", "not a JSON split file: Expecting property name"),
         ],
         ids=["train", "validation", "test", "bool-item", "fraction-item", "string-item", "user-key", "no-max_len",
-             "string-max_len", "string-num_items", "int-sequence", "list-train"],
+             "string-max_len", "string-num_items", "int-sequence", "list-train", "int-category-items",
+             "string-num_categories", "string-category", "list-categories", "no-item_labels", "int-item_labels",
+             "zero-max_len", "not-json"],
     )
     def test_item_outside_catalog_rejected(self, tmp_path, edit, message):
         path, doc = self._saved_doc(tmp_path)
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        text = edit(doc)
+        path.write_text(text if isinstance(text, str) else json.dumps(doc))
         with pytest.raises(ValueError, match=message) as exc:
             load_split(path)
         assert str(exc.value).startswith(f"{path}: ")

@@ -23,6 +23,21 @@ class TestGraph:
         assert g.num_vertices == 3
         assert g.edges == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x\n1 2\n", "line 1: expected the vertex count n, got 'x'"),
+            ("3\n1 2\n\n1 2 3\n", "line 4: expected one edge `u v`, got '1 2 3'"),
+            ("3\n--1 2\n", "line 2: expected one edge `u v`, got '--1 2'"),
+            ("3\n1\n", "line 2: expected one edge `u v`, got '1'"),
+        ],
+        ids=["count", "three-numbers", "double-minus", "one-number"],
+    )
+    def test_malformed_line_names_its_number(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            Graph.parse(text)
+        assert str(exc.value) == message
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, ((0, 0),))
