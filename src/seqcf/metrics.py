@@ -39,6 +39,7 @@ REPORT_COLUMNS = (
     "valid_fraction",
     "n_users",
 )
+METRIC_COLUMNS = ("fidelity", "mean_hamming", "mean_levenshtein", "valid_fraction")  # merged by `report`
 
 
 def hamming(a, b) -> int:
@@ -254,16 +255,25 @@ def write_report_csv(path, rows: Iterable[dict], config: Mapping | None = None) 
 
 
 def read_report_csv(path) -> tuple[dict, list[dict]]:
+    """The config and rows of a CSV report; a metric cell that is not a number fails naming its line and column."""
     config: dict = {}
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    body = []
-    for line in lines:
+    numbers, body = [], []
+    for number, line in enumerate(lines, 1):
         if line.startswith("# config: "):
             config = json.loads(line[len("# config: "):])
         elif line:
+            numbers.append(number)
             body.append(line)
     rows = list(csv.DictReader(body))
+    for number, row in zip(numbers[1:], rows):  # numbers[0] is the header line
+        for column in METRIC_COLUMNS:
+            if column in row:
+                try:
+                    float(row[column])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}:{number}: column {column!r} holds {row[column]!r}, not a number") from None
     return config, rows
 
 
@@ -280,7 +290,6 @@ def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:
     Rows are matched on (method, setting, dataset, model, k); each metric
     gains one column per seed plus a mean column.
     """
-    metrics = ("fidelity", "mean_hamming", "mean_levenshtein", "valid_fraction")
     merged: dict[tuple, dict] = {}
     for rows in reports:
         for row in rows:
@@ -302,7 +311,7 @@ def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:
     for key in sorted(merged):
         slot = merged[key]
         seeds = slot.pop("_seeds")
-        for metric in metrics:
+        for metric in METRIC_COLUMNS:
             values = []
             for seed in sorted(seeds):
                 value = float(seeds[seed][metric])

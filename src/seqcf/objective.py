@@ -169,40 +169,35 @@ def valid_rows(
 ) -> np.ndarray:
     """`valid_from_topk` of every row of a (rows, m) normalized score matrix.
 
-    No row's top k is built: the top-1 is the argmax (the first maximum,
-    which is the ascending-id tie-break), and an item is in the top k when
-    its rank by (-score, id), the count of items scoring above it plus the
-    lower ids scoring the same, is below k. Under `targ_cat` the
-    target-category item ranked best is the argmax over the category's
-    columns, and some member of the top k clears the threshold exactly
-    when that item does and ranks below k. A targeted item that clears the
-    threshold needs no rank when the threshold alone puts it in the top k
-    (threshold · (k + 1) > 1), so a row that passes costs no more than
-    one that fails.
+    The regime is read from `loss_weights`, the items whose mass the loss
+    counts. No row's top k is built: the top-1 is the argmax (the first
+    maximum, which is the ascending-id tie-break), and an item is in the
+    top k when its rank by (-score, id), the count of items scoring above it
+    plus the lower ids scoring the same, is below k. Untargeted, the row's
+    top-1 must carry no weight and clear the threshold, and under
+    `topk_absence` the source's top-1 must leave the top k too. Targeted,
+    some weighted item of the top k clears the threshold exactly when the
+    best-scoring weighted item (the argmax over the weighted columns) does
+    and ranks below k. A targeted item that clears the threshold needs no
+    rank when the threshold alone puts it in the top k
+    (threshold · (k + 1) > 1), so a row that passes costs no more than one
+    that fails.
     """
     n, m = norm.shape
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside [1, {m}]")
+    w, targeted = loss_weights(setting, source_top1, m, categories)
     top1 = np.argmax(norm, axis=1)
     at = np.arange(n)
     t = setting.threshold
     # an unchanged recommendation is never a counterfactual
     ok = top1 != source_top1
-    if not setting.targeted and not setting.categorized:
-        ok &= norm[at, top1] >= t
-        if setting.untargeted_rank_rule == "topk_absence":
+    if not targeted:
+        ok &= (w[top1] == 0) & (norm[at, top1] >= t)
+        if not setting.categorized and setting.untargeted_rank_rule == "topk_absence":
             ok &= ~_in_top_k(norm, top1, np.full(n, source_top1), k, ok)
         return ok
-    if setting.targeted and not setting.categorized:
-        ok &= norm[:, setting.target_item] >= t
-        if _threshold_secures_top_k(t, k):
-            return ok
-        return _in_top_k(norm, top1, np.full(n, setting.target_item), k, ok)
-    member = _require_categories(setting, categories).membership
-    if not setting.targeted:
-        shares = (member & member[source_top1]).any(axis=1)
-        return ok & ~shares[top1] & (norm[at, top1] >= t)
-    members = np.flatnonzero(member[:, setting.target_category])
+    members = np.flatnonzero(w)
     if members.size == 0:
         return np.zeros(n, dtype=bool)
     best = members[np.argmax(norm[:, members], axis=1)]
@@ -232,30 +227,24 @@ def is_valid(
 
 def loss_weights(
     setting: SettingSpec,
-    source_scores: ScoreVector,
+    source_top1: int,
     num_items: int,
     categories: CategoryMap | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Weight vector w and orientation flag for the scalar objective.
 
     The loss of a candidate with normalized scores p is `p @ w` when the
-    flag is False (untargeted: mass to suppress) and `1 - p @ w` when True
-    (targeted: mass to attract).
+    flag is False (untargeted: mass to suppress, the source's top-1 or the
+    items sharing a category with it) and `1 - p @ w` when True (targeted:
+    mass to attract, the target item or the target category's items).
     """
     w = np.zeros(num_items, dtype=float)
-    if not setting.targeted and not setting.categorized:
-        w[top_k(source_scores, 1)[0]] = 1.0
-        return w, False
-    if setting.targeted and not setting.categorized:
-        w[setting.target_item] = 1.0
-        return w, True
+    if not setting.categorized:
+        w[setting.target_item if setting.targeted else source_top1] = 1.0
+        return w, setting.targeted
     member = _require_categories(setting, categories).membership
-    if not setting.targeted and setting.categorized:
-        # items sharing a category with the source's top-1
-        w[:] = member @ member[top_k(source_scores, 1)[0]]
-        return w, False
-    w[:] = member[:, setting.target_category]
-    return w, True
+    w[:] = member[:, setting.target_category] if setting.targeted else member @ member[source_top1]
+    return w, setting.targeted
 
 
 def objective_loss(
@@ -267,7 +256,7 @@ def objective_loss(
     """Scalar objective in [0, 1]; lower is closer to the regime's goal."""
     if source_scores.num_items != cand_scores.num_items:
         raise ValueError("score vectors cover different catalogs")
-    w, targeted = loss_weights(setting, source_scores, cand_scores.num_items, categories)
+    w, targeted = loss_weights(setting, top_k(source_scores, 1)[0], cand_scores.num_items, categories)
     mass = float(cand_scores.normalized @ w)
     return 1.0 - mass if targeted else mass
 

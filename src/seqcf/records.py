@@ -55,18 +55,38 @@ class ExplanationRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplanationRecord":
+        """Inverse of `to_dict`; a field of the wrong type fails naming the field."""
+        valid_at_k = doc["valid_at_k"]
+        if type(valid_at_k) is not dict or not all(type(v) is bool for v in valid_at_k.values()):
+            raise ValueError(f"field 'valid_at_k' is {valid_at_k!r}, not an object of booleans")
         return cls(
-            user=doc["user"],
+            user=_typed(doc, "user", int),
             method=doc["method"],
             setting=SettingSpec.from_dict(doc["setting"]),
-            source=tuple(doc["source"]),
-            counterfactual=None if doc["counterfactual"] is None else tuple(doc["counterfactual"]),
-            valid_at_k={int(k): v for k, v in doc["valid_at_k"].items()},
-            hamming=doc["hamming"],
-            levenshtein=doc["levenshtein"],
-            generation_found=doc["generation_found"],
-            seed=doc["seed"],
+            source=_typed(doc, "source", tuple),
+            counterfactual=_typed(doc, "counterfactual", tuple, nullable=True),
+            valid_at_k={int(k): v for k, v in valid_at_k.items()},
+            hamming=_typed(doc, "hamming", int, nullable=True),
+            levenshtein=_typed(doc, "levenshtein", int, nullable=True),
+            generation_found=_typed(doc, "generation_found", int, nullable=True),
+            seed=_typed(doc, "seed", int),
         )
+
+
+def _typed(doc: dict, name: str, kind: type, nullable: bool = False):
+    """Field `name` of a record: an integer (`kind` int) or a tuple of item ids (`kind` tuple).
+
+    Booleans are not integers here, as in the other loaders.
+    """
+    value = doc[name]
+    if value is None and nullable:
+        return None
+    if kind is int and type(value) is int:
+        return value
+    if kind is tuple and type(value) is list and all(type(i) is int and i >= 0 for i in value):
+        return tuple(value)
+    expected = "an integer" if kind is int else "a list of non-negative integers"
+    raise ValueError(f"field {name!r} is {value!r}, not {expected}" + (" or null" if nullable else ""))
 
 
 def explanation_record(

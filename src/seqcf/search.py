@@ -17,10 +17,12 @@ padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
 numpy steps whatever N is: `mutate_rows` and `crossover_rows` are the array
 forms of the scalar operators `mutate_*` and `crossover` (kept as their
-reference and used by the baselines); selection's one stable sort of the
-pool by items keeps each sequence's first copy in pool order, which is its
-earliest-born copy, and the copies born this generation, the sequences new
-to the population, are scored in one batch. A row is scored by itself
+reference and used by the baselines), and one gather kernel,
+`apply_edits`, makes the edit of every mutant and radius-1 ball member;
+`_RowEvaluator` checks the search's inputs. Selection's one stable sort
+of the pool by items keeps each sequence's first copy in pool order, which
+is its earliest-born copy, and the copies born this generation, the
+sequences new to the population, are scored in one batch. A row is scored by itself
 (softmax; validity by `valid_rows`, from argmax and rank counts with no
 top-k; objective mass by one dot product; edit distance by
 `levenshtein_batch`), so its results do not depend on the rows batched
@@ -246,6 +248,30 @@ def _first_occurrence(wide: np.ndarray) -> np.ndarray:
     return out
 
 
+def apply_edits(
+    rows: np.ndarray, kind: np.ndarray, pos: np.ndarray, item: np.ndarray, max_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row i with one edit of kind `kind[i]` (MUTATION_KINDS index) at `pos[i]`, and the lengths.
+
+    `rows` is padded with NULL_ITEM. An add opens slot pos and writes the
+    item there, a replace writes it over position pos, a delete closes
+    position pos, and a row longer than `max_len` (an add past it) drops its
+    oldest items. Each output cell is gathered from one input cell, so
+    nothing is sorted.
+    """
+    is_add, is_delete = kind == _ADD, kind == _DELETE
+    lengths = np.count_nonzero(rows != NULL_ITEM, axis=1) + is_add - is_delete
+    drop = np.maximum(lengths - max_len, 0)
+    lengths -= drop
+    cols = np.arange(int(lengths.max(initial=0))) + drop[:, None]  # cells of the edited row
+    after = cols > pos[:, None]
+    src = cols - (is_add[:, None] & after) + (is_delete[:, None] & (after | (cols == pos[:, None])))
+    out = np.take_along_axis(rows, np.minimum(src, rows.shape[1] - 1), axis=1)
+    out = np.where(~is_delete[:, None] & (cols == pos[:, None]), item[:, None], out)
+    out[cols - drop[:, None] >= lengths[:, None]] = NULL_ITEM
+    return out, lengths
+
+
 def mutate_rows(
     rows: np.ndarray,
     lengths: np.ndarray,
@@ -259,9 +285,10 @@ def mutate_rows(
     Each row draws its kind among the kinds that apply to it (replace and
     add need an item the row lacks, delete needs two items), weighted by
     `weights`; a row where none applies yields no mutant. The position and
-    the unseen item are uniform, and an add that overflows `max_len` drops
-    the oldest item, as in the scalar operators. Returns the mutants' rows
-    and lengths in their parents' order.
+    the unseen item are uniform, as in the scalar operators, and
+    `apply_edits` makes the edits (an add that overflows `max_len` drops
+    the oldest item). Returns the mutants' rows and lengths in their
+    parents' order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -270,31 +297,20 @@ def mutate_rows(
     cum = np.cumsum(np.where(applies, weights, 0.0), axis=1)
     some = applies.any(axis=1)
     rows, lengths, applies, cum = rows[some], lengths[some], applies[some], cum[some]
-    n_rows, width = rows.shape
 
     # the first kind whose cumulative weight exceeds u; a u rounded up to the
     # total falls back to the last kind that applies
-    u = rng.random(n_rows) * cum[:, -1]
+    u = rng.random(len(rows)) * cum[:, -1]
     last = applies.shape[1] - 1 - np.argmax(applies[:, ::-1], axis=1)
     kind = np.minimum((u[:, None] >= cum).sum(axis=1), last)
-    is_add = kind == _ADD
-    pos = rng.integers(0, lengths + is_add)
+    pos = rng.integers(0, lengths + (kind == _ADD))
     # the rank-th item missing from the row: step past each of the row's
     # items, in ascending order, that is at or below the candidate; this
     # costs O(W) per row where a presence-mask scan costs O(m)
     item = rng.integers(0, np.maximum(m - lengths, 1))
     for present in np.sort(np.where(rows == NULL_ITEM, m, rows), axis=1).T:
         item += present <= item
-
-    cols = np.arange(width + 1)
-    shifted = cols - (is_add[:, None] & (cols > pos[:, None]))  # open the slot of an add
-    wide = np.take_along_axis(_widen(rows, width + 1), shifted, axis=1)
-    at = np.arange(n_rows)
-    writes = kind != _DELETE
-    wide[at[writes], pos[writes]] = item[writes]
-    keep = wide != NULL_ITEM
-    keep[at[~writes], pos[~writes]] = False
-    return _compact(wide, keep, max_len)
+    return apply_edits(rows, kind, pos, item, max_len)
 
 
 def splice_rows(
@@ -348,13 +364,26 @@ def crossover_rows(
 class _RowEvaluator:
     """Fitness, loss, edit distance and validity of candidate rows for one search.
 
+    Building it checks the search's inputs; `max_len` is `config.max_len`
+    capped at m - 1, since replacement needs a spare item and masking
+    scorers need at least one scoreable item.
+
     A row's results depend on its items alone, never on the other rows of
     the batch (the objective mass is one dot product per row), so rows are
     scored in blocks of `block_rows` rows, about 4 MiB of float64 scores,
     and may be scored in any batches and any order.
     """
 
-    def __init__(self, model, setting, source_items, k, config, categories):
+    def __init__(self, model, setting, source, k, config, categories):
+        source_items = as_items(source)
+        m = model.num_items
+        if not 1 <= k <= m:
+            raise ValueError(f"k={k} outside [1, {m}]")
+        self.max_len = min(config.max_len, m - 1)
+        if len(source_items) > self.max_len:
+            raise ValueError(f"source length {len(source_items)} exceeds limit {self.max_len}")
+        if not source_items or min(source_items) < 0 or max(source_items) >= m:
+            raise ValueError("source must be a non-empty sequence of catalog items")
         self.model = model
         self.setting = setting
         self.source_items = source_items
@@ -363,8 +392,8 @@ class _RowEvaluator:
         self.categories = categories
         self.source_scores = model.score(source_items)
         self.source_top1 = top_k(self.source_scores, 1)[0]
-        self.weights, self.targeted_loss = loss_weights(setting, self.source_scores, model.num_items, categories)
-        self.block_rows = max(1, _BLOCK_BYTES // (8 * model.num_items))
+        self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
+        self.block_rows = max(1, _BLOCK_BYTES // (8 * m))
 
     def loss_valid(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(loss, valid) per row."""
@@ -403,38 +432,34 @@ def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int, chunk_rows
     A replace puts an item absent from the source at one of its L
     positions, an add inserts one at one of its L + 1 slots while
     L < max_len, and a delete removes one of its positions while L >= 2.
-    No two edits give the same sequence. Yields (rows, lengths) per group of
-    positions of one kind, a group holding at most `chunk_rows` rows when
-    one position fits.
+    No two edits give the same sequence. `apply_edits` edits one copy of
+    the source per position, repeated over the absent items for a replace
+    or add. Yields (rows, lengths) per group of positions of one kind, a
+    group holding at most `chunk_rows` rows when one position fits.
     """
     src = np.asarray(source_items, dtype=np.int64)
-    n = len(src)
     absent = np.setdiff1d(np.arange(m), src)
-    for kind, positions in enumerate(_ball_positions(n, max_len)):
+    for kind, positions in enumerate(_ball_positions(len(src), max_len)):
         per_position = 1 if kind == _DELETE else len(absent)
         step = max(1, chunk_rows // per_position)
         for first in range(0, positions, step):
             pos = np.arange(first, min(first + step, positions))
-            if kind == _DELETE:
-                cols = np.arange(n - 1)
-                rows = src[cols + (cols >= pos[:, None])]  # skip position p
-            else:
-                cols = np.arange(n + (kind == _ADD))
-                # each cell's source column; the cell at p takes the new item
-                shift = (kind == _ADD) & (cols > pos[:, None])
-                rows = np.repeat(src[np.minimum(cols - shift, n - 1)], len(absent), axis=0)
+            edits = np.full(len(pos), kind)
+            rows, _ = apply_edits(np.tile(src, (len(pos), 1)), edits, pos, np.full(len(pos), NULL_ITEM), max_len)
+            if kind != _DELETE:
+                rows = np.repeat(rows, len(absent), axis=0)
                 rows[np.arange(len(rows)), np.repeat(pos, len(absent))] = np.tile(absent, len(pos))
             yield rows, np.full(len(rows), rows.shape[1], dtype=np.int64)
 
 
-def _radius1_best(evaluate: _RowEvaluator, max_len: int) -> tuple[int, ...] | None:
+def _radius1_best(evaluate: _RowEvaluator) -> tuple[int, ...] | None:
     """The ball member with minimal (loss, items) among the valid ones, or None.
 
     Every member is at edit distance 1, so this is the harvest rule's
     winner over all distance-1 sequences.
     """
     best = None
-    chunks = radius1_ball(evaluate.source_items, evaluate.model.num_items, max_len, evaluate.block_rows)
+    chunks = radius1_ball(evaluate.source_items, evaluate.model.num_items, evaluate.max_len, evaluate.block_rows)
     for rows, lengths in chunks:
         loss, valid = evaluate.loss_valid(rows, lengths)
         hit = np.flatnonzero(valid)
@@ -536,23 +561,7 @@ def _variation(
     return _pad_stack(rows, kid_rows), np.concatenate([lengths, kid_lengths])
 
 
-def _evaluator(source, setting, model, k, config, categories) -> tuple[_RowEvaluator, int]:
-    """The search's row evaluator, after checking its inputs, and its length limit."""
-    source_items = as_items(source)
-    m = model.num_items
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} outside [1, {m}]")
-    # candidates never use the whole catalog: replacement needs a spare item
-    # and masking scorers need at least one scoreable item
-    max_len = min(config.max_len, m - 1)
-    if len(source_items) > max_len:
-        raise ValueError(f"source length {len(source_items)} exceeds limit {max_len}")
-    if not source_items or min(source_items) < 0 or max(source_items) >= m:
-        raise ValueError("source must be a non-empty sequence of catalog items")
-    return _RowEvaluator(model, setting, source_items, k, config, categories), max_len
-
-
-def _evolve(evaluate: _RowEvaluator, max_len: int, seed: int, user: int) -> Population:
+def _evolve(evaluate: _RowEvaluator, seed: int, user: int) -> Population:
     """The evolutionary loop; the final population ranked by (fitness, items)."""
     config, m = evaluate.config, evaluate.model.num_items
     n = config.population_size
@@ -562,7 +571,7 @@ def _evolve(evaluate: _RowEvaluator, max_len: int, seed: int, user: int) -> Popu
     population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *(np.repeat(r, n) for r in scored))
 
     for gen in range(1, config.generations + 1):
-        rows, lengths = _variation(population, gen, m, max_len, config, seed, user)
+        rows, lengths = _variation(population, gen, m, evaluate.max_len, config, seed, user)
         population = _select(population, rows, lengths, gen, evaluate, m)
 
     # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
@@ -580,8 +589,8 @@ def genetic(
     categories: CategoryMap | None = None,
 ) -> Population:
     """Run the evolutionary loop; return the final population ranked by (fitness, items)."""
-    evaluate, max_len = _evaluator(source, setting, model, k, config, categories)
-    return _evolve(evaluate, max_len, seed, user_of(source))
+    evaluate = _RowEvaluator(model, setting, source, k, config, categories)
+    return _evolve(evaluate, seed, user_of(source))
 
 
 def _harvest(population: Population) -> tuple[tuple[int, ...], int] | None:
@@ -618,7 +627,7 @@ def explain(
     population is harvested (`_harvest`). No valid candidate is a
     legitimate outcome, recorded as an absent counterfactual.
     """
-    evaluate, max_len = _evaluator(source, setting, model, k, config, categories)
+    evaluate = _RowEvaluator(model, setting, source, k, config, categories)
 
     def record(counterfactual, generation_found):
         return explanation_record(
@@ -626,10 +635,10 @@ def explain(
             source_scores=evaluate.source_scores,
         )
 
-    ball_rows = radius1_size(evaluate.source_items, model.num_items, max_len)
+    ball_rows = radius1_size(evaluate.source_items, model.num_items, evaluate.max_len)
     if ball_rows <= _BALL_SHARE * config.population_size * config.generations:
-        if (best := _radius1_best(evaluate, max_len)) is not None:
+        if (best := _radius1_best(evaluate)) is not None:
             return record(best, 0)
-    population = _evolve(evaluate, max_len, seed, user_of(source))
+    population = _evolve(evaluate, seed, user_of(source))
     found = _harvest(population)
     return record(*found) if found else record(None, None)

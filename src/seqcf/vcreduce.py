@@ -36,29 +36,42 @@ class Graph:
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
             raise ValueError("need at least one vertex")
-        seen = set()
-        norm = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        object.__setattr__(self, "edges", tuple(norm))
+        seen: set[tuple[int, int]] = set()
+        edges = tuple(_edge(u, v, self.num_vertices, seen) for u, v in self.edges)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def parse(cls, text: str) -> "Graph":
-        """Read the graph file format; a malformed line fails naming its line number."""
+        """Read the graph file format; a malformed line fails naming its line number.
+
+        Errors name vertices 1-indexed, as the file does.
+        """
         lines = [(number, ln.split()) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise ValueError("empty graph file")
         (n,) = _ints(*lines[0], 1, "the vertex count n")
-        edges = tuple((u - 1, v - 1) for u, v in (_ints(*line, 2, "one edge `u v`") for line in lines[1:]))
-        return cls(num_vertices=n, edges=edges)
+        seen: set[tuple[int, int]] = set()
+        edges = []
+        for number, words in lines[1:]:
+            u, v = _ints(number, words, 2, "one edge `u v`")
+            try:
+                edges.append(_edge(u - 1, v - 1, n, seen, first=1))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+        return cls(num_vertices=n, edges=tuple(edges))
+
+
+def _edge(u: int, v: int, n: int, seen: set, first: int = 0) -> tuple[int, int]:
+    """Edge (u, v) of an n-vertex graph as (min, max), added to `seen`; errors number vertices from `first`."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u + first}, {v + first}) out of range")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u + first}")
+    e = (min(u, v), max(u, v))
+    if e in seen:
+        raise ValueError(f"duplicate edge ({e[0] + first}, {e[1] + first})")
+    seen.add(e)
+    return e
 
 
 def _ints(number: int, words: list[str], count: int, expected: str) -> list[int]:

@@ -433,6 +433,22 @@ class TestFailureModes:
                                         "--out", str(tmp_path / "r.csv")])
         assert err == f"error: {bad}:3: record lacks field 'user'\n"
 
+    def test_report_metric_cell_not_a_number_names_file_line_and_column(self, pipeline, tmp_path, capsys):
+        records = pipeline["root"] / "report-input.jsonl"
+        if not records.exists():
+            assert main(explain_args(pipeline, records, method="random")) == 0
+        report = tmp_path / "r.csv"
+        assert main(["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                     "--out", str(report)]) == 0
+        lines = report.read_text().splitlines()  # the config comment, the column names, then rows
+        columns, cells = lines[1].split(","), lines[3].split(",")
+        cells[columns.index("mean_levenshtein")] = "abc"
+        lines[3] = ",".join(cells)
+        report.write_text("\n".join(lines) + "\n")
+        err = self._error_line(capsys, ["report", "--inputs", str(report), "--out", str(tmp_path / "m.csv")])
+        assert err == f"error: {report}:4: column 'mean_levenshtein' holds 'abc', not a number\n"
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("fmt", ["json", "csv-without-columns"])
     def test_report_input_that_is_not_a_seed_report_names_the_column(self, pipeline, tmp_path, capsys, fmt):
         records = pipeline["root"] / "report-input.jsonl"

@@ -278,11 +278,11 @@ class TestLossWeights:
         for _ in range(20):
             source = ScoreVector(rng.normal(size=m))
             top1 = top_k(source, 1)[0]
-            w, targeted = loss_weights(SettingSpec.from_name("un_cat"), source, m, cats)
+            w, targeted = loss_weights(SettingSpec.from_name("un_cat"), top1, m, cats)
             assert not targeted
             assert w.tolist() == [float(bool(cats.of(i) & cats.of(top1))) for i in range(m)]
         for c in range(cats.num_categories):
-            w, targeted = loss_weights(SettingSpec.from_name("targ_cat", target_category=c), source, m, cats)
+            w, targeted = loss_weights(SettingSpec.from_name("targ_cat", target_category=c), top1, m, cats)
             assert targeted
             assert w.tolist() == [float(c in cats.of(i)) for i in range(m)]
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import SumScorer
@@ -55,6 +57,38 @@ def test_header_is_mandatory(tmp_path):
     path.write_text('{"record_type": "explanation"}\n')
     with pytest.raises(ValueError, match="header"):
         read_records(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("user", "7", "field 'user' is '7', not an integer"),
+        ("user", True, "field 'user' is True, not an integer"),  # a boolean is not an integer
+        ("seed", 1.5, "field 'seed' is 1.5, not an integer"),
+        ("seed", None, "field 'seed' is None, not an integer"),
+        ("hamming", "x", "field 'hamming' is 'x', not an integer or null"),
+        ("levenshtein", 1.0, "field 'levenshtein' is 1.0, not an integer or null"),
+        ("generation_found", False, "field 'generation_found' is False, not an integer or null"),
+        ("source", [1.5, 2], "field 'source' is [1.5, 2], not a list of non-negative integers"),
+        ("source", [-1, 2], "field 'source' is [-1, 2], not a list of non-negative integers"),
+        ("source", None, "field 'source' is None, not a list of non-negative integers"),
+        ("counterfactual", [1, True], "field 'counterfactual' is [1, True], not a list of non-negative integers or null"),
+        ("counterfactual", "1 2", "field 'counterfactual' is '1 2', not a list of non-negative integers or null"),
+        ("valid_at_k", {"1": 1}, "field 'valid_at_k' is {'1': 1}, not an object of booleans"),
+        ("valid_at_k", [True], "field 'valid_at_k' is [True], not an object of booleans"),
+    ],
+)
+def test_mistyped_field_names_file_line_and_field(tmp_path, field, value, message):
+    path = tmp_path / "out.jsonl"
+    write_records(path, [make_record(user=1), make_record(user=2)])
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[2])
+    doc[field] = value
+    lines[2] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_records(path)
+    assert str(exc.value) == f"{path}:3: {message}"
 
 
 def test_write_is_byte_stable(tmp_path):

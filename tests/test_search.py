@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -26,8 +27,10 @@ from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.search import (
+    MUTATION_KINDS,
     _harvest,
     _RowEvaluator,
+    apply_edits,
     crossover_rows,
     mutate_rows,
     radius1_ball,
@@ -232,6 +235,31 @@ class TestMutateRows:
         counts = [int((out == 3).sum()), int((out == 4).sum()), int((out == 2).sum())]
         expected = [1000, 2000, 3000]
         assert sum((c - e) ** 2 / e for c, e in zip(counts, expected)) < 13.82  # chi2(2), p=0.001
+
+
+class TestApplyEdits:
+    @pytest.mark.parametrize("max_len", [3, 4, 6])
+    def test_matches_scalar_operators(self, max_len):
+        # every (kind, position, unseen item) of NULL-padded rows of mixed
+        # lengths in one batch; at max_len 3 and 4 a row at max_len makes
+        # each of its adds overflow
+        m = 6
+        replace, add, delete = (MUTATION_KINDS.index(k) for k in ("replace", "add", "delete"))
+        cases, expected = [], []
+        for parent in [p for p in [(3,), (0, 4), (5, 1, 2), (2, 0, 4, 1)] if len(p) <= max_len]:
+            for z in sorted(set(range(m)) - set(parent)):
+                for i in range(len(parent)):
+                    cases.append((parent, replace, i, z))
+                    expected.append(mutate_replace(parent, m, QueuedRng(integers=[i, z])))
+                for i in range(len(parent) + 1):
+                    cases.append((parent, add, i, z))
+                    expected.append(mutate_add(parent, m, QueuedRng(integers=[i, z]), max_len))
+            for i in range(len(parent) if len(parent) >= 2 else 0):
+                cases.append((parent, delete, i, NULL_ITEM))
+                expected.append(mutate_delete(parent, QueuedRng(integers=[i])))
+        rows, _ = as_rows([parent for parent, *_ in cases], width=m)
+        kind, pos, item = (np.array([case[j] for case in cases]) for j in (1, 2, 3))
+        assert row_tuples(*apply_edits(rows, kind, pos, item, max_len)) == expected
 
 
 class TestCrossoverRows:
@@ -505,6 +533,27 @@ class TestGenetic:
         source_rows = [i for i in range(len(pop)) if pop.items(i) == (0, 1, 2)]
         assert source_rows and all(pop.born[i] == 0 for i in source_rows)
         assert pop.born.max() > 0
+
+
+class TestSearchInputChecks:
+    @pytest.mark.parametrize("search_fn", [explain, genetic], ids=["explain", "genetic"])
+    @pytest.mark.parametrize(
+        "source, k, max_len, message",
+        [
+            ((0, 1), 0, 5, "k=0 outside [1, 6]"),
+            ((0, 1), 7, 5, "k=7 outside [1, 6]"),
+            ((0, 1, 2, 3), 1, 3, "source length 4 exceeds limit 3"),
+            ((0, 1, 2, 3, 4, 5), 1, 50, "source length 6 exceeds limit 5"),  # capped at m - 1
+            ((0, 6), 1, 5, "source must be a non-empty sequence of catalog items"),
+            ((-1, 2), 1, 5, "source must be a non-empty sequence of catalog items"),
+            ((), 1, 5, "source must be a non-empty sequence of catalog items"),
+        ],
+        ids=["k-zero", "k-above-m", "too-long", "too-long-for-catalog", "item-above", "item-below", "empty"],
+    )
+    def test_rejects_bad_inputs(self, search_fn, source, k, max_len, message):
+        cfg = GaConfig(generations=1, population_size=4, max_len=max_len)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            search_fn(source, SettingSpec.from_name("un_un"), EchoScorer(6), k, cfg)
 
 
 class TestExplain:

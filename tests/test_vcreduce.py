@@ -30,8 +30,13 @@ class TestGraph:
             ("3\n1 2\n\n1 2 3\n", "line 4: expected one edge `u v`, got '1 2 3'"),
             ("3\n--1 2\n", "line 2: expected one edge `u v`, got '--1 2'"),
             ("3\n1\n", "line 2: expected one edge `u v`, got '1'"),
+            # vertices are named 1-indexed, as in the file
+            ("3\n1 5\n", "line 2: edge (1, 5) out of range"),
+            ("3\n0 2\n", "line 2: edge (0, 2) out of range"),
+            ("3\n1 1\n", "line 2: self-loop at vertex 1"),
+            ("3\n1 2\n\n2 1\n", "line 4: duplicate edge (1, 2)"),
         ],
-        ids=["count", "three-numbers", "double-minus", "one-number"],
+        ids=["count", "three-numbers", "double-minus", "one-number", "out-of-range", "zero", "self-loop", "duplicate"],
     )
     def test_malformed_line_names_its_number(self, text, message):
         with pytest.raises(ValueError) as exc:
