@@ -1,3 +1,4 @@
+import hashlib
 import re
 from itertools import permutations
 
@@ -11,18 +12,22 @@ from seqcf import (
     explain,
     fitness,
     genetic,
+    k_core_filter,
+    leave_one_out_split,
     levenshtein,
     mutate_add,
     mutate_delete,
     mutate_replace,
     objective_loss,
     oracle_optimal,
+    synthesize_corpus,
     train_markov,
     verify_eps_vcs,
 )
 from seqcf import search
 from seqcf.cli import main
 from seqcf.core import derive_stream
+from seqcf.dataset import load_categories, write_categories
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
@@ -665,3 +670,84 @@ class TestExplain:
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.fixture(scope="module")
+def synth_corpus(tmp_path_factory):
+    """Training sequences, Markov scorer and category map of a small synthetic corpus (80 users x 60 items)."""
+    log, labels = synthesize_corpus(80, 60, seed=0)
+    split = leave_one_out_split(k_core_filter(log, 5), max_len=50)
+    path = tmp_path_factory.mktemp("corpus") / "categories.tsv"
+    write_categories(labels, path)
+    return split.train, train_markov(split.train, split.catalog.num_items), load_categories(path, split.catalog)
+
+
+class TestPinnedOutputs:
+    """Outputs of the search pinned at fixed seeds: a refactor of the GA must leave them as they are.
+
+    The ball of every source here exceeds its share of a 64 x 10 search, so
+    each user reaches the GA; (counterfactual, generation_found) pins the
+    harvest and a digest of user 1's final population pins every row.
+    """
+
+    SETTINGS = {
+        "un_un": SettingSpec.from_name("un_un"),
+        "targ_un": SettingSpec.from_name("targ_un", target_item=9),
+        "un_cat": SettingSpec.from_name("un_cat"),
+        "targ_cat": SettingSpec.from_name("targ_cat", target_category=1),
+    }
+    EXPECTED = {
+        "un_un": (
+            [((13, 41, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0), 5),
+             ((53, 23, 29, 2, 27, 30, 9, 14, 43, 46, 18, 21, 51, 12), 1),
+             ((1, 5, 21, 51, 6, 3, 7, 19, 26, 39, 53, 50), 8),
+             ((0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25, 56), 6)],
+            "15a57ec2bda4eb89",
+        ),
+        "targ_un": (
+            [((13, 14, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0, 30), 10),
+             ((53, 23, 29, 2, 27, 30), 1),
+             (None, None),
+             ((0, 2, 27, 30), 2)],
+            "7f2c9bb2d98f3b72",
+        ),
+        "un_cat": (
+            [((13, 41, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0), 8),
+             ((53, 23, 29, 2, 27, 30, 9, 14, 43, 46, 18, 21), 3),
+             ((1, 5, 21, 51, 6, 3, 7, 19, 26, 39, 24), 9),
+             ((0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25, 41), 5)],
+            "7bc550f9eba2ba0e",
+        ),
+        "targ_cat": (
+            [((13, 41, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0, 2, 46), 7),
+             ((53, 23, 29, 2, 27, 30, 9, 14, 43, 56, 46, 18, 21, 41), 6),
+             ((1, 5, 21, 51, 6, 3, 7, 19, 14, 26, 39, 48), 4),
+             ((0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25), 1)],
+            "d6cc07d2f3d85804",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_genetic_search(self, synth_corpus, name):
+        train, model, cats = synth_corpus
+        setting, cfg = self.SETTINGS[name], GaConfig(population_size=64, generations=10)
+        found = []
+        for user in (1, 2, 3, 4):
+            rec = explain(train[user], setting, model, 1, cfg, seed=0, categories=cats)
+            found.append((rec.counterfactual, rec.generation_found))
+        pop = genetic(train[1], setting, model, 1, cfg, seed=0, categories=cats)
+        digest = hashlib.sha256(pop.rows.tobytes() + pop.lengths.tobytes() + pop.born.tobytes()).hexdigest()
+        assert (found, digest[:16]) == self.EXPECTED[name]
+
+    def test_ball_answers(self, synth_corpus):
+        # a 1024 x 30 search admits these balls, and each holds a valid member
+        train, model, cats = synth_corpus
+        cfg = GaConfig(population_size=1024, generations=30)
+        records = [explain(train[u], self.SETTINGS["un_un"], model, 1, cfg, seed=0) for u in (1, 2, 3, 4)]
+        assert all(rec.generation_found == 0 for rec in records)
+        assert [rec.counterfactual for rec in records] == [
+            (13, 41, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0, 2, 27),
+            (53, 23, 29, 2, 27, 30, 9, 14, 43, 46, 18, 21, 6),
+            (1, 5, 21, 51, 6, 3, 7, 19, 26, 39, 23),
+            (0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25, 10, 40),
+        ]
