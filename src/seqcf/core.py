@@ -142,6 +142,32 @@ class UserSequence:
         return len(self.items)
 
 
+# what a field of a JSON object may hold, by the phrase that names it;
+# booleans are not numbers here, as in the other loaders
+_FIELD_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    "a list of integers": lambda v: type(v) is list and all(type(i) is int for i in v),
+    "a list of non-negative integers": lambda v: type(v) is list and all(type(i) is int and i >= 0 for i in v),
+    "an object": lambda v: type(v) is dict,
+    "an object of booleans": lambda v: type(v) is dict and all(type(x) is bool for x in v.values()),
+}
+
+
+def typed_field(doc: dict, name: str, kind: str, nullable: bool = False, prefix: str = ""):
+    """Field `name` of a JSON object when it holds `kind` (a `_FIELD_KINDS` phrase), a list as a tuple.
+
+    Anything else fails naming the field as `prefix + name`.
+    """
+    value = doc[name]
+    if value is None and nullable:
+        return None
+    if _FIELD_KINDS[kind](value):
+        return tuple(value) if type(value) is list else value
+    raise ValueError(f"field {prefix + name!r} is {value!r}, not {kind}" + (" or null" if nullable else ""))
+
+
 def as_items(seq: "UserSequence | Iterable[int]") -> tuple[int, ...]:
     """Accept a UserSequence or any iterable of item ids; return a tuple."""
     if isinstance(seq, UserSequence):

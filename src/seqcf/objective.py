@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoryMap, as_items
+from .core import CategoryMap, as_items, typed_field
 from .metrics import levenshtein
 from .models import ScoreVector, top_k
 
@@ -77,9 +77,20 @@ class SettingSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SettingSpec":
-        """Inverse of `to_dict`; an absent field takes its default."""
-        keys = ("target_item", "target_category", "threshold", "k_eval", "untargeted_rank_rule")
-        return cls.from_name(doc["setting"], **{key: doc[key] for key in keys if key in doc})
+        """Inverse of `to_dict`; an absent field takes its default.
+
+        A field of the wrong type fails naming it by its path in a record,
+        `setting.<key>`.
+        """
+        kinds = {
+            "target_item": ("an integer", True),
+            "target_category": ("an integer", True),
+            "threshold": ("a number", False),
+            "k_eval": ("a list of integers", False),
+            "untargeted_rank_rule": ("a string", False),
+        }
+        given = {key: typed_field(doc, key, *kinds[key], prefix="setting.") for key in kinds if key in doc}
+        return cls.from_name(typed_field(doc, "setting", "a string", prefix="setting."), **given)
 
 
 def _require_categories(setting: SettingSpec, categories: CategoryMap | None) -> CategoryMap:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import CategoryMap, as_items, atomic_write, user_of
+from .core import CategoryMap, as_items, atomic_write, typed_field, user_of
 from .metrics import hamming, levenshtein
 from .models import ScoreVector
 from .objective import SettingSpec, is_valid
@@ -56,37 +56,19 @@ class ExplanationRecord:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplanationRecord":
         """Inverse of `to_dict`; a field of the wrong type fails naming the field."""
-        valid_at_k = doc["valid_at_k"]
-        if type(valid_at_k) is not dict or not all(type(v) is bool for v in valid_at_k.values()):
-            raise ValueError(f"field 'valid_at_k' is {valid_at_k!r}, not an object of booleans")
+        valid_at_k = typed_field(doc, "valid_at_k", "an object of booleans")
         return cls(
-            user=_typed(doc, "user", int),
-            method=doc["method"],
-            setting=SettingSpec.from_dict(doc["setting"]),
-            source=_typed(doc, "source", tuple),
-            counterfactual=_typed(doc, "counterfactual", tuple, nullable=True),
+            user=typed_field(doc, "user", "an integer"),
+            method=typed_field(doc, "method", "a string"),
+            setting=SettingSpec.from_dict(typed_field(doc, "setting", "an object")),
+            source=typed_field(doc, "source", "a list of non-negative integers"),
+            counterfactual=typed_field(doc, "counterfactual", "a list of non-negative integers", nullable=True),
             valid_at_k={int(k): v for k, v in valid_at_k.items()},
-            hamming=_typed(doc, "hamming", int, nullable=True),
-            levenshtein=_typed(doc, "levenshtein", int, nullable=True),
-            generation_found=_typed(doc, "generation_found", int, nullable=True),
-            seed=_typed(doc, "seed", int),
+            hamming=typed_field(doc, "hamming", "an integer", nullable=True),
+            levenshtein=typed_field(doc, "levenshtein", "an integer", nullable=True),
+            generation_found=typed_field(doc, "generation_found", "an integer", nullable=True),
+            seed=typed_field(doc, "seed", "an integer"),
         )
-
-
-def _typed(doc: dict, name: str, kind: type, nullable: bool = False):
-    """Field `name` of a record: an integer (`kind` int) or a tuple of item ids (`kind` tuple).
-
-    Booleans are not integers here, as in the other loaders.
-    """
-    value = doc[name]
-    if value is None and nullable:
-        return None
-    if kind is int and type(value) is int:
-        return value
-    if kind is tuple and type(value) is list and all(type(i) is int and i >= 0 for i in value):
-        return tuple(value)
-    expected = "an integer" if kind is int else "a list of non-negative integers"
-    raise ValueError(f"field {name!r} is {value!r}, not {expected}" + (" or null" if nullable else ""))
 
 
 def explanation_record(

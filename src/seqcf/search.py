@@ -17,16 +17,20 @@ padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
 numpy steps whatever N is: `mutate_rows` and `crossover_rows` are the array
 forms of the scalar operators `mutate_*` and `crossover` (kept as their
-reference and used by the baselines), and one gather kernel,
-`apply_edits`, makes the edit of every mutant and radius-1 ball member;
-`_RowEvaluator` checks the search's inputs. Selection's one stable sort
-of the pool by items keeps each sequence's first copy in pool order, which
-is its earliest-born copy, and the copies born this generation, the
-sequences new to the population, are scored in one batch. A row is scored by itself
-(softmax; validity by `valid_rows`, from argmax and rank counts with no
-top-k; objective mass by one dot product; edit distance by
-`levenshtein_batch`), so its results do not depend on the rows batched
-with it, and batches are scored in blocks of about 4 MiB of float64
+reference and used by the baselines). One gather kernel, `apply_edits`,
+makes the edit of every mutant and radius-1 ball member; `crossover_rows`
+gathers its children from the pool and repairs them with a presence bitmap
+and a running count. Neither sorts. Crossover's repair needs duplicate-free
+parents, and every row is one: `_RowEvaluator`, which checks the search's
+inputs, rejects a source that repeats an item, a mutant only takes an item
+its row lacks, and a child's repair drops its repeats. Selection's one
+stable sort of the pool by items keeps each sequence's first copy in pool
+order, which is its earliest-born copy, and the copies born this
+generation, the sequences new to the population, are scored in one batch.
+A row is scored by itself (softmax; validity by `valid_rows`, from argmax
+and rank counts with no top-k; objective mass by one dot product; edit
+distance by `levenshtein_batch`), so its results do not depend on the rows
+batched with it, and batches are scored in blocks of about 4 MiB of float64
 scores, whose (rows, m) passes stay in cache.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
@@ -50,6 +54,7 @@ result depends only on the inputs and the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,8 +103,10 @@ class GaConfig:
         for name in ("mutation_prob", "crossover_prob", "edit_weight"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if len(self.mutation_weights) != 3 or any(w < 0 for w in self.mutation_weights):
-            raise ValueError("mutation_weights are 3 non-negative reals")
+        if len(self.mutation_weights) != 3 or not all(0.0 <= w < math.inf for w in self.mutation_weights):
+            raise ValueError("mutation_weights are 3 finite non-negative reals")
+        if not any(self.mutation_weights):
+            raise ValueError("mutation_weights are all 0; set mutation_prob to 0 to switch mutation off")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
 
@@ -225,29 +232,6 @@ def _pad_stack(*blocks: np.ndarray) -> np.ndarray:
     return np.vstack([_widen(b, width) for b in blocks])
 
 
-def _compact(wide: np.ndarray, keep: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Move each row's kept cells left in order and keep only the last `max_len`."""
-    total = keep.sum(axis=1)
-    lengths = np.minimum(total, max_len)
-    cols = np.arange(int(lengths.max(initial=0)))
-    order = np.argsort(~keep, axis=1, kind="stable")  # kept columns first, in order
-    src = np.take_along_axis(order, (total - lengths)[:, None] + cols, axis=1)
-    rows = np.take_along_axis(wide, src, axis=1)
-    rows[cols >= lengths[:, None]] = NULL_ITEM
-    return rows, lengths
-
-
-def _first_occurrence(wide: np.ndarray) -> np.ndarray:
-    """True at the first column where each row holds its value."""
-    order = np.argsort(wide, axis=1, kind="stable")  # equal values keep column order
-    ranked = np.take_along_axis(wide, order, axis=1)
-    first = np.ones(wide.shape, dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    out = np.empty_like(first)
-    np.put_along_axis(out, order, first, axis=1)
-    return out
-
-
 def apply_edits(
     rows: np.ndarray, kind: np.ndarray, pos: np.ndarray, item: np.ndarray, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,52 +297,51 @@ def mutate_rows(
     return apply_edits(rows, kind, pos, item, max_len)
 
 
-def splice_rows(
-    head: np.ndarray,
-    head_cut: np.ndarray,
-    tail: np.ndarray,
-    tail_cut: np.ndarray,
-    max_len: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise head[:head_cut] + tail[tail_cut:], repaired as `crossover` does.
-
-    Repair keeps the first occurrence of each item and then the last
-    `max_len` items.
-    """
-    head_width, tail_width = head.shape[1], tail.shape[1]
-    cols = np.arange(head_width + tail_width)
-    tail = _widen(tail, tail_width + 1)
-    from_tail = np.clip(tail_cut[:, None] + cols - head_cut[:, None], 0, tail_width)
-    wide = np.where(
-        cols < head_cut[:, None],
-        head[:, np.minimum(cols, head_width - 1)],
-        np.take_along_axis(tail, from_tail, axis=1),
-    )
-    return _compact(wide, (wide != NULL_ITEM) & _first_occurrence(wide), max_len)
-
-
 def crossover_rows(
-    rows_a: np.ndarray,
-    lengths_a: np.ndarray,
-    rows_b: np.ndarray,
-    lengths_b: np.ndarray,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     rng: np.random.Generator,
     max_len: int,
+    m: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-cut crossover of row pairs: the array form of `crossover`.
+    """Single-cut crossover of the row pairs (a[j], b[j]) of `rows`: the array form of `crossover`.
 
-    Pair j has uniform cuts in [1, length] of each parent; its children are
-    rows j and n_pairs + j of the result.
+    Pair j draws uniform cuts c_a, c_b in [1, length] of its parents; its
+    children a[:c_a] + b[c_b:] and b[:c_b] + a[c_a:] are rows j and
+    len(a) + j of the result, gathered from `rows` in one step. The parents
+    must be duplicate-free, so a repeated item can only be a tail cell whose
+    item is in the head's prefix. Repair drops those cells, looked up in a
+    presence bitmap of the prefix over the m items, and keeps the last
+    `max_len` items: a running count of the kept cells gives each its place,
+    so nothing is sorted.
     """
-    cut_a = rng.integers(1, lengths_a + 1)
-    cut_b = rng.integers(1, lengths_b + 1)
-    return splice_rows(
-        _pad_stack(rows_a, rows_b),
-        np.concatenate([cut_a, cut_b]),
-        _pad_stack(rows_b, rows_a),
-        np.concatenate([cut_b, cut_a]),
-        max_len,
-    )
+    cut_a = rng.integers(1, lengths[a] + 1)
+    cut_b = rng.integers(1, lengths[b] + 1)
+    head, tail = np.concatenate([a, b])[:, None], np.concatenate([b, a])[:, None]
+    cut, tail_cut = np.concatenate([cut_a, cut_b])[:, None], np.concatenate([cut_b, cut_a])[:, None]
+    n, width = len(head), rows.shape[1]
+    # the pool's cells, each row followed by one NULL cell, which the cells past the tail read
+    cells, stride = _widen(rows, width + 1).ravel(), width + 1
+    cols = np.arange(2 * width)
+    in_head = cols < cut
+    wide = cells[np.where(in_head, head * stride + cols, tail * stride + np.minimum(tail_cut + cols - cut, width))]
+    # m + 1 presence flags per child, item z at flag z + 1: flag 0, which
+    # NULL_ITEM reads, counts as seen
+    base = np.arange(n)[:, None] * (m + 1)
+    flag = base + 1 + wide
+    seen = np.zeros(n * (m + 1), dtype=bool)
+    seen[np.where(in_head, flag, base)] = True
+    keep = in_head | ~seen[flag]
+    count = np.cumsum(keep, axis=1)  # kept cells up to and including each cell
+    total = count[:, -1:]
+    out_lengths = np.minimum(total, max_len)
+    dest = count - 1 - (total - out_lengths)  # the first total - max_len kept cells fall off
+    write = keep & (dest >= 0)
+    out = np.full((n, int(out_lengths.max(initial=0))), NULL_ITEM, dtype=np.int64)
+    out[np.nonzero(write)[0], dest[write]] = wide[write]
+    return out, out_lengths[:, 0]
 
 
 class _RowEvaluator:
@@ -384,6 +367,8 @@ class _RowEvaluator:
             raise ValueError(f"source length {len(source_items)} exceeds limit {self.max_len}")
         if not source_items or min(source_items) < 0 or max(source_items) >= m:
             raise ValueError("source must be a non-empty sequence of catalog items")
+        if len(set(source_items)) < len(source_items):
+            raise ValueError("source repeats an item")  # crossover's repair relies on unique items
         self.model = model
         self.setting = setting
         self.source_items = source_items
@@ -557,7 +542,7 @@ def _variation(
     order = c_rng.permutation(len(lengths))
     pairs = order[: len(order) // 2 * 2].reshape(-1, 2)
     a, b = pairs[c_rng.random(len(pairs)) < config.crossover_prob].T
-    kid_rows, kid_lengths = crossover_rows(rows[a], lengths[a], rows[b], lengths[b], c_rng, max_len)
+    kid_rows, kid_lengths = crossover_rows(rows, lengths, a, b, c_rng, max_len, m)
     return _pad_stack(rows, kid_rows), np.concatenate([lengths, kid_lengths])
 
 

@@ -274,10 +274,11 @@ class TestFailureModes:
         [
             ("--population=16.9", 2, "seqcf explain: error: argument --population: invalid int value: '16.9'"),
             ("--k-eval=1,1", 1, "error: k_eval repeats an entry: [1, 1]"),
+            ("--mutation-weights=nan,1,1", 1, "error: mutation_weights are 3 finite non-negative reals"),
             # a records header's `ga` name is not a flag
             ("--population-size=16", 2, "seqcf: error: unrecognized arguments: --population-size=16"),
         ],
-        ids=["float-for-int", "repeated-k-eval", "unknown-flag"],
+        ids=["float-for-int", "repeated-k-eval", "nan-weight", "unknown-flag"],
     )
     def test_args_file_fails_as_the_command_line(self, pipeline, tmp_path, capsys, line, status, message):
         args_file = tmp_path / "run.args"

@@ -76,6 +76,20 @@ def test_header_is_mandatory(tmp_path):
         ("counterfactual", "1 2", "field 'counterfactual' is '1 2', not a list of non-negative integers or null"),
         ("valid_at_k", {"1": 1}, "field 'valid_at_k' is {'1': 1}, not an object of booleans"),
         ("valid_at_k", [True], "field 'valid_at_k' is [True], not an object of booleans"),
+        ("method", 5, "field 'method' is 5, not a string"),
+        ("method", None, "field 'method' is None, not a string"),
+        ("setting", "targ_un", "field 'setting' is 'targ_un', not an object"),
+        ("setting.setting", None, "field 'setting.setting' is None, not a string"),
+        ("setting.target_item", "2", "field 'setting.target_item' is '2', not an integer or null"),
+        ("setting.target_item", 2.5, "field 'setting.target_item' is 2.5, not an integer or null"),
+        ("setting.target_item", True, "field 'setting.target_item' is True, not an integer or null"),
+        ("setting.target_category", 1.0, "field 'setting.target_category' is 1.0, not an integer or null"),
+        ("setting.threshold", "0.5", "field 'setting.threshold' is '0.5', not a number"),
+        ("setting.threshold", True, "field 'setting.threshold' is True, not a number"),
+        ("setting.k_eval", [1.5], "field 'setting.k_eval' is [1.5], not a list of integers"),
+        ("setting.k_eval", [True, 5], "field 'setting.k_eval' is [True, 5], not a list of integers"),
+        ("setting.k_eval", 5, "field 'setting.k_eval' is 5, not a list of integers"),
+        ("setting.untargeted_rank_rule", 0, "field 'setting.untargeted_rank_rule' is 0, not a string"),
     ],
 )
 def test_mistyped_field_names_file_line_and_field(tmp_path, field, value, message):
@@ -83,7 +97,8 @@ def test_mistyped_field_names_file_line_and_field(tmp_path, field, value, messag
     write_records(path, [make_record(user=1), make_record(user=2)])
     lines = path.read_text().splitlines()
     doc = json.loads(lines[2])
-    doc[field] = value
+    *nested, key = field.split(".")  # 'setting.k_eval' is a field of the record's setting
+    (doc[nested[0]] if nested else doc)[key] = value
     lines[2] = json.dumps(doc)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as exc:

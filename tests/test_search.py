@@ -40,7 +40,6 @@ from seqcf.search import (
     mutate_rows,
     radius1_ball,
     radius1_size,
-    splice_rows,
 )
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
@@ -268,24 +267,32 @@ class TestApplyEdits:
 
 
 class TestCrossoverRows:
-    def test_splice_matches_scalar_on_every_cut(self):
-        # overlapping parents exercise the keep-first repair, max_len the truncation
-        p1, p2 = (0, 1, 2, 3), (2, 4, 0, 5, 6)
-        cuts = [(c1, c2) for c1 in range(1, 5) for c2 in range(1, 6)]
-        for max_len in (3, 50):
-            heads, _ = as_rows([p1] * len(cuts))
-            tails, tail_lengths = as_rows([p2] * len(cuts))
-            c1 = np.array([c for c, _ in cuts])
-            c2 = np.array([c for _, c in cuts])
-            first = row_tuples(*splice_rows(heads, c1, tails, c2, max_len))
-            second = row_tuples(*splice_rows(tails, c2, heads, c1, max_len))
-            for j, (a, b) in enumerate(cuts):
-                assert (first[j], second[j]) == crossover(p1, p2, QueuedRng(integers=[a, b]), max_len)
+    @pytest.mark.parametrize("m", [2, 3, 7, 40])
+    @pytest.mark.parametrize("max_len", [1, 3, None, 50], ids=["1", "3", "m-1", "50"])
+    def test_matches_scalar_on_every_cut(self, m, max_len):
+        # random duplicate-free parent pairs, and a pair whose head prefix
+        # holds every tail item; at max_len 1 and 3 long children overflow
+        max_len = max_len or m - 1
+        rng = derive_stream(m, [max_len])
+        pairs = [(tuple(range(m)), tuple(range(m))[::-1])]
+        pairs += [tuple(tuple(rng.permutation(m)[: rng.integers(1, m + 1)].tolist()) for _ in "ab") for _ in range(12)]
+        rows, lengths = as_rows([parent for pair in pairs for parent in pair])
+        cases = [
+            (2 * j, 2 * j + 1, c1, c2)
+            for j, (p1, p2) in enumerate(pairs)
+            for c1 in range(1, len(p1) + 1)
+            for c2 in range(1, len(p2) + 1)
+        ]
+        a, b, cut_a, cut_b = (np.array(column) for column in zip(*cases))
+        out = row_tuples(*crossover_rows(rows, lengths, a, b, QueuedRng(integers=[cut_a, cut_b]), max_len, m))
+        for j, (i, _, c1, c2) in enumerate(cases):
+            p1, p2 = pairs[i // 2]
+            assert (out[j], out[len(cases) + j]) == crossover(p1, p2, QueuedRng(integers=[c1, c2]), max_len)
 
     def test_cuts_uniform_and_children_paired(self):
-        rows_a, len_a = as_rows([(0, 1, 2)] * 9000)
-        rows_b, len_b = as_rows([(3, 4, 5)] * 9000)
-        out = row_tuples(*crossover_rows(rows_a, len_a, rows_b, len_b, derive_stream(5, [5]), 8))
+        rows, lengths = as_rows([(0, 1, 2), (3, 4, 5)])
+        first, second = np.zeros(9000, dtype=np.int64), np.ones(9000, dtype=np.int64)
+        out = row_tuples(*crossover_rows(rows, lengths, first, second, derive_stream(5, [5]), 8, 6))
         support = {
             crossover((0, 1, 2), (3, 4, 5), QueuedRng(integers=[a, b]), 8)
             for a in range(1, 4)
@@ -301,7 +308,7 @@ class TestCrossoverRows:
         rng = derive_stream(9, [5])
         p1 = [tuple(rng.permutation(12)[: rng.integers(1, 7)].tolist()) for _ in range(300)]
         p2 = [tuple(rng.permutation(12)[: rng.integers(1, 7)].tolist()) for _ in range(300)]
-        out = row_tuples(*crossover_rows(*as_rows(p1), *as_rows(p2), rng, 8))
+        out = row_tuples(*crossover_rows(*as_rows(p1 + p2), np.arange(300), np.arange(300, 600), rng, 8, 12))
         for j, (a, b) in enumerate(zip(p1, p2)):
             support = {
                 crossover(a, b, QueuedRng(integers=[c1, c2]), 8)
@@ -540,6 +547,34 @@ class TestGenetic:
         assert pop.born.max() > 0
 
 
+class TestGaConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("generations", 0, "generations must be >= 1"),
+            ("population_size", 1, "population_size must be >= 2"),
+            ("mutation_prob", -0.1, "mutation_prob must lie in [0, 1]"),
+            ("crossover_prob", 1.5, "crossover_prob must lie in [0, 1]"),
+            ("edit_weight", float("nan"), "edit_weight must lie in [0, 1]"),
+            ("mutation_weights", (1.0, 1.0), "mutation_weights are 3 finite non-negative reals"),
+            ("mutation_weights", (1.0, -1.0, 1.0), "mutation_weights are 3 finite non-negative reals"),
+            ("mutation_weights", (float("nan"), 1.0, 1.0), "mutation_weights are 3 finite non-negative reals"),
+            ("mutation_weights", (float("inf"), 1.0, 1.0), "mutation_weights are 3 finite non-negative reals"),
+            ("mutation_weights", (0.0, 0.0, 0.0), "mutation_weights are all 0; set mutation_prob to 0"),
+            ("max_len", 0, "max_len must be >= 1"),
+        ],
+        ids=["generations", "population", "mutation-prob", "crossover-prob", "edit-weight", "two-weights",
+             "negative-weight", "nan-weight", "inf-weight", "zero-weights", "max-len"],
+    )
+    def test_rejects_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GaConfig(**{field: value})
+
+    def test_accepts_the_bounds(self):
+        GaConfig(generations=1, population_size=2, mutation_prob=0.0, crossover_prob=1.0, edit_weight=0.0,
+                 mutation_weights=(0.0, 0.0, 1.0), max_len=1)
+
+
 class TestSearchInputChecks:
     @pytest.mark.parametrize("search_fn", [explain, genetic], ids=["explain", "genetic"])
     @pytest.mark.parametrize(
@@ -552,8 +587,9 @@ class TestSearchInputChecks:
             ((0, 6), 1, 5, "source must be a non-empty sequence of catalog items"),
             ((-1, 2), 1, 5, "source must be a non-empty sequence of catalog items"),
             ((), 1, 5, "source must be a non-empty sequence of catalog items"),
+            ((3, 5, 3), 1, 5, "source repeats an item"),
         ],
-        ids=["k-zero", "k-above-m", "too-long", "too-long-for-catalog", "item-above", "item-below", "empty"],
+        ids=["k-zero", "k-above-m", "too-long", "too-long-for-catalog", "item-above", "item-below", "empty", "repeat"],
     )
     def test_rejects_bad_inputs(self, search_fn, source, k, max_len, message):
         cfg = GaConfig(generations=1, population_size=4, max_len=max_len)
