@@ -16,12 +16,9 @@ def _first_valid(source, method, setting, model, k, seed, categories, candidates
     """The record of the first valid candidate, numbered from 1 as `candidates` yields them, or of none."""
     src_scores = model.score(as_items(source))
     for number, cand in enumerate(candidates, start=1):
-        cand_scores = model.score(cand)
-        if is_valid(setting, src_scores, cand_scores, k, categories):
-            return explanation_record(
-                source, method, setting, model, cand, number, seed, categories, src_scores, cand_scores
-            )
-    return explanation_record(source, method, setting, model, None, None, seed, categories)
+        if is_valid(setting, src_scores, model.score(cand), k, categories):
+            return explanation_record(source, method, setting, cand, number, seed)
+    return explanation_record(source, method, setting, None, None, seed)
 
 
 def baseline_random(

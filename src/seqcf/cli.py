@@ -117,7 +117,7 @@ def _oracle_record(source, setting, model, k, *, max_distance, seed, categories=
     """The oracle's record: the exhaustive optimum within `max_distance` substitutions, or its absence."""
     result = oracle.oracle_optimal(source, setting, model, k, max_distance, categories=categories)
     cand = None if result is None else result[0]
-    return records.explanation_record(source, "oracle", setting, model, cand, None, seed, categories)
+    return records.explanation_record(source, "oracle", setting, cand, None, seed)
 
 
 def _per_user(args, max_len: int):

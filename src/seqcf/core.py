@@ -43,7 +43,8 @@ def atomic_write(path, newline: str | None = None) -> Iterator[IO[str]]:
 
     Writes go to a temporary file beside `path` that `os.replace` moves into
     place; if the block raises, the temporary file is removed and `path`
-    keeps its earlier content.
+    keeps its earlier content. An OS error on the temporary file is raised
+    naming `path`, since the temporary name is random.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -51,9 +52,11 @@ def atomic_write(path, newline: str | None = None) -> Iterator[IO[str]]:
         with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -151,7 +154,6 @@ _FIELD_KINDS = {
     "a list of integers": lambda v: type(v) is list and all(type(i) is int for i in v),
     "a list of non-negative integers": lambda v: type(v) is list and all(type(i) is int and i >= 0 for i in v),
     "an object": lambda v: type(v) is dict,
-    "an object of booleans": lambda v: type(v) is dict and all(type(x) is bool for x in v.values()),
 }
 
 

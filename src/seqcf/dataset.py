@@ -154,6 +154,8 @@ def leave_one_out_split(logdata: InteractionLog, max_len: int = DEFAULT_MAX_LEN)
     duplicates keep only their most recent occurrence, and the train part
     keeps at most its most recent max_len items.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     ext_ids = _sorted_external_ids({i for _, i, _ in logdata.rows})
     index_of = {e: idx for idx, e in enumerate(ext_ids)}
     catalog = Catalog(num_items=len(ext_ids), item_labels=tuple(ext_ids))

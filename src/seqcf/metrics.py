@@ -193,7 +193,7 @@ def aggregate_report(
     Fidelity is computed on each user's counterfactual score vector and
     averaged over users; users without a counterfactual contribute 0, so
     the column doubles as a success-weighted score. Validity at each k is
-    re-derived from the model rather than trusted from the records.
+    derived here from the model; records do not hold it.
     All records must share one setting.
     """
     from .objective import is_valid

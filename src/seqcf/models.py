@@ -338,12 +338,21 @@ def _counts(values, field: str) -> np.ndarray:
 
 
 def load_model(path):
-    """Read a model file written by `save_model`, checking it before use."""
+    """Read a model file written by `save_model`, checking it before use.
+
+    Any malformed content is one `ModelFormatError` naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not a model file: {exc}") from exc
+            return _model_from_doc(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ModelFormatError(f"{path}: not a model file: {exc}") from None
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _model_from_doc(doc):
+    """The scorer a model file's JSON value describes."""
     if not isinstance(doc, dict) or doc.get("magic") != MODEL_MAGIC:
         raise ModelFormatError("missing or wrong magic header")
     if doc.get("version") != MODEL_VERSION:

@@ -1,8 +1,10 @@
 """Explanation records and .jsonl serialization with a provenance header.
 
 Every method (the genetic search, the baselines, the oracle) turns its
-outcome into a record through `explanation_record`, so validity at each
-evaluation k and both distances are computed the same way for all of them.
+outcome into a record through `explanation_record`. A record holds what
+the method found and the two edit distances, which need no model; validity
+at each evaluation k is derived from the model by `seqcf evaluate`
+(`metrics.aggregate_report`), never stored.
 """
 
 from __future__ import annotations
@@ -10,10 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import CategoryMap, as_items, atomic_write, typed_field, user_of
+from .core import as_items, atomic_write, typed_field, user_of
 from .metrics import hamming, levenshtein
-from .models import ScoreVector
-from .objective import SettingSpec, is_valid
+from .objective import SettingSpec
 
 RECORDS_FORMAT = "seqcf-explanations.v1"
 NORMALIZATION_NOTE = "softmax"  # normalization rule behind every reported score
@@ -28,7 +29,6 @@ class ExplanationRecord:
     setting: SettingSpec
     source: tuple[int, ...]
     counterfactual: tuple[int, ...] | None
-    valid_at_k: dict[int, bool]
     hamming: int | None
     levenshtein: int | None
     generation_found: int | None
@@ -46,7 +46,6 @@ class ExplanationRecord:
             "setting": self.setting.to_dict(),
             "source": list(self.source),
             "counterfactual": None if self.counterfactual is None else list(self.counterfactual),
-            "valid_at_k": {str(k): v for k, v in self.valid_at_k.items()},
             "hamming": self.hamming,
             "levenshtein": self.levenshtein,
             "generation_found": self.generation_found,
@@ -56,14 +55,12 @@ class ExplanationRecord:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplanationRecord":
         """Inverse of `to_dict`; a field of the wrong type fails naming the field."""
-        valid_at_k = typed_field(doc, "valid_at_k", "an object of booleans")
         return cls(
             user=typed_field(doc, "user", "an integer"),
             method=typed_field(doc, "method", "a string"),
             setting=SettingSpec.from_dict(typed_field(doc, "setting", "an object")),
             source=typed_field(doc, "source", "a list of non-negative integers"),
             counterfactual=typed_field(doc, "counterfactual", "a list of non-negative integers", nullable=True),
-            valid_at_k={int(k): v for k, v in valid_at_k.items()},
             hamming=typed_field(doc, "hamming", "an integer", nullable=True),
             levenshtein=typed_field(doc, "levenshtein", "an integer", nullable=True),
             generation_found=typed_field(doc, "generation_found", "an integer", nullable=True),
@@ -75,30 +72,14 @@ def explanation_record(
     source,
     method: str,
     setting: SettingSpec,
-    model,
     counterfactual: tuple[int, ...] | None,
     generation_found: int | None,
     seed: int,
-    categories: CategoryMap | None = None,
-    source_scores: ScoreVector | None = None,
-    cf_scores: ScoreVector | None = None,
 ) -> ExplanationRecord:
-    """The record of one search outcome; `counterfactual` None records its absence.
-
-    `valid_at_k` checks the counterfactual at each of the setting's k_eval
-    that fits the catalog; the model is only asked for scores when a
-    counterfactual exists, and only for those the caller did not pass.
-    """
+    """The record of one search outcome; `counterfactual` None records its absence."""
     source_items = as_items(source)
-    ks = [k for k in setting.k_eval if k <= model.num_items]
-    valid_at_k = dict.fromkeys(ks, False)
     ham = lev = None
     if counterfactual is not None:
-        if source_scores is None:
-            source_scores = model.score(source_items)
-        if cf_scores is None:
-            cf_scores = model.score(counterfactual)
-        valid_at_k = {k: is_valid(setting, source_scores, cf_scores, k, categories) for k in ks}
         ham, lev = hamming(source_items, counterfactual), levenshtein(source_items, counterfactual)
     return ExplanationRecord(
         user=user_of(source),
@@ -106,7 +87,6 @@ def explanation_record(
         setting=setting,
         source=source_items,
         counterfactual=counterfactual,
-        valid_at_k=valid_at_k,
         hamming=ham,
         levenshtein=lev,
         generation_found=generation_found,

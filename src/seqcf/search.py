@@ -375,8 +375,7 @@ class _RowEvaluator:
         self.k = k
         self.config = config
         self.categories = categories
-        self.source_scores = model.score(source_items)
-        self.source_top1 = top_k(self.source_scores, 1)[0]
+        self.source_top1 = top_k(model.score(source_items), 1)[0]
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
         self.block_rows = max(1, _BLOCK_BYTES // (8 * m))
 
@@ -615,10 +614,7 @@ def explain(
     evaluate = _RowEvaluator(model, setting, source, k, config, categories)
 
     def record(counterfactual, generation_found):
-        return explanation_record(
-            source, "gece", setting, model, counterfactual, generation_found, seed, categories,
-            source_scores=evaluate.source_scores,
-        )
+        return explanation_record(source, "gece", setting, counterfactual, generation_found, seed)
 
     ball_rows = radius1_size(evaluate.source_items, model.num_items, evaluate.max_len)
     if ball_rows <= _BALL_SHARE * config.population_size * config.generations:

@@ -166,7 +166,7 @@ class TestPipeline:
 
         def search_explain(source, setting, model, k, config, seed, categories=None):
             handed.append(config)
-            return explanation_record(source, "gece", setting, model, None, None, seed, categories)
+            return explanation_record(source, "gece", setting, None, None, seed)
 
         monkeypatch.setattr(seqcf.search, "explain", search_explain)
         out = pipeline["root"] / "defaults.jsonl"
@@ -204,7 +204,7 @@ class TestPipeline:
             source = split.train[user]
             result = oracle_optimal(source, spec, model, 1, 1, categories=split.categories)
             cand = None if result is None else result[0]
-            expected.append(explanation_record(source, "oracle", spec, model, cand, None, 1, split.categories))
+            expected.append(explanation_record(source, "oracle", spec, cand, None, 1))
         lines = out.read_text().splitlines()[1:]
         assert lines == [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in expected]
         assert any(r.counterfactual is not None for r in recs)
@@ -233,6 +233,24 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_preprocess_max_len_zero_names_the_limit(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "split.json"
+        assert main(["preprocess", "--input", str(pipeline["log"]), "--max-len", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: max_len must be >= 1\n"
+        assert not out.exists()
+
+    def test_split_given_as_model_names_the_file(self, pipeline, tmp_path, capsys):
+        args = explain_args(pipeline, tmp_path / "out.jsonl")
+        args[args.index("--model") + 1] = str(pipeline["split"])
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {pipeline['split']}: missing or wrong magic header\n"
+
+    def test_unwritable_destination_is_named(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.json"
+        assert main(["train", "--split", str(pipeline["split"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_oracle_subcommand_is_gone(self, pipeline, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -357,7 +375,7 @@ class TestFailureModes:
         args = explain_args(pipeline, out)
         args[args.index("--model") + 1] = str(old)
         assert main(args) == 1
-        assert capsys.readouterr().err == "error: unsupported model version 1\n"
+        assert capsys.readouterr().err == f"error: {old}: unsupported model version 1\n"
         assert not out.exists()
 
     def test_tampered_model_file_rejected(self, pipeline, tmp_path, capsys):
@@ -369,7 +387,7 @@ class TestFailureModes:
         args = explain_args(pipeline, out)
         args[args.index("--model") + 1] = str(tampered)
         assert main(args) == 1
-        assert capsys.readouterr().err == "error: invalid markov model: transition.counts holds a count below 1\n"
+        assert capsys.readouterr().err == f"error: {tampered}: invalid markov model: transition.counts holds a count below 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["explain"], ["explain", "--method", "oracle"]], ids=["explain", "oracle"])

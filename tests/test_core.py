@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcf import UserSequence, derive_stream
+from seqcf import InteractionLog, UserSequence, derive_stream, leave_one_out_split, save_split
 from seqcf.core import Catalog, CategoryMap
+from seqcf.metrics import write_report_csv
+from seqcf.models import save_model, train_popularity
+from seqcf.objective import SettingSpec
+from seqcf.records import explanation_record, write_records
 
 
 class TestUserSequence:
@@ -85,3 +89,35 @@ class TestCatalogAndCategories:
         assert cm.category_id("0") == 0
         with pytest.raises(ValueError):
             cm.category_id("Comedy")
+
+
+# one writer of each output file, all through `core.atomic_write`
+WRITERS = {
+    "records": lambda path: write_records(
+        path, [explanation_record((1, 2), "random", SettingSpec.from_name("un_un"), None, None, 0)]
+    ),
+    "split": lambda path: save_split(
+        leave_one_out_split(InteractionLog(rows=[(1, "a", 0), (1, "b", 1), (1, "c", 2)])), path
+    ),
+    "model": lambda path: save_model(train_popularity({1: UserSequence(1, (0, 1))}, 3), path),
+    "report": lambda path: write_report_csv(path, [{"method": "random", "k": 1}]),
+}
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_missing_directory_is_named_as_the_destination(self, tmp_path, writer):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileNotFoundError) as exc:
+            WRITERS[writer](path)
+        assert str(exc.value) == f"[Errno 2] No such file or directory: '{path}'"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_directory_destination_is_named_and_leaves_no_temp(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.mkdir()  # the temporary file is written beside it, then cannot replace it
+        with pytest.raises(IsADirectoryError) as exc:
+            WRITERS[writer](path)
+        assert str(exc.value) == f"[Errno 21] Is a directory: '{path}'"
+        assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []

@@ -130,6 +130,12 @@ class TestLeaveOneOut:
         assert label[split.validation[1]] == "i58"
         assert label[split.test[1]] == "i59"
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_rejected(self, max_len):
+        log = rows_of(*[(1, x, t) for t, x in enumerate("abcde")])
+        with pytest.raises(ValueError, match=r"^max_len must be >= 1$"):
+            leave_one_out_split(log, max_len=max_len)
+
     def test_too_short_history_rejected(self):
         log = rows_of((1, "a", 0), (1, "b", 1))
         with pytest.raises(ValueError, match="fewer than 3"):

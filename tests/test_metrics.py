@@ -145,7 +145,6 @@ def _record(user, cf, ham, lev):
         setting=setting,
         source=(1, 2, 3),
         counterfactual=cf,
-        valid_at_k={1: cf is not None},
         hamming=ham,
         levenshtein=lev,
         generation_found=1 if cf else None,

@@ -198,16 +198,27 @@ class TestPersistence:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"magic": "NOPE", "version": 1}')
-        with pytest.raises(ModelFormatError, match="magic"):
+        with pytest.raises(ModelFormatError) as exc:
             load_model(path)
+        assert str(exc.value) == f"{path}: missing or wrong magic header"
+
+    @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{"], ids=["truncated", "not-utf8"])
+    def test_not_json_rejected_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: not a model file: ")
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("version", [99, 1])  # 1: the layout whose params also held mask_seen
     def test_wrong_version_rejected(self, tmp_path, version):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"magic": "SEQCF-MODEL", "version": version, "kind": "markov",
                                     "params": {"alpha": 0.1, "beta": 0.9, "mask_seen": True}}))
-        with pytest.raises(ModelFormatError, match=f"^unsupported model version {version}$"):
+        with pytest.raises(ModelFormatError) as exc:
             load_model(path)
+        assert str(exc.value) == f"{path}: unsupported model version {version}"
 
     @staticmethod
     def _tamper(tmp_path, edit):
@@ -274,8 +285,10 @@ class TestPersistence:
         ],
     )
     def test_tampered_counts_rejected(self, tmp_path, edit, message):
+        path = self._tamper(tmp_path, edit)
         with pytest.raises(ModelFormatError, match=message) as exc:
-            load_model(self._tamper(tmp_path, edit))
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
         assert "\n" not in str(exc.value)
 
     def test_version_2_dense_file_rejected(self, tmp_path):
@@ -283,8 +296,10 @@ class TestPersistence:
             doc["version"] = 2
             doc["transition"] = [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
 
-        with pytest.raises(ModelFormatError, match="^unsupported model version 2$"):
-            load_model(self._tamper(tmp_path, edit))
+        path = self._tamper(tmp_path, edit)
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: unsupported model version 2"
 
     def test_bool_in_popularity_frequency_rejected(self, tmp_path):
         path = tmp_path / "p.json"
@@ -292,8 +307,9 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         doc["frequency"][3] = True
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="model field frequency holds true, not an integer"):
+        with pytest.raises(ModelFormatError) as exc:
             load_model(path)
+        assert str(exc.value) == f"{path}: model field frequency holds true, not an integer"
 
     @pytest.mark.parametrize(
         "param, value, message",
@@ -307,8 +323,9 @@ class TestPersistence:
     )
     def test_unknown_params_rejected(self, tmp_path, param, value, message):
         path = self._tamper(tmp_path, lambda doc: doc["params"].update({param: value}))
-        with pytest.raises(ModelFormatError, match=message):
+        with pytest.raises(ModelFormatError, match=message) as exc:
             load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_unwritable_path_errors(self, tmp_path):
         model = train_popularity(seqs({1: (0, 1)}), 3)

@@ -1,10 +1,13 @@
+import inspect
 import json
 
 import pytest
 
-from conftest import SumScorer
+from conftest import SumScorer, seqs
+from seqcf.cli import main
 from seqcf.core import UserSequence
 from seqcf.metrics import hamming, levenshtein
+from seqcf.models import save_model, train_markov
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.records import ExplanationRecord, explanation_record, read_records, write_records
 
@@ -16,7 +19,6 @@ def make_record(user=1, cf=(1, 2, 9), lev=1):
         setting=SettingSpec.from_name("targ_un", target_item=9),
         source=(1, 2, 3),
         counterfactual=cf,
-        valid_at_k={1: True, 5: True},
         hamming=1 if cf else None,
         levenshtein=lev,
         generation_found=4 if cf else None,
@@ -38,7 +40,6 @@ def test_jsonl_round_trip(tmp_path):
             setting=SettingSpec.from_name("targ_un", target_item=9),
             source=(4, 5),
             counterfactual=None,
-            valid_at_k={1: False, 5: False},
             hamming=None,
             levenshtein=None,
             generation_found=None,
@@ -74,8 +75,6 @@ def test_header_is_mandatory(tmp_path):
         ("source", None, "field 'source' is None, not a list of non-negative integers"),
         ("counterfactual", [1, True], "field 'counterfactual' is [1, True], not a list of non-negative integers or null"),
         ("counterfactual", "1 2", "field 'counterfactual' is '1 2', not a list of non-negative integers or null"),
-        ("valid_at_k", {"1": 1}, "field 'valid_at_k' is {'1': 1}, not an object of booleans"),
-        ("valid_at_k", [True], "field 'valid_at_k' is [True], not an object of booleans"),
         ("method", 5, "field 'method' is 5, not a string"),
         ("method", None, "field 'method' is None, not a string"),
         ("setting", "targ_un", "field 'setting' is 'targ_un', not an object"),
@@ -86,10 +85,10 @@ def test_header_is_mandatory(tmp_path):
         ("setting.target_category", 1.0, "field 'setting.target_category' is 1.0, not an integer or null"),
         ("setting.threshold", "0.5", "field 'setting.threshold' is '0.5', not a number"),
         ("setting.threshold", True, "field 'setting.threshold' is True, not a number"),
-        ("setting.k_eval", [1.5], "field 'setting.k_eval' is [1.5], not a list of integers"),
-        ("setting.k_eval", [True, 5], "field 'setting.k_eval' is [True, 5], not a list of integers"),
         ("setting.k_eval", 5, "field 'setting.k_eval' is 5, not a list of integers"),
         ("setting.untargeted_rank_rule", 0, "field 'setting.untargeted_rank_rule' is 0, not a string"),
+        ("setting.k_eval", [1.5], "field 'setting.k_eval' is [1.5], not a list of integers"),
+        ("setting.k_eval", [True, 5], "field 'setting.k_eval' is [True, 5], not a list of integers"),
     ],
 )
 def test_mistyped_field_names_file_line_and_field(tmp_path, field, value, message):
@@ -129,37 +128,82 @@ def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
-class CountingScorer(SumScorer):
-    def __init__(self, num_items):
-        super().__init__(num_items)
-        self.calls = 0
+def test_record_keys_are_pinned():
+    assert set(make_record().to_dict()) == {
+        "record_type", "user", "method", "setting", "source", "counterfactual",
+        "hamming", "levenshtein", "generation_found", "seed",
+    }
 
-    def score(self, seq):
-        self.calls += 1
-        return super().score(seq)
+
+def test_explanation_record_takes_no_model():
+    # validity is derived by `evaluate`, so building a record needs no scores
+    assert list(inspect.signature(explanation_record).parameters) == [
+        "source", "method", "setting", "counterfactual", "generation_found", "seed",
+    ]
 
 
 @pytest.mark.parametrize("cf", [None, (1, 2, 4, 5), (2, 3)])
 def test_explanation_record_matches_scalar_references(cf):
-    model = CountingScorer(8)  # k_eval entry 10 exceeds the catalog and is dropped
     setting = SettingSpec.from_name("un_un", threshold=0.4, k_eval=(1, 7, 10))
     source = UserSequence(5, (1, 2, 3))
-    rec = explanation_record(source, "random", setting, model, cf, None if cf is None else 3, 11)
+    rec = explanation_record(source, "random", setting, cf, None if cf is None else 3, 11)
     assert (rec.user, rec.method, rec.source, rec.counterfactual, rec.seed) == (5, "random", (1, 2, 3), cf, 11)
-    assert list(rec.valid_at_k) == [1, 7]
     if cf is None:
-        assert model.calls == 0  # an absent counterfactual needs no scores
-        assert rec.valid_at_k == {1: False, 7: False}
         assert (rec.hamming, rec.levenshtein, rec.generation_found) == (None, None, None)
     else:
-        src, cand = model.score(source), model.score(cf)
-        assert rec.valid_at_k == {1: True, 7: False}  # the source's top-1 is back in the top 7
-        assert rec.valid_at_k == {k: is_valid(setting, src, cand, k) for k in (1, 7)}
+        model = SumScorer(8)
+        src, cand = model.score(source), model.score(rec.counterfactual)
+        assert is_valid(setting, src, cand, 1)
+        assert not is_valid(setting, src, cand, 7)  # the source's top-1 is back in the top 7
         assert rec.hamming == hamming(source, cf) and rec.levenshtein == levenshtein(source, cf)
         assert rec.generation_found == 3
 
 
 def test_explanation_record_of_a_plain_tuple_has_user_zero():
-    rec = explanation_record((1, 2, 3), "oracle", SettingSpec.from_name("un_un"), SumScorer(8), (1, 2, 4), None, 0)
+    setting = SettingSpec.from_name("un_un")
+    rec = explanation_record((1, 2, 3), "oracle", setting, (1, 2, 4), None, 0)
     assert rec.user == 0
-    assert rec.valid_at_k[1] is True
+    model = SumScorer(8)
+    assert is_valid(setting, model.score(rec.source), model.score(rec.counterfactual), 1)
+
+
+# records written before validity moved to `evaluate`: each line carries a
+# `valid_at_k` map, here as written for the model `_chain_model` builds
+EARLIER_RECORDS = """\
+{"config":{"seed":3},"format":"seqcf-explanations.v1","normalization":"softmax","record_type":"header"}
+{"counterfactual":[0,1],"generation_found":2,"hamming":3,"levenshtein":1,"method":"gece","record_type":"explanation","seed":3,"setting":{"k_eval":[1,5],"setting":"un_un","target_category":null,"target_item":null,"threshold":0.5,"untargeted_rank_rule":"topk_absence"},"source":[0,1,2],"user":1,"valid_at_k":{"1":true,"5":false}}
+{"counterfactual":null,"generation_found":null,"hamming":null,"levenshtein":null,"method":"random","record_type":"explanation","seed":3,"setting":{"k_eval":[1,5],"setting":"un_un","target_category":null,"target_item":null,"threshold":0.5,"untargeted_rank_rule":"topk_absence"},"source":[5,4,3],"user":2,"valid_at_k":{"1":false,"5":false}}
+{"counterfactual":[2,3,5],"generation_found":1,"hamming":1,"levenshtein":1,"method":"random","record_type":"explanation","seed":3,"setting":{"k_eval":[1,5],"setting":"un_un","target_category":null,"target_item":null,"threshold":0.5,"untargeted_rank_rule":"topk_absence"},"source":[2,3,4],"user":3,"valid_at_k":{"1":true,"5":true}}
+"""
+
+
+def _chain_model():
+    chains = {u: (0, 1, 2, 3, 4, 5) if u % 2 else (5, 4, 3, 2, 1, 0) for u in range(1, 11)}
+    return train_markov(seqs(chains), 8)
+
+
+def test_records_with_valid_at_k_load_and_evaluate_unchanged(tmp_path):
+    earlier, current = tmp_path / "earlier.jsonl", tmp_path / "current.jsonl"
+    earlier.write_text(EARLIER_RECORDS)
+    lines = EARLIER_RECORDS.splitlines()
+    stored = [json.loads(line) for line in lines[1:]]
+    docs = [{key: value for key, value in doc.items() if key != "valid_at_k"} for doc in stored]
+    current.write_text("\n".join([lines[0], *(json.dumps(doc) for doc in docs)]) + "\n")
+    assert read_records(earlier) == read_records(current)
+    assert [rec.to_dict() for rec in read_records(earlier)[1]] == docs
+
+    model = tmp_path / "m.json"
+    save_model(_chain_model(), model)
+    reports = {}
+    for path in (earlier, current):
+        out = tmp_path / f"{path.stem}.report.json"
+        assert main(["evaluate", "--records", str(path), "--model", str(model), "--format", "json", "--out", str(out)]) == 0
+        reports[path] = json.loads(out.read_text())["rows"]
+    assert reports[earlier] == reports[current]
+    # the derived validity agrees with what the earlier records stored
+    for row in reports[earlier]:
+        marks = [doc["valid_at_k"][str(row["k"])] for doc in stored if doc["method"] == row["method"]]
+        assert row["valid_fraction"] == sum(marks) / len(marks)
+    assert [(r["method"], r["k"], r["valid_fraction"]) for r in reports[earlier]] == [
+        ("gece", 1, 1.0), ("gece", 5, 0.0), ("random", 1, 0.5), ("random", 5, 0.5),
+    ]

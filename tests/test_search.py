@@ -672,7 +672,7 @@ class TestExplain:
             UserSequence(1, (0, 1, 2), 5), SettingSpec.from_name("un_un"), model, 1, cfg, seed=0
         )
         assert rec.counterfactual is None
-        assert rec.valid_at_k == {1: False, 5: False}
+        assert rec.generation_found is None  # nothing to check with is_valid
         assert rec.hamming is None and rec.levenshtein is None
 
     def test_minimal_distance_wins(self, cycle_markov):
@@ -689,7 +689,7 @@ class TestExplain:
             rec = explain(UserSequence(1, (0, 1, 2, 3), 8), setting, walk_markov, 1, cfg, seed=seed)
             if rec.counterfactual is not None:
                 assert verify_eps_vcs(walk_markov, rec.source, rec.counterfactual, rec.levenshtein)
-                assert rec.valid_at_k[1]
+                assert is_valid(setting, walk_markov.score(rec.source), walk_markov.score(rec.counterfactual), 1)
 
     def test_threads_do_not_change_results(self, tmp_path):
         log, split, model = tmp_path / "log.tsv", tmp_path / "split.json", tmp_path / "model.json"
