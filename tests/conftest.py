@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seqcf import UserSequence, train_markov
+from seqcf import UserSequence, k_core_filter, leave_one_out_split, synthesize_corpus, train_markov
 from seqcf.core import CategoryMap
+from seqcf.dataset import load_categories, write_categories
 from seqcf.models import ScoreVector
 
 
@@ -90,3 +91,13 @@ def cycle_markov():
 @pytest.fixture
 def echo6():
     return EchoScorer(6)
+
+
+@pytest.fixture(scope="session")
+def synth_corpus(tmp_path_factory):
+    """Training sequences, Markov scorer and category map of a small synthetic corpus (80 users x 60 items)."""
+    log, labels = synthesize_corpus(80, 60, seed=0)
+    split = leave_one_out_split(k_core_filter(log, 5), max_len=50)
+    path = tmp_path_factory.mktemp("corpus") / "categories.tsv"
+    write_categories(labels, path)
+    return split.train, train_markov(split.train, split.catalog.num_items), load_categories(path, split.catalog)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from seqcf import (
@@ -161,3 +164,77 @@ def test_absent_record_scores_the_source_and_each_attempt(run, items, attempts):
     rec = run(model, src)
     assert rec.counterfactual is None and rec.generation_found is None
     assert len(model.calls) == 1 + attempts and model.calls[0] == src.items
+
+
+class TestPinnedOutputs:
+    """Records of the baselines pinned at fixed seeds: a refactor of how they judge attempts must leave them as they are.
+
+    Users 1-8 of the synthetic corpus, budget 10, at k = 1 and k = 10; each
+    case pins the generation_found of every user and a digest of the eight
+    records.
+    """
+
+    SETTINGS = {
+        "un_un": SettingSpec.from_name("un_un", threshold=0.05),
+        "targ_un": SettingSpec.from_name("targ_un", target_item=22, threshold=0.05),
+        "un_cat": SettingSpec.from_name("un_cat", threshold=0.05),
+        "targ_cat": SettingSpec.from_name("targ_cat", target_category=4, threshold=0.05),
+    }
+    EXPECTED = {
+        "random-un_un": {
+            1: ([10, None, 2, 8, 2, 6, None, 3], "4651463843dbd916"),
+            10: ([10, None, 2, 8, 2, 6, None, 3], "4651463843dbd916"),
+        },
+        "random-targ_un": {
+            1: ([None, None, None, 8, 2, None, None, None], "6217db63e2fe147c"),
+            10: ([None, None, None, 8, 2, None, None, None], "6217db63e2fe147c"),
+        },
+        "random-un_cat": {
+            1: ([10, None, 2, 8, 2, None, None, 3], "d930ae0fb296fb79"),
+            10: ([10, None, 2, 8, 2, None, None, 3], "d930ae0fb296fb79"),
+        },
+        "random-targ_cat": {
+            1: ([10, None, 2, None, None, None, None, 3], "5d3329c27fc43fa5"),
+            10: ([10, None, 2, None, None, None, None, 3], "5d3329c27fc43fa5"),
+        },
+        "educated-targ_un": {
+            1: ([None, None, None, None, None, None, None, None], "fdf45830adcd7ec0"),
+            10: ([None, None, None, None, None, None, None, None], "fdf45830adcd7ec0"),
+        },
+        "educated-targ_cat": {
+            1: ([6, None, None, None, None, None, None, None], "e6abf8b3f069b386"),
+            10: ([6, None, None, None, None, None, None, 5], "b63863b5bcc5f44f"),
+        },
+    }
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("case", list(EXPECTED))
+    def test_records(self, synth_corpus, case, k):
+        train, model, cats = synth_corpus
+        method, name = case.split("-")
+        run = {"random": baseline_random, "educated": baseline_educated}[method]
+        recs = [run(train[u], self.SETTINGS[name], model, k, budget=10, seed=0, categories=cats) for u in range(1, 9)]
+        blob = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in recs).encode()
+        found = [r.generation_found for r in recs]
+        assert (found, hashlib.sha256(blob).hexdigest()[:16]) == self.EXPECTED[case][k]
+
+    def test_target_in_the_source_makes_no_attempt(self, synth_corpus):
+        train, model, _ = synth_corpus
+        source = train[1]
+        setting = SettingSpec.from_name("targ_un", target_item=source.items[3], threshold=0.05)
+        for k in (1, 10):
+            rec = baseline_educated(source, setting, model, k, budget=10, seed=0)
+            assert (rec.counterfactual, rec.generation_found, rec.hamming) == (None, None, None)
+
+    def test_category_already_present_makes_no_attempt(self, synth_corpus):
+        # category 0 holds four items of the source and nothing else
+        train, model, _ = synth_corpus
+        source = train[1]
+        cats = CategoryMap(
+            categories_of=tuple(frozenset({0 if z in source.items[2:6] else 1}) for z in range(model.num_items)),
+            num_categories=2,
+        )
+        setting = SettingSpec.from_name("targ_cat", target_category=0, threshold=0.05)
+        for k in (1, 10):
+            rec = baseline_educated(source, setting, model, k, budget=10, seed=0, categories=cats)
+            assert (rec.counterfactual, rec.generation_found, rec.hamming) == (None, None, None)

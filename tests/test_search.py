@@ -12,22 +12,18 @@ from seqcf import (
     explain,
     fitness,
     genetic,
-    k_core_filter,
-    leave_one_out_split,
     levenshtein,
     mutate_add,
     mutate_delete,
     mutate_replace,
     objective_loss,
     oracle_optimal,
-    synthesize_corpus,
     train_markov,
     verify_eps_vcs,
 )
 from seqcf import search
 from seqcf.cli import main
 from seqcf.core import derive_stream
-from seqcf.dataset import load_categories, write_categories
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
@@ -706,16 +702,6 @@ class TestExplain:
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
-
-
-@pytest.fixture(scope="module")
-def synth_corpus(tmp_path_factory):
-    """Training sequences, Markov scorer and category map of a small synthetic corpus (80 users x 60 items)."""
-    log, labels = synthesize_corpus(80, 60, seed=0)
-    split = leave_one_out_split(k_core_filter(log, 5), max_len=50)
-    path = tmp_path_factory.mktemp("corpus") / "categories.tsv"
-    write_categories(labels, path)
-    return split.train, train_markov(split.train, split.catalog.num_items), load_categories(path, split.catalog)
 
 
 class TestPinnedOutputs:
