@@ -1,10 +1,18 @@
-"""Single-substitution baselines the genetic search is measured against."""
+"""Single-substitution baselines the genetic search is measured against.
+
+A baseline draws up to `budget` substitutions of the source and answers
+with the first valid one. Its attempts are judged like the search's rows:
+one `search._RowEvaluator`, built before any attempt is drawn, checks the
+inputs and scores every attempt in one batch.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import TAG_BASELINE, CategoryMap, UserSequence, as_items, derive_stream, user_of
-from .search import mutate_replace
-from .objective import SettingSpec, is_valid
+from .search import _RowEvaluator, mutate_replace
+from .objective import SettingSpec
 from .records import ExplanationRecord, explanation_record
 
 
@@ -14,11 +22,13 @@ class SettingNotApplicableError(ValueError):
 
 def _first_valid(source, method, setting, model, k, seed, categories, candidates) -> ExplanationRecord:
     """The record of the first valid candidate, numbered from 1 as `candidates` yields them, or of none."""
-    src_scores = model.score(as_items(source))
-    for number, cand in enumerate(candidates, start=1):
-        if is_valid(setting, src_scores, model.score(cand), k, categories):
-            return explanation_record(source, method, setting, cand, number, seed)
-    return explanation_record(source, method, setting, None, None, seed)
+    length = len(as_items(source))  # a substitution keeps it, so the candidates are one batch of rows
+    evaluate = _RowEvaluator(model, setting, source, k, categories, length)
+    rows = np.array(list(candidates), dtype=np.int64).reshape(-1, length)
+    hit = np.flatnonzero(evaluate.loss_valid(rows, np.full(len(rows), length))[1])
+    if hit.size == 0:
+        return explanation_record(source, method, setting, None, None, seed)
+    return explanation_record(source, method, setting, tuple(rows[hit[0]].tolist()), int(hit[0]) + 1, seed)
 
 
 def baseline_random(
@@ -76,7 +86,10 @@ def baseline_educated(
     source_items = as_items(source)
     rng = derive_stream(seed, [TAG_BASELINE, user_of(source)])
 
-    def placements(members: tuple[int, ...]):
+    def placements():
+        members = categories.members(setting.target_category)
+        if not members:
+            raise ValueError(f"target category {setting.target_category} has no items")
         items = source_items
         for _ in range(budget):
             pool = [z for z in members if z not in items]
@@ -89,17 +102,10 @@ def baseline_educated(
 
     if not setting.categorized:
         target = setting.target_item
-        if not 0 <= target < model.num_items:
-            raise ValueError(f"target item {target} outside the catalog")
         # the target cannot be substituted in without duplicating itself
         attempts = 0 if target in source_items else budget
         positions = (int(rng.integers(len(source_items))) for _ in range(attempts))
         candidates = (source_items[:i] + (target,) + source_items[i + 1 :] for i in positions)
     else:
-        if categories is None:
-            raise ValueError("targeted-categorized baseline needs a category map")
-        members = categories.members(setting.target_category)
-        if not members:
-            raise ValueError(f"target category {setting.target_category} has no items")
-        candidates = placements(members)
+        candidates = placements()
     return _first_valid(source, "educated", setting, model, k, seed, categories, candidates)

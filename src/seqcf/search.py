@@ -345,11 +345,11 @@ def crossover_rows(
 
 
 class _RowEvaluator:
-    """Fitness, loss, edit distance and validity of candidate rows for one search.
+    """Loss and validity of candidate rows for one search, whatever the method.
 
-    Building it checks the search's inputs; `max_len` is `config.max_len`
-    capped at m - 1, since replacement needs a spare item and masking
-    scorers need at least one scoreable item.
+    Building it checks the search's inputs; `max_len`, the longest row the
+    search makes, is capped at m - 1, since replacement needs a spare item
+    and masking scorers need at least one scoreable item.
 
     A row's results depend on its items alone, never on the other rows of
     the batch (the objective mass is one dot product per row), so rows are
@@ -357,12 +357,12 @@ class _RowEvaluator:
     and may be scored in any batches and any order.
     """
 
-    def __init__(self, model, setting, source, k, config, categories):
+    def __init__(self, model, setting, source, k, categories, max_len):
         source_items = as_items(source)
         m = model.num_items
         if not 1 <= k <= m:
             raise ValueError(f"k={k} outside [1, {m}]")
-        self.max_len = min(config.max_len, m - 1)
+        self.max_len = min(max_len, m - 1)
         if len(source_items) > self.max_len:
             raise ValueError(f"source length {len(source_items)} exceeds limit {self.max_len}")
         if not source_items or min(source_items) < 0 or max(source_items) >= m:
@@ -373,7 +373,6 @@ class _RowEvaluator:
         self.setting = setting
         self.source_items = source_items
         self.k = k
-        self.config = config
         self.categories = categories
         self.source_top1 = top_k(model.score(source_items), 1)[0]
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
@@ -391,12 +390,12 @@ class _RowEvaluator:
             valid[block] = valid_rows(self.setting, self.source_top1, norm, self.k, self.categories)
         return loss, valid
 
-    def __call__(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(fitness, loss, lev, valid) per row."""
-        loss, valid = self.loss_valid(rows, lengths)
-        lev = levenshtein_batch(self.source_items, rows, lengths)
-        fitness = combine_fitness(lev, loss, self.config.edit_weight, self.config.max_len)
-        return fitness, loss, lev, valid
+
+def _ga_results(evaluate: _RowEvaluator, config: GaConfig, rows: np.ndarray, lengths: np.ndarray):
+    """(fitness, loss, lev, valid) per row: the GA's `_RESULTS`."""
+    loss, valid = evaluate.loss_valid(rows, lengths)
+    lev = levenshtein_batch(evaluate.source_items, rows, lengths)
+    return combine_fitness(lev, loss, config.edit_weight, config.max_len), loss, lev, valid
 
 
 def _ball_positions(n: int, max_len: int) -> tuple[int, int, int]:
@@ -497,7 +496,7 @@ def _select(
     lengths: np.ndarray,
     gen: int,
     evaluate: _RowEvaluator,
-    m: int,
+    config: GaConfig,
 ) -> Population:
     """The next population, from the pool `rows`: `population`, then the rows born in `gen`.
 
@@ -510,10 +509,10 @@ def _select(
     """
     n = len(population)
     born = np.concatenate([population.born, np.full(len(lengths) - n, gen)])
-    distinct = _earliest_copies(rows, m)
+    distinct = _earliest_copies(rows, evaluate.model.num_items)
     new = distinct >= n
     fresh = distinct[new]
-    scored = evaluate(rows[fresh, : lengths[fresh].max(initial=0)], lengths[fresh])
+    scored = _ga_results(evaluate, config, rows[fresh, : lengths[fresh].max(initial=0)], lengths[fresh])
     # each distinct copy's results: its population row's, or the next scored row's
     at = np.where(new, n - 1 + np.cumsum(new), distinct)
     results = [np.concatenate([getattr(population, f), s])[at] for f, s in zip(_RESULTS, scored)]
@@ -545,18 +544,17 @@ def _variation(
     return _pad_stack(rows, kid_rows), np.concatenate([lengths, kid_lengths])
 
 
-def _evolve(evaluate: _RowEvaluator, seed: int, user: int) -> Population:
+def _evolve(evaluate: _RowEvaluator, config: GaConfig, seed: int, user: int) -> Population:
     """The evolutionary loop; the final population ranked by (fitness, items)."""
-    config, m = evaluate.config, evaluate.model.num_items
-    n = config.population_size
+    m, n = evaluate.model.num_items, config.population_size
     rows = np.tile(np.asarray(evaluate.source_items, dtype=np.int64), (n, 1))
     lengths = np.full(n, len(evaluate.source_items), dtype=np.int64)
-    scored = evaluate(rows[:1], lengths[:1])  # every individual is the source
+    scored = _ga_results(evaluate, config, rows[:1], lengths[:1])  # every individual is the source
     population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *(np.repeat(r, n) for r in scored))
 
     for gen in range(1, config.generations + 1):
         rows, lengths = _variation(population, gen, m, evaluate.max_len, config, seed, user)
-        population = _select(population, rows, lengths, gen, evaluate, m)
+        population = _select(population, rows, lengths, gen, evaluate, config)
 
     # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
     words = _row_words(population.rows, m)
@@ -573,8 +571,8 @@ def genetic(
     categories: CategoryMap | None = None,
 ) -> Population:
     """Run the evolutionary loop; return the final population ranked by (fitness, items)."""
-    evaluate = _RowEvaluator(model, setting, source, k, config, categories)
-    return _evolve(evaluate, seed, user_of(source))
+    evaluate = _RowEvaluator(model, setting, source, k, categories, config.max_len)
+    return _evolve(evaluate, config, seed, user_of(source))
 
 
 def _harvest(population: Population) -> tuple[tuple[int, ...], int] | None:
@@ -611,7 +609,7 @@ def explain(
     population is harvested (`_harvest`). No valid candidate is a
     legitimate outcome, recorded as an absent counterfactual.
     """
-    evaluate = _RowEvaluator(model, setting, source, k, config, categories)
+    evaluate = _RowEvaluator(model, setting, source, k, categories, config.max_len)
 
     def record(counterfactual, generation_found):
         return explanation_record(source, "gece", setting, counterfactual, generation_found, seed)
@@ -620,6 +618,6 @@ def explain(
     if ball_rows <= _BALL_SHARE * config.population_size * config.generations:
         if (best := _radius1_best(evaluate)) is not None:
             return record(best, 0)
-    population = _evolve(evaluate, seed, user_of(source))
+    population = _evolve(evaluate, config, seed, user_of(source))
     found = _harvest(population)
     return record(*found) if found else record(None, None)

@@ -334,7 +334,6 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
     # at the window's length the ball holds replacements and deletions: its valid
     # members are exactly the oracle's valid level-1 substitutions and valid deletions
     setting = SettingSpec.from_name("un_un")
-    cfg = GaConfig(max_len=3)
     equal_sets = nonempty = 0
     for inst in range(50):  # c03's instances
         logdata, _ = synthesize_corpus(num_users=30, num_items=8, seed=1000 + inst, walk_min=5, walk_max=6)
@@ -349,7 +348,7 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
             for c in (*substitutions(source, model.num_items, 1), *deletions)
             if is_valid(setting, src_scores, model.score(c), 1)
         }
-        evaluate = _RowEvaluator(model, setting, source, 1, cfg, None)
+        evaluate = _RowEvaluator(model, setting, source, 1, None, 3)
         ball_set = set()
         for rows, lengths in radius1_ball(source, model.num_items, 3, 4):
             ball_set |= {tuple(int(x) for x in row) for row in rows[evaluate.loss_valid(rows, lengths)[1]]}

@@ -10,16 +10,37 @@ from seqcf import (
     baseline_random,
     verify_eps_vcs,
 )
+from seqcf import baselines
 from seqcf.core import CategoryMap
 from seqcf.objective import SettingSpec, is_valid
 
-from conftest import ConstScorer, CountingScorer, EchoScorer, SumScorer
+from conftest import ConstScorer, CountingScorer, EchoScorer, SumScorer, overlapping_categories
 
 
 CATS6 = CategoryMap(
     categories_of=tuple(frozenset({i % 2}) for i in range(12)),
     num_categories=2,
 )
+
+
+@pytest.fixture
+def drawn_attempts(monkeypatch):
+    """The attempts of each baseline call, in the order the baseline drew them: one list per call."""
+    first_valid, drawn = baselines._first_valid, []
+
+    def spy(*args):
+        *head, candidates = args
+        drawn.append([])
+
+        def kept():
+            for cand in candidates:
+                drawn[-1].append(cand)
+                yield cand
+
+        return first_valid(*head, kept())
+
+    monkeypatch.setattr(baselines, "_first_valid", spy)
+    return drawn
 
 
 class TestRandomBaseline:
@@ -128,15 +149,15 @@ class TestEducatedBaseline:
     ],
     ids=["random", "educated-item", "educated-category"],
 )
-def test_baselines_score_each_sequence_once(run):
-    # the record reuses the scores its baseline already holds
+def test_baselines_score_each_sequence_once(run, drawn_attempts):
+    # the source, then every attempt once in one batch, also those past the first valid one
     src = UserSequence(1, (0, 2), 50)
     model = CountingScorer(EchoScorer(12))
     rec = run(model, src)
     assert rec.counterfactual is not None
-    assert len(model.calls) == 1 + rec.generation_found  # the source, then one call per attempt
-    assert model.calls[0] == src.items and model.calls[-1] == rec.counterfactual
-
+    [drawn] = drawn_attempts
+    assert len(drawn) == 6 and model.calls == [src.items, *drawn]
+    assert drawn[rec.generation_found - 1] == rec.counterfactual
 
 
 @pytest.mark.parametrize(
@@ -164,6 +185,49 @@ def test_absent_record_scores_the_source_and_each_attempt(run, items, attempts):
     rec = run(model, src)
     assert rec.counterfactual is None and rec.generation_found is None
     assert len(model.calls) == 1 + attempts and model.calls[0] == src.items
+
+
+def scalar_first_valid(source, setting, model, k, categories, attempts):
+    """The scalar reference: (first attempt whose `is_valid` holds, its number from 1), or (None, None)."""
+    source_scores = model.score(source)
+    for number, cand in enumerate(attempts, start=1):
+        if is_valid(setting, source_scores, model.score(cand), k, categories):
+            return cand, number
+    return None, None
+
+
+# (baseline, setting) pairs the baselines serve; low thresholds so that many attempts are valid
+SERVED = [
+    (baseline_random, SettingSpec.from_name("un_un", threshold=0.05)),
+    (baseline_random, SettingSpec.from_name("un_un", threshold=0.05, untargeted_rank_rule="top1_change")),
+    (baseline_random, SettingSpec.from_name("targ_un", target_item=22, threshold=0.02)),
+    (baseline_random, SettingSpec.from_name("un_cat", threshold=0.05)),
+    (baseline_random, SettingSpec.from_name("targ_cat", target_category=4, threshold=0.02)),
+    (baseline_educated, SettingSpec.from_name("targ_un", target_item=22, threshold=0.02)),
+    (baseline_educated, SettingSpec.from_name("targ_cat", target_category=4, threshold=0.02)),
+]
+
+
+# the Markov scorer scores a batch by `score_batch`; wrapped, it has only `score`,
+# which `score_batch_logits` then calls row by row
+@pytest.mark.parametrize("wrap", [lambda model: model, CountingScorer], ids=["markov", "score-only"])
+@pytest.mark.parametrize(
+    "run, setting", SERVED, ids=[f"{run.__name__}-{s.name}-{s.untargeted_rank_rule}" for run, s in SERVED]
+)
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_batched_judgement_matches_the_scalar_loop(synth_corpus, drawn_attempts, wrap, run, setting, k):
+    train, markov, cats = synth_corpus
+    model = wrap(markov)
+    found = 0
+    for seed in (0, 1):
+        for user in range(1, 13):
+            rec = run(train[user], setting, model, k, budget=10, seed=seed, categories=cats)
+            want = scalar_first_valid(train[user].items, setting, markov, k, cats, drawn_attempts[-1])
+            assert (rec.counterfactual, rec.generation_found) == want
+            found += want[0] is not None
+    # some attempt was valid, so the batch did pick one; the Markov scorer never
+    # recommends an item of its input, so placing the target item cannot succeed
+    assert found or (run, setting.name) == (baseline_educated, "targ_un")
 
 
 class TestPinnedOutputs:

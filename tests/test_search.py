@@ -1,5 +1,6 @@
 import hashlib
 import re
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -29,6 +30,7 @@ from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.search import (
     MUTATION_KINDS,
+    _ga_results,
     _harvest,
     _RowEvaluator,
     apply_edits,
@@ -339,7 +341,7 @@ class TestRowEvaluator:
         rng = derive_stream(2, [7])
         cands = [source] + [tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(150)]
         rows, lengths = as_rows(cands)
-        evaluate = _RowEvaluator(model, setting, source, k, cfg, cats)
+        evaluate = partial(_ga_results, _RowEvaluator(model, setting, source, k, cats, cfg.max_len), cfg)
         results = evaluate(rows, lengths)
         fit, loss, lev, valid = results
         src_scores = model.score(source)
@@ -364,12 +366,12 @@ class TestRowEvaluator:
         cfg = GaConfig(population_size=8, edit_weight=0.3, max_len=8)
         rng = derive_stream(5, [7])
         rows, lengths = as_rows([tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(100)])
-        evaluate = _RowEvaluator(walk_markov, setting, (0, 1, 2, 3), k, cfg, cats)
+        evaluate = _RowEvaluator(walk_markov, setting, (0, 1, 2, 3), k, cats, cfg.max_len)
         evaluate.block_rows = len(lengths)
-        whole = evaluate(rows, lengths)
+        whole = _ga_results(evaluate, cfg, rows, lengths)
         for block_rows in (1, 7, len(lengths)):
             evaluate.block_rows = block_rows
-            for got, want in zip(evaluate(rows, lengths), whole):
+            for got, want in zip(_ga_results(evaluate, cfg, rows, lengths), whole):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -478,6 +480,7 @@ class TestGenetic:
             old, born_now = set(seqs_[:n]), seqs_[n:]
             recreated.append(len(set(born_now) & old))
             repeated.append(len(born_now) - len(set(born_now)))
+            loss_valid = evaluate.loss_valid
 
             def counted(batch, batch_lengths):
                 got = [tuple(row[:length].tolist()) for row, length in zip(batch, batch_lengths)]
@@ -485,9 +488,13 @@ class TestGenetic:
                 assert len(set(got)) == len(got)
                 assert set(got) == set(born_now) - old
                 scored.append(len(got))
-                return evaluate(batch, batch_lengths)
+                return loss_valid(batch, batch_lengths)
 
-            return select(population, rows, lengths, gen, counted, *rest)
+            evaluate.loss_valid = counted
+            try:
+                return select(population, rows, lengths, gen, evaluate, *rest)
+            finally:
+                del evaluate.loss_valid  # the class's method again
 
         monkeypatch.setattr(search, "_select", watch)
         cfg = GaConfig(generations=6, population_size=32, max_len=6)
