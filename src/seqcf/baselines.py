@@ -1,9 +1,10 @@
 """Single-substitution baselines the genetic search is measured against.
 
 A baseline draws up to `budget` substitutions of the source and answers
-with the first valid one. Its attempts are judged like the search's rows:
-one `search._RowEvaluator`, built before any attempt is drawn, checks the
-inputs and scores every attempt in one batch.
+with the first valid one, numbered from 1. Its attempts are judged like
+the search's rows: one `search._RowEvaluator`, built before any attempt is
+drawn, checks the inputs and then scores every attempt in one batch, so
+the attempts after the first valid one are drawn and scored too.
 """
 
 from __future__ import annotations

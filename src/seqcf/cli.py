@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from . import baselines, dataset, metrics, models, oracle, records, search, vcreduce
-from .core import TAG_SAMPLE, TAG_TARGET, derive_stream
+from .core import TAG_SAMPLE, TAG_TARGET, derive_stream, read_text
 from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
 
 # explain flags of the GaConfig fields whose flag is not the field name
@@ -73,6 +73,15 @@ def cmd_train(args) -> int:
     models.save_model(model, args.out)
     print(f"trained {args.scorer} scorer on {len(split.train)} users -> {args.out}")
     return 0
+
+
+def _check_one_catalog(args, model, split) -> None:
+    """The model of `--model` must score the items of the split of `--split`."""
+    if model.num_items != split.catalog.num_items:
+        raise ValueError(
+            f"model {args.model} scores {model.num_items} items but split {args.split} "
+            f"holds {split.catalog.num_items}; train the model on that split"
+        )
 
 
 def _build_setting(args, split) -> SettingSpec:
@@ -134,6 +143,7 @@ def _per_user(args, max_len: int):
 def cmd_explain(args) -> int:
     split = dataset.load_split(args.split)
     model = models.load_model(args.model)
+    _check_one_catalog(args, model, split)
     setting = _build_setting(args, split)
     seed, k = args.seed, args.k
     explain_user, method_param = _per_user(args, split.max_len)
@@ -163,7 +173,9 @@ def cmd_evaluate(args) -> int:
     model = models.load_model(args.model)
     categories = None
     if args.split:
-        categories = dataset.load_split(args.split).categories
+        split = dataset.load_split(args.split)
+        _check_one_catalog(args, model, split)
+        categories = split.categories
     cfg = header.get("config", {})
     threshold = recs[0].setting.threshold
     k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]
@@ -183,8 +195,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reduce_vc(args) -> int:
+    text = read_text(args.graph)
     try:
-        graph = vcreduce.Graph.parse(Path(args.graph).read_text(encoding="utf-8"))
+        graph = vcreduce.Graph.parse(text)
     except ValueError as exc:
         raise ValueError(f"{args.graph}: {exc}") from None
     ks = args.k or range(graph.num_vertices + 1)

@@ -37,6 +37,15 @@ def derive_stream(seed: int, tags: Sequence[int]) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
+def read_text(path) -> str:
+    """The content of a UTF-8 text file, newlines as `open` gives them; other bytes fail naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 @contextlib.contextmanager
 def atomic_write(path, newline: str | None = None) -> Iterator[IO[str]]:
     """Open a UTF-8 text file that replaces `path` only when the block completes.

@@ -26,6 +26,7 @@ from .core import (
     UserSequence,
     atomic_write,
     derive_stream,
+    read_text,
 )
 from .models import count_items
 
@@ -74,11 +75,9 @@ def _detect_delimiter(line: str) -> str:
 def load_interactions(path) -> InteractionLog:
     """Parse a tab- or comma-delimited interactions file; malformed rows are counted and reported."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n\r") for ln in fh]
+        lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     except OSError as exc:
         raise ValueError(f"cannot read interactions file {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ValueError(f"zero valid rows in {path}")
     delimiter = _detect_delimiter(lines[0])
@@ -188,8 +187,7 @@ def load_categories(path, catalog: Catalog) -> CategoryMap:
     for one item contribute the union of their labels.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n\r") for ln in fh if ln.strip()]
+        lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     except OSError as exc:
         raise ValueError(f"cannot read categories file {path}: {exc}") from exc
 
@@ -279,11 +277,10 @@ def _category_map(path, cdoc, m: int) -> CategoryMap:
 
 
 def load_split(path) -> SplitDataset:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a JSON split file: {exc}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON split file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != SPLIT_FORMAT:
         raise ValueError(f"not a split file: {path}")
     for key in ("max_len", "catalog", "train", "validation", "test"):

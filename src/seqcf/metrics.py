@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CategoryMap, as_items, atomic_write
+from .core import CategoryMap, as_items, atomic_write, read_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ScoreVector
@@ -257,8 +257,7 @@ def write_report_csv(path, rows: Iterable[dict], config: Mapping | None = None) 
 def read_report_csv(path) -> tuple[dict, list[dict]]:
     """The config and rows of a CSV report; a metric cell that is not a number fails naming its line and column."""
     config: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     numbers, body = [], []
     for number, line in enumerate(lines, 1):
         if line.startswith("# config: "):

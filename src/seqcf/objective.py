@@ -248,12 +248,17 @@ def loss_weights(
     flag is False (untargeted: mass to suppress, the source's top-1 or the
     items sharing a category with it) and `1 - p @ w` when True (targeted:
     mass to attract, the target item or the target category's items).
+    A target outside the catalog or the category map is rejected.
     """
     w = np.zeros(num_items, dtype=float)
     if not setting.categorized:
+        if setting.targeted and not 0 <= setting.target_item < num_items:
+            raise ValueError(f"target item {setting.target_item} outside the catalog of {num_items} items")
         w[setting.target_item if setting.targeted else source_top1] = 1.0
         return w, setting.targeted
     member = _require_categories(setting, categories).membership
+    if setting.targeted and not 0 <= setting.target_category < member.shape[1]:
+        raise ValueError(f"target category {setting.target_category} outside the {member.shape[1]} categories")
     w[:] = member[:, setting.target_category] if setting.targeted else member @ member[source_top1]
     return w, setting.targeted
 

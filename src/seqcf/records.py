@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import as_items, atomic_write, typed_field, user_of
+from .core import as_items, atomic_write, read_text, typed_field, user_of
 from .metrics import hamming, levenshtein
 from .objective import SettingSpec
 
@@ -114,8 +114,7 @@ def write_records(path, records, config: dict | None = None) -> None:
 
 def read_records(path) -> tuple[dict, list[ExplanationRecord]]:
     """The header and records of a .jsonl file; a malformed line fails naming the file and line number."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(number, ln) for number, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    lines = [(number, ln) for number, ln in enumerate(read_text(path).splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty records file {path}")
     header = _parse_line(path, *lines[0], dict)

@@ -21,9 +21,10 @@ reference and used by the baselines). One gather kernel, `apply_edits`,
 makes the edit of every mutant and radius-1 ball member; `crossover_rows`
 gathers its children from the pool and repairs them with a presence bitmap
 and a running count. Neither sorts. Crossover's repair needs duplicate-free
-parents, and every row is one: `_RowEvaluator`, which checks the search's
-inputs, rejects a source that repeats an item, a mutant only takes an item
-its row lacks, and a child's repair drops its repeats. Selection's one
+parents, and every row is one: `_RowEvaluator`, which checks the inputs
+of the search and of the baselines, rejects a source that repeats an
+item, a mutant only takes an item its row lacks, and a child's repair
+drops its repeats. Selection's one
 stable sort of the pool by items keeps each sequence's first copy in pool
 order, which is its earliest-born copy, and the copies born this
 generation, the sequences new to the population, are scored in one batch.
@@ -31,7 +32,11 @@ A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product; edit
 distance by `levenshtein_batch`), so its results do not depend on the rows
 batched with it, and batches are scored in blocks of about 4 MiB of float64
-scores, whose (rows, m) passes stay in cache.
+scores, whose (rows, m) passes stay in cache. The baselines judge their
+attempts through the same evaluator, so the search and both baselines
+decide validity on one path; the scalar `is_valid` and `objective_loss`
+remain the reference of the judges (`evaluate`, the oracle) and of the
+tests.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation

@@ -37,6 +37,17 @@ def pipeline(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A split and a model of a 25-item corpus, a smaller catalog than `pipeline`'s."""
+    root = tmp_path_factory.mktemp("small")
+    paths = {"log": root / "log.tsv", "split": root / "split.json", "model": root / "model.json"}
+    assert main(["synth", "--users", "40", "--items", "25", "--seed", "3", "--out", str(paths["log"])]) == 0
+    assert main(["preprocess", "--input", str(paths["log"]), "--out", str(paths["split"])]) == 0
+    assert main(["train", "--split", str(paths["split"]), "--out", str(paths["model"])]) == 0
+    return paths
+
+
 def explain_args(paths, out, method="gece", setting="un_un", **extra):
     args = ["explain", "--model", str(paths["model"]), "--split", str(paths["split"]),
             "--method", method, "--setting", setting, "--k", "1", "--seed", "1",
@@ -488,6 +499,46 @@ class TestFailureModes:
         graph.write_text("3\n1 2\n\n1 2 3\n")
         err = self._error_line(capsys, ["reduce-vc", "--graph", str(graph)])
         assert err == f"error: {graph}: line 4: expected one edge `u v`, got '1 2 3'\n"
+
+    @pytest.mark.parametrize("command", ["explain", "evaluate"])
+    @pytest.mark.parametrize("other", ["model", "split"], ids=["other-model", "other-split"])
+    def test_model_and_split_of_other_catalogs_rejected(self, pipeline, small_pipeline, tmp_path, capsys,
+                                                        command, other):
+        paths = {**pipeline, other: small_pipeline[other]}
+        out = tmp_path / "out"
+        if command == "explain":
+            args = explain_args(paths, out, method="random")
+        else:
+            args = ["evaluate", "--records", str(self._records_with(pipeline, tmp_path, lambda line: line)),
+                    "--model", str(paths["model"]), "--split", str(paths["split"]), "--out", str(out)]
+        m_model, m_split = load_model(paths["model"]).num_items, load_split(paths["split"]).catalog.num_items
+        assert m_model != m_split
+        err = self._error_line(capsys, args)
+        assert err == (f"error: model {paths['model']} scores {m_model} items but split {paths['split']} "
+                       f"holds {m_split}; train the model on that split\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("explain", "--split"), ("evaluate", "--records"), ("preprocess", "--input"),
+         ("preprocess", "--categories"), ("report", "--inputs"), ("reduce-vc", "--graph")],
+    )
+    def test_file_that_is_not_utf8_names_its_path(self, pipeline, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = str(tmp_path / "out")
+        args = {
+            "explain": explain_args(pipeline, out),
+            "evaluate": ["evaluate", "--records", "", "--model", str(pipeline["model"]), "--out", out],
+            "preprocess": ["preprocess", "--input", str(pipeline["log"]), "--categories", str(pipeline["cats"]),
+                           "--out", out],
+            "report": ["report", "--inputs", "", "--out", out],
+            "reduce-vc": ["reduce-vc", "--graph", ""],
+        }[command]
+        args[args.index(flag) + 1] = str(bad)
+        err = self._error_line(capsys, args)
+        assert err == (f"error: {bad}: not UTF-8 text: "
+                       "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
         empty = tmp_path / "empty.jsonl"

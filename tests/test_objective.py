@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from seqcf import SettingSpec, is_valid, objective_loss, verify_eps_vcs
+from seqcf import (
+    GaConfig,
+    SettingSpec,
+    baseline_educated,
+    baseline_random,
+    explain,
+    genetic,
+    is_valid,
+    objective_loss,
+    verify_eps_vcs,
+)
 from seqcf.core import CategoryMap
 from seqcf.models import ScoreVector, softmax, top_k
 from seqcf.objective import loss_weights, valid_from_topk, valid_rows
@@ -285,6 +295,32 @@ class TestLossWeights:
             w, targeted = loss_weights(SettingSpec.from_name("targ_cat", target_category=c), top1, m, cats)
             assert targeted
             assert w.tolist() == [float(c in cats.of(i)) for i in range(m)]
+
+    # every search method builds the loss weights, so each rejects a target outside the catalog or the map
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda setting, model, cats: explain((0, 1, 2), setting, model, 1, GaConfig(2, 4), categories=cats),
+            lambda setting, model, cats: genetic((0, 1, 2), setting, model, 1, GaConfig(2, 4), categories=cats),
+            lambda setting, model, cats: baseline_random((0, 1, 2), setting, model, 1, categories=cats),
+            lambda setting, model, cats: baseline_educated((0, 1, 2), setting, model, 1, categories=cats),
+            lambda setting, model, cats: objective_loss(setting, model.score((0, 1)), model.score((0, 2)), cats),
+        ],
+        ids=["explain", "genetic", "baseline_random", "baseline_educated", "objective_loss"],
+    )
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (SettingSpec.from_name("targ_un", target_item=-1), "target item -1 outside the catalog of 12 items"),
+            (SettingSpec.from_name("targ_un", target_item=12), "target item 12 outside the catalog of 12 items"),
+            (SettingSpec.from_name("targ_cat", target_category=-1), "target category -1 outside the 3 categories"),
+            (SettingSpec.from_name("targ_cat", target_category=3), "target category 3 outside the 3 categories"),
+        ],
+        ids=["item-below", "item-above", "category-below", "category-above"],
+    )
+    def test_target_outside_the_catalog_rejected(self, run, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(setting, SumScorer(12), overlapping_categories(12))
 
 
 class TestVerifier:
