@@ -24,10 +24,10 @@ and a running count. Neither sorts. Crossover's repair needs duplicate-free
 parents, and every row is one: `_RowEvaluator`, which checks the inputs
 of the search and of the baselines, rejects a source that repeats an
 item, a mutant only takes an item its row lacks, and a child's repair
-drops its repeats. Selection's one
-stable sort of the pool by items keeps each sequence's first copy in pool
-order, which is its earliest-born copy, and the copies born this
-generation, the sequences new to the population, are scored in one batch.
+drops its repeats. Selection's one stable sort of the pool by items keeps
+each sequence's first copy in pool order, which is its earliest-born
+copy, and the copies born this generation, the sequences new to the
+population, are scored in one batch.
 A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product; edit
 distance by `levenshtein_batch`), so its results do not depend on the rows

@@ -14,7 +14,7 @@ from seqcf import baselines
 from seqcf.core import CategoryMap
 from seqcf.objective import SettingSpec, is_valid
 
-from conftest import ConstScorer, CountingScorer, EchoScorer, SumScorer, overlapping_categories
+from conftest import ConstScorer, CountingScorer, EchoScorer, SumScorer
 
 
 CATS6 = CategoryMap(
