@@ -26,7 +26,7 @@ def _first_valid(source, method, setting, model, k, seed, categories, candidates
     length = len(as_items(source))  # a substitution keeps it, so the candidates are one batch of rows
     evaluate = _RowEvaluator(model, setting, source, k, categories, length)
     rows = np.array(list(candidates), dtype=np.int64).reshape(-1, length)
-    hit = np.flatnonzero(evaluate.loss_valid(rows, np.full(len(rows), length))[1])
+    hit = np.flatnonzero(evaluate.valid(rows, np.full(len(rows), length)))
     if hit.size == 0:
         return explanation_record(source, method, setting, None, None, seed)
     return explanation_record(source, method, setting, tuple(rows[hit[0]].tolist()), int(hit[0]) + 1, seed)

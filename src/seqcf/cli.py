@@ -179,9 +179,9 @@ def cmd_evaluate(args) -> int:
     cfg = header.get("config", {})
     threshold = recs[0].setting.threshold
     k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]
-    meta = {
-        "dataset": Path(cfg.get("split") or args.split or "").stem,
-        "model": Path(cfg.get("model") or str(args.model)).stem,
+    meta = {  # the files that scored this report; the header names those the records were explained with
+        "dataset": Path(args.split or cfg.get("split") or "").stem,
+        "model": Path(args.model).stem,
         "seed": cfg.get("seed", recs[0].seed),
     }
     rows = metrics.aggregate_report(recs, model, k_list, threshold, categories, meta)
@@ -316,13 +316,13 @@ _MMAP_THRESHOLD_BYTES = 32 << 20  # the highest threshold glibc raises itself to
 
 
 def _keep_large_blocks_on_the_heap() -> None:
-    """Let glibc serve the search's MiB-sized score blocks from the heap and reuse them.
+    """Let glibc serve the search's score blocks from the heap and reuse them.
 
     By default glibc maps each block of 128 KiB or more afresh and unmaps it
-    when freed, so every ~4 MiB evaluation block faults its pages in again
-    (~100k minor faults for one 1000-item explain instead of ~17k), unless
-    an earlier large free happened to raise the threshold. A no-op where the
-    C library has no `mallopt`.
+    when freed, so every 512 KiB evaluation block (the scorer's output and
+    the softmax buffer) faults its pages in again, unless an earlier large
+    free happened to raise the threshold. A no-op where the C library has
+    no `mallopt`.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -42,14 +42,18 @@ class ModelFormatError(ValueError):
     """Raised when a persisted model file is not readable as one."""
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; -inf logits map to exactly 0."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise stable softmax; -inf logits map to exactly 0.
+
+    The result goes to `out` when given (a float64 array of the logits'
+    shape), else to a new array, and every value has the same bits either
+    way. Only `out` is written: a scorer may hand back a cached `logits`.
+    """
     logits = np.asarray(logits, dtype=float)
     peak = np.max(logits, axis=-1, keepdims=True)
     if not np.all(np.isfinite(peak)):
         raise ValueError("softmax needs at least one finite logit per row")
-    # one output-sized buffer, never the input: callers may reuse `logits`
-    z = logits - peak
+    z = np.subtract(logits, peak, out=out)
     np.exp(z, out=z)
     z /= np.sum(z, axis=-1, keepdims=True)
     return z

@@ -9,8 +9,9 @@ loss. Selection has one rule: the `population_size` best distinct
 sequences of the pool by (fitness, items) (clones of a front-runner would
 otherwise take over the population within a few generations), padded
 cyclically with duplicates when fewer distinct sequences exist.
-Validity never steers evolution; it is only applied when the final
-population is harvested for the closest valid candidate.
+Validity never steers evolution, so a generation scores only the loss;
+validity is judged once, on the final population's distinct sequences,
+which are then harvested for the closest valid candidate.
 
 The population is a set of arrays (`Population`): an (N, W) item matrix
 padded with NULL_ITEM, W being its longest row, plus per-row lengths,
@@ -31,19 +32,22 @@ population, are scored in one batch.
 A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product; edit
 distance by `levenshtein_batch`), so its results do not depend on the rows
-batched with it, and batches are scored in blocks of about 4 MiB of float64
-scores, whose (rows, m) passes stay in cache. The baselines judge their
-attempts through the same evaluator, so the search and both baselines
-decide validity on one path; the scalar `is_valid` and `objective_loss`
-remain the reference of the judges (`evaluate`, the oracle) and of the
-tests.
+batched with it. Batches are scored in blocks of 512 KiB of float64
+scores, normalized in place in one buffer, so the scorer's block and the
+buffer together stay within a core's 2 MiB L2 cache over every (rows, m)
+pass. The baselines judge their attempts through the same evaluator, so
+the search and both baselines decide validity on one path; the scalar
+`is_valid` and `objective_loss` remain the reference of the judges
+(`evaluate`, the oracle) and of the tests.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation
 weights, since crossover alone also reaches deletions), one chunk of
 positions at a time, when the ball holds at most a quarter of the rows the
 GA would score (`_BALL_SHARE` of population_size × generations): then a
-miss adds at most that much to the search. A valid member is the answer:
+miss adds at most that much to the search. Each chunk is judged for
+validity, and only its valid members are scored for loss. A valid member
+is the answer:
 the one of minimal (loss, items) is exactly what harvesting would pick
 among all distance-1 sequences, so no evolved candidate can beat it, and
 it is recorded as found in generation 0. Only when no member is valid, or
@@ -60,7 +64,7 @@ result depends only on the inputs and the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +86,9 @@ from .records import ExplanationRecord, explanation_record
 
 MUTATION_KINDS = ("replace", "add", "delete")
 _ADD, _DELETE = MUTATION_KINDS.index("add"), MUTATION_KINDS.index("delete")
-_BLOCK_BYTES = 4 << 20  # float64 scores per evaluation block: about an L2 cache
+# float64 scores per evaluation block: the scorer's block and the softmax
+# buffer, 1 MiB together, stay within a core's 2 MiB L2 over every pass
+_BLOCK_BYTES = 512 << 10
 # the pre-pass runs when the ball has at most this share of the rows the GA
 # scores (about population_size a generation), so a miss costs at most that much more
 _BALL_SHARE = 0.25
@@ -122,8 +128,9 @@ class Population:
 
     `rows` is (N, W) int64 padded with NULL_ITEM, W the longest length;
     `born` is the generation that created each individual; `fitness` (lower
-    is better), `loss`, `lev` (edit distance to the source) and `valid` (at
-    the search's k) are its evaluation.
+    is better), `loss` and `lev` (edit distance to the source) are its
+    evaluation. `valid` (at the search's k) is judged once, on the final
+    population, and is None before.
     """
 
     rows: np.ndarray
@@ -132,7 +139,7 @@ class Population:
     fitness: np.ndarray
     loss: np.ndarray
     lev: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray | None
 
     def __len__(self) -> int:
         return int(self.lengths.shape[0])
@@ -146,8 +153,8 @@ class Population:
         return Population(self.rows[idx, :width], *(getattr(self, f)[idx] for f in _PER_ROW))
 
 
-_RESULTS = ("fitness", "loss", "lev", "valid")  # a row's evaluation, in `_RowEvaluator` order
-_PER_ROW = ("lengths", "born", *_RESULTS)  # Population fields after rows
+_RESULTS = ("fitness", "loss", "lev")  # a row's evaluation in each generation, in `_ga_results` order
+_PER_ROW = ("lengths", "born", *_RESULTS, "valid")  # Population fields after rows
 
 
 def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
@@ -358,8 +365,10 @@ class _RowEvaluator:
 
     A row's results depend on its items alone, never on the other rows of
     the batch (the objective mass is one dot product per row), so rows are
-    scored in blocks of `block_rows` rows, about 4 MiB of float64 scores,
-    and may be scored in any batches and any order.
+    scored in blocks of `block_rows` rows, 512 KiB of float64 scores, and
+    may be scored in any batches and any order. `loss` and `valid` each
+    score their rows: the GA's generations need only the loss, and
+    validity only decides the final pick.
     """
 
     def __init__(self, model, setting, source, k, categories, max_len):
@@ -383,24 +392,41 @@ class _RowEvaluator:
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
         self.block_rows = max(1, _BLOCK_BYTES // (8 * m))
 
-    def loss_valid(self, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(loss, valid) per row."""
-        loss = np.empty(len(lengths))
-        valid = np.empty(len(lengths), dtype=bool)
+    def _normalized(self, rows: np.ndarray, lengths: np.ndarray):
+        """(block, normalized scores) per block of `block_rows` rows.
+
+        Every block is normalized in place in one buffer, allocated here
+        (tests set `block_rows` after construction), so a block's scores
+        are only valid until the next block is yielded. The scorer's own
+        array is never written: a scorer may hand back a cached one.
+        """
+        buffer = np.empty((min(self.block_rows, len(lengths)), self.model.num_items))
         for start in range(0, len(lengths), self.block_rows):
             block = slice(start, start + self.block_rows)
-            norm = softmax(score_batch_logits(self.model, rows[block], lengths[block]))
+            logits = score_batch_logits(self.model, rows[block], lengths[block])
+            yield block, softmax(logits, out=buffer[: len(logits)])
+
+    def loss(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The objective loss of each row."""
+        loss = np.empty(len(lengths))
+        for block, norm in self._normalized(rows, lengths):
             mass = np.vecdot(norm, self.weights)
             loss[block] = 1.0 - mass if self.targeted_loss else mass
+        return loss
+
+    def valid(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Whether each row is a counterfactual at the search's k."""
+        valid = np.empty(len(lengths), dtype=bool)
+        for block, norm in self._normalized(rows, lengths):
             valid[block] = valid_rows(self.setting, self.source_top1, norm, self.k, self.categories)
-        return loss, valid
+        return valid
 
 
 def _ga_results(evaluate: _RowEvaluator, config: GaConfig, rows: np.ndarray, lengths: np.ndarray):
-    """(fitness, loss, lev, valid) per row: the GA's `_RESULTS`."""
-    loss, valid = evaluate.loss_valid(rows, lengths)
+    """(fitness, loss, lev) per row: the GA's `_RESULTS`."""
+    loss = evaluate.loss(rows, lengths)
     lev = levenshtein_batch(evaluate.source_items, rows, lengths)
-    return combine_fitness(lev, loss, config.edit_weight, config.max_len), loss, lev, valid
+    return combine_fitness(lev, loss, config.edit_weight, config.max_len), loss, lev
 
 
 def _ball_positions(n: int, max_len: int) -> tuple[int, int, int]:
@@ -449,12 +475,12 @@ def _radius1_best(evaluate: _RowEvaluator) -> tuple[int, ...] | None:
     best = None
     chunks = radius1_ball(evaluate.source_items, evaluate.model.num_items, evaluate.max_len, evaluate.block_rows)
     for rows, lengths in chunks:
-        loss, valid = evaluate.loss_valid(rows, lengths)
-        hit = np.flatnonzero(valid)
+        hit = np.flatnonzero(evaluate.valid(rows, lengths))
         if hit.size:
+            loss = evaluate.loss(rows[hit], lengths[hit])
             # a chunk's rows share one length, so column order is tuple order
-            i = hit[np.lexsort((*rows[hit].T[::-1], loss[hit]))[0]]
-            cand = (float(loss[i]), tuple(int(x) for x in rows[i]))
+            i = np.lexsort((*rows[hit].T[::-1], loss))[0]
+            cand = (float(loss[i]), tuple(int(x) for x in rows[hit[i]]))
             best = cand if best is None else min(best, cand)
     return None if best is None else best[1]
 
@@ -526,7 +552,7 @@ def _select(
     keep = ranked[np.arange(n) % min(len(ranked), n)]
     idx = distinct[keep]
     return Population(
-        rows[idx, : lengths[idx].max()], lengths[idx], born[idx], *(values[keep] for values in results)
+        rows[idx, : lengths[idx].max()], lengths[idx], born[idx], *(values[keep] for values in results), None
     )
 
 
@@ -555,14 +581,18 @@ def _evolve(evaluate: _RowEvaluator, config: GaConfig, seed: int, user: int) -> 
     rows = np.tile(np.asarray(evaluate.source_items, dtype=np.int64), (n, 1))
     lengths = np.full(n, len(evaluate.source_items), dtype=np.int64)
     scored = _ga_results(evaluate, config, rows[:1], lengths[:1])  # every individual is the source
-    population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *(np.repeat(r, n) for r in scored))
+    population = Population(rows, lengths, np.zeros(n, dtype=np.int64), *(np.repeat(r, n) for r in scored), None)
 
     for gen in range(1, config.generations + 1):
         rows, lengths = _variation(population, gen, m, evaluate.max_len, config, seed, user)
         population = _select(population, rows, lengths, gen, evaluate, config)
 
-    # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
+    # validity steers no generation, so only the final population's distinct rows are judged
     words = _row_words(population.rows, m)
+    _, first, copy_of = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    valid = evaluate.valid(population.rows[first], population.lengths[first])[copy_of.reshape(-1)]
+    population = replace(population, valid=valid)
+    # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
     return population.take(np.lexsort((*words.T[::-1], population.fitness)))
 
 

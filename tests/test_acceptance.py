@@ -351,7 +351,7 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
         evaluate = _RowEvaluator(model, setting, source, 1, None, 3)
         ball_set = set()
         for rows, lengths in radius1_ball(source, model.num_items, 3, 4):
-            ball_set |= {tuple(int(x) for x in row) for row in rows[evaluate.loss_valid(rows, lengths)[1]]}
+            ball_set |= {tuple(int(x) for x in row) for row in rows[evaluate.valid(rows, lengths)]}
         equal_sets += ball_set == oracle_set
         nonempty += bool(oracle_set)
 

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import shutil
 from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
@@ -103,6 +104,22 @@ class TestPipeline:
         config, rows = read_report_csv(report)
         assert (config["k_list"], config["threshold"]) == ([5, 1], 0.3)
         assert [r["k"] for r in rows] == ["5", "1"]
+
+    def test_evaluate_names_the_model_and_split_it_was_given(self, pipeline):
+        out = pipeline["root"] / "named.jsonl"
+        assert main(explain_args(pipeline, out)) == 0
+        model, split = pipeline["root"] / "other_model.json", pipeline["root"] / "other_split.json"
+        shutil.copyfile(pipeline["model"], model)
+        shutil.copyfile(pipeline["split"], split)
+        report = pipeline["root"] / "named.csv"
+        assert main(["evaluate", "--records", str(out), "--model", str(model), "--out", str(report)]) == 0
+        _, rows = read_report_csv(report)
+        # no --split: the dataset is the one the records header names
+        assert rows and all((r["model"], r["dataset"]) == ("other_model", "split") for r in rows)
+        assert main(["evaluate", "--records", str(out), "--model", str(model), "--split", str(split),
+                     "--out", str(report)]) == 0
+        _, rows = read_report_csv(report)
+        assert rows and all((r["model"], r["dataset"]) == ("other_model", "other_split") for r in rows)
 
     def test_report_merges_seeds(self, pipeline):
         csvs = []

@@ -416,6 +416,11 @@ def test_softmax_same_bits_and_input_untouched():
         logits[..., 0] = rng.normal()
         before = logits.copy()
         out = softmax(logits)
+        # into a caller's buffer: a view of a larger array, as the search's blocks are
+        buf = np.full((2, *shape), np.nan)
+        into = softmax(logits, out=buf[0])
+        assert np.shares_memory(into, buf) and np.isnan(buf[1]).all()
         assert np.array_equal(logits, before)
-        assert out.tobytes() == _softmax_reference(before).tobytes()
-        assert (out[np.isneginf(logits)] == 0.0).all()
+        for got in (out, into):
+            assert got.tobytes() == _softmax_reference(before).tobytes()
+            assert (got[np.isneginf(logits)] == 0.0).all()

@@ -341,7 +341,7 @@ class TestRowEvaluator:
         rng = derive_stream(2, [7])
         cands = [source] + [tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(150)]
         rows, lengths = as_rows(cands)
-        evaluate = partial(_ga_results, _RowEvaluator(model, setting, source, k, cats, cfg.max_len), cfg)
+        evaluate = partial(row_results, _RowEvaluator(model, setting, source, k, cats, cfg.max_len), cfg)
         results = evaluate(rows, lengths)
         fit, loss, lev, valid = results
         src_scores = model.score(source)
@@ -368,11 +368,50 @@ class TestRowEvaluator:
         rows, lengths = as_rows([tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(100)])
         evaluate = _RowEvaluator(walk_markov, setting, (0, 1, 2, 3), k, cats, cfg.max_len)
         evaluate.block_rows = len(lengths)
-        whole = _ga_results(evaluate, cfg, rows, lengths)
+        whole = row_results(evaluate, cfg, rows, lengths)
         for block_rows in (1, 7, len(lengths)):
             evaluate.block_rows = block_rows
-            for got, want in zip(_ga_results(evaluate, cfg, rows, lengths), whole):
+            for got, want in zip(row_results(evaluate, cfg, rows, lengths), whole):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
+    def test_cached_scorer_arrays_stay_unwritten(self, walk_markov, setting):
+        cats = overlapping_categories(12)
+        cfg = GaConfig(population_size=8, edit_weight=0.3, max_len=8)
+        rng = derive_stream(6, [7])
+        rows, lengths = as_rows([tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(40)])
+        want = row_results(_RowEvaluator(walk_markov, setting, (0, 1, 2, 3), 3, cats, cfg.max_len), cfg, rows, lengths)
+        memo = MemoScorer(walk_markov)
+        evaluate = _RowEvaluator(memo, setting, (0, 1, 2, 3), 3, cats, cfg.max_len)
+        for block_rows in (len(lengths), 7, len(lengths), 7):  # the second pass is served from the cache
+            evaluate.block_rows = block_rows
+            kept = {key: logits.copy() for key, logits in memo.cache.items()}
+            for got, expected in zip(row_results(evaluate, cfg, rows, lengths), want):
+                assert np.array_equal(got, expected)
+            assert all(np.array_equal(memo.cache[key], logits) for key, logits in kept.items())
+        assert memo.hits > 0
+
+
+def row_results(evaluate, cfg, rows, lengths):
+    """The GA's per-generation results of each row, then its validity."""
+    return (*_ga_results(evaluate, cfg, rows, lengths), evaluate.valid(rows, lengths))
+
+
+class MemoScorer:
+    """Hands back the same cached logits array whenever a batch repeats, as a memoizing scorer may."""
+
+    def __init__(self, model):
+        self.model, self.num_items, self.cache, self.hits = model, model.num_items, {}, 0
+
+    def score(self, seq):
+        return self.model.score(seq)
+
+    def score_batch(self, rows, lengths):
+        key = (rows.shape, rows.tobytes(), lengths.tobytes())
+        self.hits += key in self.cache
+        if key not in self.cache:
+            self.cache[key] = self.model.score_batch(rows, lengths)
+        return self.cache[key]
 
 
 def distance1_sequences(items, m, max_len):
@@ -480,7 +519,7 @@ class TestGenetic:
             old, born_now = set(seqs_[:n]), seqs_[n:]
             recreated.append(len(set(born_now) & old))
             repeated.append(len(born_now) - len(set(born_now)))
-            loss_valid = evaluate.loss_valid
+            loss = evaluate.loss
 
             def counted(batch, batch_lengths):
                 got = [tuple(row[:length].tolist()) for row, length in zip(batch, batch_lengths)]
@@ -488,13 +527,13 @@ class TestGenetic:
                 assert len(set(got)) == len(got)
                 assert set(got) == set(born_now) - old
                 scored.append(len(got))
-                return loss_valid(batch, batch_lengths)
+                return loss(batch, batch_lengths)
 
-            evaluate.loss_valid = counted
+            evaluate.loss = counted
             try:
                 return select(population, rows, lengths, gen, evaluate, *rest)
             finally:
-                del evaluate.loss_valid  # the class's method again
+                del evaluate.loss  # the class's method again
 
         monkeypatch.setattr(search, "_select", watch)
         cfg = GaConfig(generations=6, population_size=32, max_len=6)
@@ -502,6 +541,27 @@ class TestGenetic:
         assert len(scored) == 6 and all(scored)
         # the pools did hold recreated population sequences and repeated new ones
         assert sum(recreated) > 0 and sum(repeated) > 0
+
+    @pytest.mark.parametrize("setting", TestRowEvaluator.SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
+    def test_validity_judged_once_on_the_final_population(self, walk_markov, monkeypatch, setting):
+        judged = []
+        valid_rows = search.valid_rows
+
+        def counted(setting, source_top1, norm, *rest):
+            judged.append(len(norm))
+            return valid_rows(setting, source_top1, norm, *rest)
+
+        monkeypatch.setattr(search, "valid_rows", counted)
+        cats = overlapping_categories(12)
+        cfg = GaConfig(generations=6, population_size=32, max_len=6)
+        src = UserSequence(1, (4, 2, 9), 6)
+        pop = genetic(src, setting, walk_markov, 3, cfg, seed=3, categories=cats)
+        distinct = {pop.items(i) for i in range(len(pop))}
+        # one block at m = 12: each distinct final sequence once, not a batch per generation
+        assert judged == [len(distinct)] and len(distinct) <= cfg.population_size
+        src_scores = walk_markov.score(src.items)
+        for i in range(len(pop)):
+            assert pop.valid[i] == is_valid(setting, src_scores, walk_markov.score(pop.items(i)), 3, cats)
 
     def test_toy_flip_matches_oracle(self, cycle_markov):
         # trained cycle 0->1->2->3; from (0,1) the model suggests 2, and one
