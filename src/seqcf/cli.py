@@ -27,7 +27,7 @@ from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
-from . import baselines, dataset, metrics, models, oracle, records, search, vcreduce
+from . import dataset, metrics, models, records, search
 from .core import TAG_SAMPLE, TAG_TARGET, derive_stream, read_text
 from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
 
@@ -124,6 +124,8 @@ def _ga_config(args, max_len: int) -> search.GaConfig:
 
 def _oracle_record(source, setting, model, k, *, max_distance, seed, categories=None):
     """The oracle's record: the exhaustive optimum within `max_distance` substitutions, or its absence."""
+    from . import oracle
+
     result = oracle.oracle_optimal(source, setting, model, k, max_distance, categories=categories)
     cand = None if result is None else result[0]
     return records.explanation_record(source, "oracle", setting, cand, None, seed)
@@ -136,6 +138,8 @@ def _per_user(args, max_len: int):
         return partial(search.explain, config=config), {"ga": asdict(config)}
     if args.method == "oracle":
         return partial(_oracle_record, max_distance=args.max_distance), {"max_distance": args.max_distance}
+    from . import baselines
+
     baseline = {"random": baselines.baseline_random, "educated": baselines.baseline_educated}[args.method]
     return partial(baseline, budget=args.budget), {"budget": args.budget}
 
@@ -176,6 +180,13 @@ def cmd_evaluate(args) -> int:
         split = dataset.load_split(args.split)
         _check_one_catalog(args, model, split)
         categories = split.categories
+    for rec in recs:  # records of another catalog would be scored, or skipped, as if they were of this one
+        item = max((*rec.source, *(rec.counterfactual or ())), default=-1)
+        if item >= model.num_items:
+            raise ValueError(
+                f"{args.records}: user {rec.user} holds item {item}, outside the {model.num_items} "
+                f"items of model {args.model}; evaluate with the model the records were explained with"
+            )
     cfg = header.get("config", {})
     threshold = recs[0].setting.threshold
     k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]
@@ -195,6 +206,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reduce_vc(args) -> int:
+    from . import vcreduce
+
     text = read_text(args.graph)
     try:
         graph = vcreduce.Graph.parse(text)

@@ -12,7 +12,6 @@ with a reserved null item; padded positions count as differing.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -244,6 +243,8 @@ def aggregate_report(
 
 def write_report_csv(path, rows: Iterable[dict], config: Mapping | None = None) -> None:
     """Write report rows as CSV; the resolved run config rides in '#' comments."""
+    import csv  # only reports need it, so the search's start-up does not pay for it
+
     rows = list(rows)
     columns = list(rows[0].keys()) if rows else list(REPORT_COLUMNS)
     with atomic_write(path, newline="") as fh:
@@ -256,6 +257,8 @@ def write_report_csv(path, rows: Iterable[dict], config: Mapping | None = None) 
 
 def read_report_csv(path) -> tuple[dict, list[dict]]:
     """The config and rows of a CSV report; a metric cell that is not a number fails naming its line and column."""
+    import csv
+
     config: dict = {}
     lines = read_text(path).splitlines()
     numbers, body = [], []

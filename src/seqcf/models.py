@@ -42,20 +42,37 @@ class ModelFormatError(ValueError):
     """Raised when a persisted model file is not readable as one."""
 
 
+# ufunc buffer, in elements, for softmax's row broadcasts (numpy's default is 8192)
+_BROADCAST_BUFSIZE = 128
+
+
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise stable softmax; -inf logits map to exactly 0.
 
     The result goes to `out` when given (a float64 array of the logits'
     shape), else to a new array, and every value has the same bits either
     way. Only `out` is written: a scorer may hand back a cached `logits`.
+
+    The arithmetic runs with a ufunc buffer of `_BROADCAST_BUFSIZE`
+    elements: with numpy's default buffer the two row broadcasts (minus
+    the row max, over the row sum) cost far more than the arithmetic
+    needs (on a 65 x 1000 block, about 3.5x and 1.4x the time with the
+    small buffer; numpy 2.4, one x86_64 core). The buffer size moves no
+    bit: subtract, exp and divide are exactly rounded per element, and the
+    float64 row sum is not buffered. The caller's buffer size is restored
+    on return and on error.
     """
     logits = np.asarray(logits, dtype=float)
     peak = np.max(logits, axis=-1, keepdims=True)
     if not np.all(np.isfinite(peak)):
         raise ValueError("softmax needs at least one finite logit per row")
-    z = np.subtract(logits, peak, out=out)
-    np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True)
+    bufsize = np.setbufsize(_BROADCAST_BUFSIZE)
+    try:
+        z = np.subtract(logits, peak, out=out)
+        np.exp(z, out=z)
+        z /= np.sum(z, axis=-1, keepdims=True)
+    finally:
+        np.setbufsize(bufsize)
     return z
 
 

@@ -32,7 +32,10 @@ population, are scored in one batch.
 A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product; edit
 distance by `levenshtein_batch`), so its results do not depend on the rows
-batched with it. Batches are scored in blocks of 512 KiB of float64
+batched with it. The source's own top-1, which validity and the loss
+weights compare against, is ranked on the same path: the argmax of its
+softmax row, whose first maximum is the scalar `top_k`'s ascending-id
+tie-break. Batches are scored in blocks of 512 KiB of float64
 scores, normalized in place in one buffer, so the scorer's block and the
 buffer together stay within a core's 2 MiB L2 cache over every (rows, m)
 pass. The baselines judge their attempts through the same evaluator, so
@@ -80,7 +83,7 @@ from .core import (
     user_of,
 )
 from .metrics import NULL_ITEM, levenshtein, levenshtein_batch
-from .models import ScoreVector, score_batch_logits, softmax, top_k
+from .models import ScoreVector, score_batch_logits, softmax
 from .objective import SettingSpec, loss_weights, objective_loss, valid_rows
 from .records import ExplanationRecord, explanation_record
 
@@ -361,7 +364,10 @@ class _RowEvaluator:
 
     Building it checks the search's inputs; `max_len`, the longest row the
     search makes, is capped at m - 1, since replacement needs a spare item
-    and masking scorers need at least one scoreable item.
+    and masking scorers need at least one scoreable item. It also ranks
+    the source on the rows' path (`score_batch_logits`, `softmax`, then
+    the first maximum), which picks the item `top_k(model.score(source), 1)`
+    picks without building a `ScoreVector` or sorting the catalog.
 
     A row's results depend on its items alone, never on the other rows of
     the batch (the objective mass is one dot product per row), so rows are
@@ -388,7 +394,9 @@ class _RowEvaluator:
         self.source_items = source_items
         self.k = k
         self.categories = categories
-        self.source_top1 = top_k(model.score(source_items), 1)[0]
+        source_row = np.array([source_items], dtype=np.int64)
+        scores = softmax(score_batch_logits(model, source_row, np.array([len(source_items)])))
+        self.source_top1 = int(np.argmax(scores[0]))
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
         self.block_rows = max(1, _BLOCK_BYTES // (8 * m))
 
@@ -452,7 +460,9 @@ def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int, chunk_rows
     group holding at most `chunk_rows` rows when one position fits.
     """
     src = np.asarray(source_items, dtype=np.int64)
-    absent = np.setdiff1d(np.arange(m), src)
+    present = np.zeros(m, dtype=bool)
+    present[src] = True
+    absent = np.flatnonzero(~present)
     for kind, positions in enumerate(_ball_positions(len(src), max_len)):
         per_position = 1 if kind == _DELETE else len(absent)
         step = max(1, chunk_rows // per_position)

@@ -1,8 +1,12 @@
 import argparse
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -557,6 +561,28 @@ class TestFailureModes:
         assert err == (f"error: {bad}: not UTF-8 text: "
                        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
+    @pytest.mark.parametrize("field", ["source", "counterfactual"])
+    def test_evaluate_refuses_an_item_outside_the_models_catalog(self, pipeline, tmp_path, capsys, field):
+        # without --split nothing else ties the records to the model: a record
+        # without a counterfactual would count as a miss and one with it fail unnamed
+        m = load_model(pipeline["model"]).num_items
+        users = []
+
+        def edit(line):
+            doc = {**json.loads(line), field: [1, m]}
+            if field == "counterfactual":
+                doc.update(hamming=2, levenshtein=2)
+            users.append(doc["user"])
+            return json.dumps(doc)
+
+        records = self._records_with(pipeline, tmp_path, edit)
+        out = tmp_path / "r.csv"
+        err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                                        "--out", str(out)])
+        assert err == (f"error: {records}: user {users[0]} holds item {m}, outside the {m} items of model "
+                       f"{pipeline['model']}; evaluate with the model the records were explained with\n")
+        assert not out.exists()
+
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text(
@@ -580,6 +606,39 @@ PARSER_FLAGS = {
     "reduce-vc": ["--graph", "--k"],
     "report": ["--inputs", "--format", "--out"],
 }
+
+
+def _fresh_python(code: str, *argv: str) -> str:
+    """The stdout of `code` run by a new interpreter on this package, which must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(seqcf.__file__).parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStartUp:
+    """Start-up pays only for the modules a command uses."""
+
+    LAZY = ("numpy.ma", "seqcf.oracle", "seqcf.vcreduce", "seqcf.baselines")
+    LOADED = f"import sys; print(sorted(m for m in {LAZY} if m in sys.modules))"
+
+    def test_importing_the_cli_loads_neither_subcommand_modules_nor_numpy_ma(self):
+        assert _fresh_python("import seqcf.cli; " + self.LOADED) == "[]\n"
+
+    def test_explain_through_the_radius1_ball_loads_no_numpy_ma(self, pipeline, tmp_path):
+        out = tmp_path / "ball.jsonl"
+        # at 1024 x 30 every ball of this 40-item catalog is scored before the GA
+        args = explain_args(pipeline, out, **{"--population": 1024, "--generations": 30, "--sample-users": 2})
+        loaded = _fresh_python("import sys; from seqcf.cli import main; main(sys.argv[1:]); " + self.LOADED, *args)
+        assert loaded.splitlines()[-1] == "[]"  # after the command's own line
+        _, recs = read_records(out)
+        assert len(recs) == 2 and all(r.generation_found == 0 for r in recs)  # each answered by the ball
+
+    def test_every_public_name_resolves(self):
+        code = "import seqcf; print(len(seqcf.__all__), all(getattr(seqcf, n) is not None for n in seqcf.__all__))"
+        assert _fresh_python(code) == "56 True\n"
+        assert _fresh_python("from seqcf import *; print(callable(explain), callable(reduce))") == "True True\n"
 
 
 def test_parser_flags_snapshot():

@@ -424,3 +424,29 @@ def test_softmax_same_bits_and_input_untouched():
         for got in (out, into):
             assert got.tobytes() == _softmax_reference(before).tobytes()
             assert (got[np.isneginf(logits)] == 0.0).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 100), (1, 1000), (10, 1000), (65, 1000), (655, 100), (13, 5000)])
+def test_softmax_small_buffer_moves_no_bit(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    logits = rng.normal(scale=20.0, size=shape)
+    logits[rng.random(shape) < 0.1] = -np.inf
+    logits[:, 0] = rng.normal(size=shape[0])  # one finite logit per row
+    with np.errstate():  # the reference runs with numpy's default buffer
+        np.setbufsize(8192)
+        want = _softmax_reference(logits).tobytes()
+    assert softmax(logits).tobytes() == want
+    assert softmax(logits, out=np.empty(shape)).tobytes() == want
+
+
+def test_softmax_restores_the_callers_buffer_size():
+    with np.errstate():  # scopes this test's own buffer size
+        np.setbufsize(4096)
+        softmax(np.zeros((3, 5)))
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError, match="finite logit"):
+            softmax(np.full((2, 4), -np.inf))
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError):  # an `out` of the wrong shape fails inside the scoped arithmetic
+            softmax(np.zeros((3, 5)), out=np.empty((2, 5)))
+        assert np.getbufsize() == 4096

@@ -26,7 +26,7 @@ from seqcf import search
 from seqcf.cli import main
 from seqcf.core import derive_stream
 from seqcf.metrics import NULL_ITEM
-from seqcf.models import ScoreVector
+from seqcf.models import PopularityScorer, ScoreVector, top_k
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.search import (
     MUTATION_KINDS,
@@ -390,6 +390,28 @@ class TestRowEvaluator:
                 assert np.array_equal(got, expected)
             assert all(np.array_equal(memo.cache[key], logits) for key, logits in kept.items())
         assert memo.hits > 0
+
+    @pytest.mark.parametrize("scorer", ["markov", "popularity"])
+    def test_source_top1_matches_scalar_top_k(self, scorer):
+        # the search ranks the source on the rows' path; the judges' scalar
+        # top_k is the reference. Frequencies in {0, 1, 2} and few, doubled
+        # training sequences make many items share the top score, where the
+        # lowest id must win
+        rng = np.random.default_rng(11)
+        setting = SettingSpec.from_name("un_un")
+        tied = 0
+        for _ in range(300):
+            m = int(rng.integers(2, 30))
+            if scorer == "popularity":
+                model = PopularityScorer(frequency=rng.integers(0, 3, size=m))
+            else:
+                walks = [tuple(rng.permutation(m)[: rng.integers(1, 4)].tolist()) for _ in range(rng.integers(1, 4))]
+                model = train_markov(seqs(dict(enumerate(walks + walks, 1))), m)
+            source = tuple(rng.permutation(m)[: rng.integers(1, m)].tolist())
+            scores = model.score(source)
+            assert _RowEvaluator(model, setting, source, 1, None, m).source_top1 == top_k(scores, 1)[0]
+            tied += np.count_nonzero(scores.normalized == scores.normalized.max()) > 1
+        assert tied >= 100
 
 
 def row_results(evaluate, cfg, rows, lengths):
