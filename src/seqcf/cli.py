@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import logging
 import sys
 from dataclasses import asdict, fields
 from functools import partial
@@ -54,6 +53,8 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     logdata = dataset.load_interactions(args.input)
+    if logdata.malformed:
+        print(f"WARNING skipped {logdata.malformed} malformed rows in {args.input}", file=sys.stderr)
     filtered = dataset.k_core_filter(logdata, k=args.k_core)
     split = dataset.leave_one_out_split(filtered, max_len=args.max_len)
     if args.categories:
@@ -222,13 +223,7 @@ def cmd_reduce_vc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = []
-    for path in args.inputs:
-        _, rows = metrics.read_report_csv(path)
-        missing = next((c for c in metrics.REPORT_COLUMNS if rows and c not in rows[0]), None)
-        if missing is not None:
-            raise ValueError(f"{path}: no column {missing!r}; report merges CSV reports of seqcf evaluate")
-        reports.append(rows)
+    reports = [metrics.read_report_csv(path, metrics.REPORT_COLUMNS)[1] for path in args.inputs]
     merged = metrics.merge_seed_reports(reports)
     config = {"command": "report", "inputs": [str(p) for p in args.inputs]}
     if args.format == "json":
@@ -349,7 +344,6 @@ def _keep_large_blocks_on_the_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_large_blocks_on_the_heap()
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

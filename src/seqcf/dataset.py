@@ -12,7 +12,6 @@ File formats
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -30,16 +29,15 @@ from .core import (
 )
 from .models import count_items
 
-log = logging.getLogger(__name__)
-
 SPLIT_FORMAT = "seqcf-split.v1"
 
 
 @dataclass
 class InteractionLog:
-    """Raw (user, external item id, timestamp) rows in file order."""
+    """Raw (user, external item id, timestamp) rows in file order; `malformed` counts the rows skipped."""
 
     rows: list[tuple[int, str, int]]
+    malformed: int = 0
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -73,7 +71,7 @@ def _detect_delimiter(line: str) -> str:
 
 
 def load_interactions(path) -> InteractionLog:
-    """Parse a tab- or comma-delimited interactions file; malformed rows are counted and reported."""
+    """Parse a tab- or comma-delimited interactions file; malformed rows are skipped and counted."""
     try:
         lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     except OSError as exc:
@@ -86,27 +84,17 @@ def load_interactions(path) -> InteractionLog:
         lines = lines[1:]  # header row
 
     rows: list[tuple[int, str, int]] = []
-    malformed = 0
     for ln in lines:
         parts = [p.strip() for p in ln.split(delimiter)]
-        if len(parts) < 3:
-            malformed += 1
-            continue
         try:
-            user = int(parts[0])
-            ts = int(parts[2])
-        except ValueError:
-            malformed += 1
+            user, item, ts = int(parts[0]), parts[1], int(parts[2])
+        except (IndexError, ValueError):  # fewer than 3 fields, or a user or timestamp that is not an integer
             continue
-        if user < 1 or not parts[1]:
-            malformed += 1
-            continue
-        rows.append((user, parts[1], ts))
-    if malformed:
-        log.warning("skipped %d malformed rows in %s", malformed, path)
+        if user >= 1 and item:
+            rows.append((user, item, ts))
     if not rows:
         raise ValueError(f"zero valid rows in {path}")
-    return InteractionLog(rows=rows)
+    return InteractionLog(rows=rows, malformed=len(lines) - len(rows))
 
 
 def k_core_filter(logdata: InteractionLog, k: int = 5) -> InteractionLog:

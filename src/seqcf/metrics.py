@@ -255,27 +255,45 @@ def write_report_csv(path, rows: Iterable[dict], config: Mapping | None = None) 
         writer.writerows(rows)
 
 
-def read_report_csv(path) -> tuple[dict, list[dict]]:
-    """The config and rows of a CSV report; a metric cell that is not a number fails naming its line and column."""
+def read_report_csv(path, required: Sequence[str] = ()) -> tuple[dict, list[dict]]:
+    """The config and rows of a CSV report; malformed input fails naming the file.
+
+    Malformed: a config comment that is not a JSON object, a header without
+    a `required` column, a row whose cell count is not the header's, or a
+    metric cell that is not a number (all but the header name their line).
+    """
     import csv
 
     config: dict = {}
-    lines = read_text(path).splitlines()
     numbers, body = [], []
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(read_text(path).splitlines(), 1):
         if line.startswith("# config: "):
-            config = json.loads(line[len("# config: "):])
+            try:
+                config = json.loads(line[len("# config: "):])
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{number}: config comment is not JSON: {exc.msg}") from None
+            if not isinstance(config, dict):
+                raise ValueError(f"{path}:{number}: config comment is not a JSON object")
         elif line:
             numbers.append(number)
             body.append(line)
-    rows = list(csv.DictReader(body))
-    for number, row in zip(numbers[1:], rows):  # numbers[0] is the header line
+    reader = csv.reader(body)
+    columns = next(reader, [])
+    missing = next((c for c in required if c not in columns), None)
+    if missing is not None:
+        raise ValueError(f"{path}: no column {missing!r}; report merges CSV reports of seqcf evaluate")
+    rows = []
+    for number, cells in zip(numbers[1:], reader):  # numbers[0] is the header line
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}:{number}: {len(cells)} cells, but the header names {len(columns)} columns")
+        row = dict(zip(columns, cells))
         for column in METRIC_COLUMNS:
             if column in row:
                 try:
                     float(row[column])
-                except (TypeError, ValueError):
+                except ValueError:
                     raise ValueError(f"{path}:{number}: column {column!r} holds {row[column]!r}, not a number") from None
+        rows.append(row)
     return config, rows
 
 

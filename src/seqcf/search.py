@@ -35,26 +35,25 @@ distance by `levenshtein_batch`), so its results do not depend on the rows
 batched with it. The source's own top-1, which validity and the loss
 weights compare against, is ranked on the same path: the argmax of its
 softmax row, whose first maximum is the scalar `top_k`'s ascending-id
-tie-break. Batches are scored in blocks of 512 KiB of float64
-scores, normalized in place in one buffer, so the scorer's block and the
-buffer together stay within a core's 2 MiB L2 cache over every (rows, m)
-pass. The baselines judge their attempts through the same evaluator, so
-the search and both baselines decide validity on one path; the scalar
-`is_valid` and `objective_loss` remain the reference of the judges
-(`evaluate`, the oracle) and of the tests.
+tie-break. Every caller hands the evaluator a whole batch, which it
+alone blocks: 512 KiB of float64 scores, normalized in place in one
+buffer, so the scorer's block and the buffer stay within a core's 2 MiB
+L2 cache over every (rows, m) pass. The baselines judge their attempts
+through the same evaluator, so the search and both baselines decide
+validity on one path; the scalar `is_valid` and `objective_loss` remain
+the reference of the judges (`evaluate`, the oracle) and of the tests.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation
-weights, since crossover alone also reaches deletions), one chunk of
-positions at a time, when the ball holds at most a quarter of the rows the
-GA would score (`_BALL_SHARE` of population_size × generations): then a
-miss adds at most that much to the search. Each chunk is judged for
-validity, and only its valid members are scored for loss. A valid member
-is the answer:
-the one of minimal (loss, items) is exactly what harvesting would pick
-among all distance-1 sequences, so no evolved candidate can beat it, and
-it is recorded as found in generation 0. Only when no member is valid, or
-the ball is too large to score first, does the GA run. At a catalog of
+weights, since crossover alone also reaches deletions) as one batch when
+it holds at most a quarter of the rows the GA would score (`_BALL_SHARE`
+of population_size × generations), which bounds both what a miss adds
+and the ball's memory. One validity pass judges the whole ball, and only
+its valid members are scored for loss. A valid member is the answer: the
+one of minimal (loss, items) is exactly what harvesting would pick among
+all distance-1 sequences, so no evolved candidate can beat it, and it is
+recorded as found in generation 0. Only when no member is valid, or the
+ball is too large to score first, does the GA run. At a catalog of
 1000 items the ball of a 12-item source is 25k rows, about as many as a
 1024 × 30 search scores; scored first, it would make a user's cost
 differ twofold by whether the target happens to be one edit away.
@@ -370,11 +369,12 @@ class _RowEvaluator:
     picks without building a `ScoreVector` or sorting the catalog.
 
     A row's results depend on its items alone, never on the other rows of
-    the batch (the objective mass is one dot product per row), so rows are
-    scored in blocks of `block_rows` rows, 512 KiB of float64 scores, and
-    may be scored in any batches and any order. `loss` and `valid` each
-    score their rows: the GA's generations need only the loss, and
-    validity only decides the final pick.
+    the batch (the objective mass is one dot product per row). Every
+    caller (a GA generation, the final population, the radius-1 ball, the
+    baselines) hands over a whole batch, which this class alone scores in
+    blocks of `block_rows` rows, 512 KiB of float64 scores. `loss` and
+    `valid` each score their rows: the GA's generations need only the
+    loss, and validity only decides the final pick.
     """
 
     def __init__(self, model, setting, source, k, categories, max_len):
@@ -443,37 +443,32 @@ def _ball_positions(n: int, max_len: int) -> tuple[int, int, int]:
 
 
 def radius1_size(source_items: tuple[int, ...], m: int, max_len: int) -> int:
-    """How many rows `radius1_ball` yields, without building them."""
+    """How many rows `radius1_ball` returns, without building them."""
     replace, add, delete = _ball_positions(len(source_items), max_len)
     return (replace + add) * (m - len(set(source_items))) + delete
 
 
-def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int, chunk_rows: int):
-    """Every duplicate-free sequence one edit away from the source, in chunks.
+def radius1_ball(source_items: tuple[int, ...], m: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every duplicate-free sequence one edit away from the source, as one NULL-padded batch.
 
     A replace puts an item absent from the source at one of its L
     positions, an add inserts one at one of its L + 1 slots while
     L < max_len, and a delete removes one of its positions while L >= 2.
-    No two edits give the same sequence. `apply_edits` edits one copy of
-    the source per position, repeated over the absent items for a replace
-    or add. Yields (rows, lengths) per group of positions of one kind, a
-    group holding at most `chunk_rows` rows when one position fits.
+    No two edits give the same sequence. One `apply_edits` call edits a
+    copy of the source per (kind, position) slot, each replace or add slot
+    is repeated over the absent items, and one assignment writes them in.
+    Returns (rows, lengths), ordered by kind, then position, then item.
     """
     src = np.asarray(source_items, dtype=np.int64)
-    present = np.zeros(m, dtype=bool)
-    present[src] = True
-    absent = np.flatnonzero(~present)
-    for kind, positions in enumerate(_ball_positions(len(src), max_len)):
-        per_position = 1 if kind == _DELETE else len(absent)
-        step = max(1, chunk_rows // per_position)
-        for first in range(0, positions, step):
-            pos = np.arange(first, min(first + step, positions))
-            edits = np.full(len(pos), kind)
-            rows, _ = apply_edits(np.tile(src, (len(pos), 1)), edits, pos, np.full(len(pos), NULL_ITEM), max_len)
-            if kind != _DELETE:
-                rows = np.repeat(rows, len(absent), axis=0)
-                rows[np.arange(len(rows)), np.repeat(pos, len(absent))] = np.tile(absent, len(pos))
-            yield rows, np.full(len(rows), rows.shape[1], dtype=np.int64)
+    absent = np.delete(np.arange(m), src)
+    counts = _ball_positions(len(src), max_len)
+    kind, pos = np.array([(k, p) for k, c in enumerate(counts) for p in range(c)]).T
+    slots, lengths = apply_edits(np.tile(src, (len(kind), 1)), kind, pos, np.full(len(kind), NULL_ITEM), max_len)
+    per_slot = np.where(kind == _DELETE, 1, len(absent))
+    rows, lengths = np.repeat(slots, per_slot, axis=0), np.repeat(lengths, per_slot)
+    filled = np.repeat(kind != _DELETE, per_slot)  # the replace and add rows, which take an absent item
+    rows[filled, np.repeat(pos, per_slot)[filled]] = np.tile(absent, len(kind) - counts[_DELETE])
+    return rows, lengths
 
 
 def _radius1_best(evaluate: _RowEvaluator) -> tuple[int, ...] | None:
@@ -482,17 +477,14 @@ def _radius1_best(evaluate: _RowEvaluator) -> tuple[int, ...] | None:
     Every member is at edit distance 1, so this is the harvest rule's
     winner over all distance-1 sequences.
     """
-    best = None
-    chunks = radius1_ball(evaluate.source_items, evaluate.model.num_items, evaluate.max_len, evaluate.block_rows)
-    for rows, lengths in chunks:
-        hit = np.flatnonzero(evaluate.valid(rows, lengths))
-        if hit.size:
-            loss = evaluate.loss(rows[hit], lengths[hit])
-            # a chunk's rows share one length, so column order is tuple order
-            i = np.lexsort((*rows[hit].T[::-1], loss))[0]
-            cand = (float(loss[i]), tuple(int(x) for x in rows[hit[i]]))
-            best = cand if best is None else min(best, cand)
-    return None if best is None else best[1]
+    rows, lengths = radius1_ball(evaluate.source_items, evaluate.model.num_items, evaluate.max_len)
+    hit = np.flatnonzero(evaluate.valid(rows, lengths))
+    if not hit.size:
+        return None
+    rows, lengths = rows[hit], lengths[hit]
+    # NULL_ITEM padding sorts below every item, so column order is tuple order across lengths
+    best = np.lexsort((*rows.T[::-1], evaluate.loss(rows, lengths)))[0]
+    return tuple(int(x) for x in rows[best, : lengths[best]])
 
 
 def _row_words(rows: np.ndarray, m: int) -> np.ndarray:

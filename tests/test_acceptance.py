@@ -349,9 +349,9 @@ def test_c12_radius1_prepass_exactness(reference_split, reference_model):
             if is_valid(setting, src_scores, model.score(c), 1)
         }
         evaluate = _RowEvaluator(model, setting, source, 1, None, 3)
-        ball_set = set()
-        for rows, lengths in radius1_ball(source, model.num_items, 3, 4):
-            ball_set |= {tuple(int(x) for x in row) for row in rows[evaluate.valid(rows, lengths)]}
+        rows, lengths = radius1_ball(source, model.num_items, 3)
+        hit = np.flatnonzero(evaluate.valid(rows, lengths))
+        ball_set = {tuple(int(x) for x in rows[i, : lengths[i]]) for i in hit}
         equal_sets += ball_set == oracle_set
         nonempty += bool(oracle_set)
 

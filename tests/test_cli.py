@@ -266,6 +266,16 @@ class TestFailureModes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_preprocess_warns_of_skipped_rows_on_stderr(self, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        rows = [f"{u}\t{i}\t{u * 10 + i}" for u in range(1, 4) for i in range(3)]
+        log.write_text("\n".join(rows + ["4\tx", "nope\ty\t1"]) + "\n")
+        out = tmp_path / "split.json"
+        assert main(["preprocess", "--input", str(log), "--k-core", "1", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"WARNING skipped 2 malformed rows in {log}\n"
+        assert captured.out.startswith("split: 3 users, 3 items (9 rows in")
+
     def test_preprocess_max_len_zero_names_the_limit(self, pipeline, tmp_path, capsys):
         out = tmp_path / "split.json"
         assert main(["preprocess", "--input", str(pipeline["log"]), "--max-len", "0", "--out", str(out)]) == 1
@@ -493,12 +503,20 @@ class TestFailureModes:
                      "--out", str(report)]) == 0
         lines = report.read_text().splitlines()  # the config comment, the column names, then rows
         columns, cells = lines[1].split(","), lines[3].split(",")
-        cells[columns.index("mean_levenshtein")] = "abc"
-        lines[3] = ",".join(cells)
-        report.write_text("\n".join(lines) + "\n")
-        err = self._error_line(capsys, ["report", "--inputs", str(report), "--out", str(tmp_path / "m.csv")])
-        assert err == f"error: {report}:4: column 'mean_levenshtein' holds 'abc', not a number\n"
-        assert not (tmp_path / "m.csv").exists()
+        width, lev, n_users = len(columns), columns.index("mean_levenshtein"), columns.index("n_users")
+        cases = [  # (config comment, cells of the first row, the error after the path)
+            (lines[0], cells[:lev] + ["abc"] + cells[lev + 1 :], ":4: column 'mean_levenshtein' holds 'abc', not a number"),
+            ("# config: {", cells, ":1: config comment is not JSON: "),
+            ("# config: []", cells, ":1: config comment is not a JSON object"),
+            (lines[0], cells[:n_users] + cells[n_users + 1 :], f":4: {width - 1} cells, but the header names {width} columns"),
+            (lines[0], cells + ["7"], f":4: {width + 1} cells, but the header names {width} columns"),
+        ]
+        for i, (config, row, want) in enumerate(cases):
+            bad = tmp_path / f"r{i}.csv"
+            bad.write_text("\n".join([config, *lines[1:3], ",".join(row), *lines[4:]]) + "\n")
+            err = self._error_line(capsys, ["report", "--inputs", str(bad), "--out", str(tmp_path / "m.csv")])
+            assert err.startswith(f"error: {bad}{want}")
+            assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv-without-columns"])
     def test_report_input_that_is_not_a_seed_report_names_the_column(self, pipeline, tmp_path, capsys, fmt):
@@ -620,7 +638,7 @@ def _fresh_python(code: str, *argv: str) -> str:
 class TestStartUp:
     """Start-up pays only for the modules a command uses."""
 
-    LAZY = ("numpy.ma", "seqcf.oracle", "seqcf.vcreduce", "seqcf.baselines")
+    LAZY = ("numpy.ma", "seqcf.oracle", "seqcf.vcreduce", "seqcf.baselines", "logging")
     LOADED = f"import sys; print(sorted(m for m in {LAZY} if m in sys.modules))"
 
     def test_importing_the_cli_loads_neither_subcommand_modules_nor_numpy_ma(self):
@@ -653,7 +671,7 @@ def test_parser_flags_snapshot():
 
 # keyword defaults of the public API: a settable value added or removed is a deliberate edit here
 PUBLIC_KEYWORD_DEFAULTS = {
-    "Catalog": 1, "CategoryMap": 1, "GaConfig": 7, "MarkovScorer": 2, "PopularityScorer": 1, "SettingSpec": 5,
+    "Catalog": 1, "CategoryMap": 1, "GaConfig": 7, "InteractionLog": 1, "MarkovScorer": 2, "PopularityScorer": 1, "SettingSpec": 5,
     "SplitDataset": 2, "UserSequence": 1, "aggregate_report": 2, "baseline_educated": 3, "baseline_random": 3,
     "crossover": 1, "explain": 3, "fitness": 3, "genetic": 3, "is_valid": 1, "k_core_filter": 1,
     "leave_one_out_split": 1, "mutate_add": 1, "objective_loss": 1, "oracle_optimal": 1, "synthesize_corpus": 3,
@@ -673,7 +691,7 @@ def _keyword_defaults(obj) -> int:
 def test_public_keyword_defaults_snapshot():
     counts = {name: _keyword_defaults(getattr(seqcf, name)) for name in seqcf.__all__}
     assert {name: n for name, n in counts.items() if n} == PUBLIC_KEYWORD_DEFAULTS
-    assert sum(counts.values()) == 51
+    assert sum(counts.values()) == 52
 
 
 class TestReduceVc:

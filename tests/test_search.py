@@ -32,6 +32,7 @@ from seqcf.search import (
     MUTATION_KINDS,
     _ga_results,
     _harvest,
+    _radius1_best,
     _RowEvaluator,
     apply_edits,
     crossover_rows,
@@ -453,16 +454,75 @@ class TestRadius1Ball:
     )
     def test_matches_brute_force_enumeration(self, items, m, max_len):
         expected = distance1_sequences(items, m, max_len)
-        for chunk_rows in (1, 5, 1000):
-            got = []
-            for rows, lengths in radius1_ball(items, m, max_len, chunk_rows):
-                assert rows.dtype == np.int64 and (lengths == rows.shape[1]).all()
-                # a chunk is whole positions: at most chunk_rows rows unless one position is more
-                assert len(rows) <= max(chunk_rows, m - len(items))
-                got += row_tuples(rows, lengths)
-            assert len(got) == len(set(got))
-            assert set(got) == expected
+        rows, lengths = radius1_ball(items, m, max_len)
+        assert rows.dtype == np.int64 and rows.shape[1] == lengths.max()
+        assert (rows[np.arange(rows.shape[1]) >= lengths[:, None]] == NULL_ITEM).all()
+        got = row_tuples(rows, lengths)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
         assert radius1_size(items, m, max_len) == len(expected)
+        # by kind (replace, add, delete), then position, then item
+        absent = [z for z in range(m) if z not in items]
+        L = len(items)
+        ordered = [items[:p] + (z,) + items[p + 1 :] for p in range(L) for z in absent]
+        ordered += [items[:p] + (z,) + items[p:] for p in range(L + 1) if L < max_len for z in absent]
+        ordered += [items[:p] + items[p + 1 :] for p in range(L) if L >= 2]
+        assert got == ordered
+
+
+def ball_optimum(model, setting, items, k, max_len, cats=None):
+    """Brute force: the valid distance-1 sequence of minimal (objective_loss, items), or None."""
+    src = model.score(items)
+    scored = ((c, model.score(c)) for c in distance1_sequences(items, model.num_items, max_len))
+    valid = [(objective_loss(setting, src, s, cats), c) for c, s in scored if is_valid(setting, src, s, k, cats)]
+    return min(valid, default=(None, None))[1]
+
+
+class TestRadius1Best:
+    @pytest.mark.parametrize("items, m, max_len", [((0, 1, 2), 6, 5), ((3, 0), 4, 3), ((4, 1, 0, 2), 6, 4)])
+    def test_echo_ties_across_lengths_pick_the_shorter_row(self, items, m, max_len):
+        # EchoScorer recommends the last item, so under un_un exactly the edits
+        # of the last item are valid, and all of them tie in loss: the pick is
+        # the tuple minimum, deleting the last item, a prefix of every other
+        model, setting = EchoScorer(m), SettingSpec.from_name("un_un")
+        evaluate = _RowEvaluator(model, setting, items, 1, None, max_len)
+        rows, lengths = radius1_ball(items, m, max_len)
+        hit = np.flatnonzero(evaluate.valid(rows, lengths))
+        ends = {len(c) - len(items) for c in row_tuples(rows[hit], lengths[hit])}
+        assert ends == ({-1, 0, 1} if len(items) < max_len else {-1, 0})
+        assert len(set(evaluate.loss(rows[hit], lengths[hit]).tolist())) == 1
+        assert _radius1_best(evaluate) == items[:-1] == ball_optimum(model, setting, items, 1, max_len)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_tiny_catalogs_match_brute_force(self, m):
+        rng = np.random.default_rng(m)
+        model = train_markov(seqs({u: tuple(rng.permutation(m).tolist()) for u in range(1, 8)}), m)
+        for setting in (SettingSpec.from_name("un_un"), SettingSpec.from_name("targ_un", target_item=m - 1)):
+            for items in [(0,), (1, 0), tuple(range(m - 1))]:
+                for k in range(1, m + 1):
+                    evaluate = _RowEvaluator(model, setting, items, k, None, m - 1)
+                    assert _radius1_best(evaluate) == ball_optimum(model, setting, items, k, m - 1)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            SettingSpec.from_name("un_un", threshold=0.2),
+            SettingSpec.from_name("targ_un", target_item=5, threshold=0.1),
+            SettingSpec.from_name("un_cat", threshold=0.2),
+            SettingSpec.from_name("targ_cat", target_category=1, threshold=0.2),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_walk_markov_matches_brute_force(self, walk_markov, setting):
+        cats = overlapping_categories(12)
+        found = 0
+        for items in [(0, 1, 2), (4, 9), (2,), (8, 6, 10), (11, 3, 7)]:
+            for k in (1, 3):
+                evaluate = _RowEvaluator(walk_markov, setting, items, k, cats, 4)
+                best = _radius1_best(evaluate)
+                assert best == ball_optimum(walk_markov, setting, items, k, 4, cats)
+                found += best is not None
+        assert found > 0
 
 
 class TestFitness:
