@@ -1,35 +1,132 @@
 """Single-substitution baselines the genetic search is measured against.
 
 A baseline draws up to `budget` substitutions of the source and answers
-with the first valid one, numbered from 1. Its attempts are judged like
-the search's rows: one `search._RowEvaluator`, built before any attempt is
-drawn, checks the inputs and then scores every attempt in one batch, so
-the attempts after the first valid one are drawn and scored too.
+with the first valid one, numbered from 1. `baseline_records` serves a
+whole user sample on one row path, shared with the search
+(`search._checked_source`, `search._source_top1`, `search._valid`): it
+checks every source and ranks all of them in one blocked pass, draws each
+user's attempts from the user's own stream, then judges every attempt in
+512 KiB blocks, each row against its own source's top-1, so the attempts
+after a user's first valid one are drawn and scored too. Users are taken
+in chunks of at most `_CHUNK_ROWS` attempts, so memory does not grow with
+the sample. `baseline_random` and `baseline_educated` are the batch of
+one: a user's record does not depend on the users batched with it.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+
 import numpy as np
 
-from .core import TAG_BASELINE, CategoryMap, UserSequence, as_items, derive_stream, user_of
-from .search import _RowEvaluator, mutate_replace
-from .objective import SettingSpec
+from .core import TAG_BASELINE, CategoryMap, UserSequence, derive_stream, user_of
+from .objective import SettingSpec, loss_weights
 from .records import ExplanationRecord, explanation_record
+from .search import _block_rows, _checked_source, _padded, _source_top1, _valid, mutate_replace
+
+# attempts per chunk of users: their (rows, max_len) int64 cells, at most 400 KiB, stay below a score block
+_CHUNK_ROWS = 1024
 
 
 class SettingNotApplicableError(ValueError):
     """The requested baseline has no defined behaviour in this regime."""
 
 
-def _first_valid(source, method, setting, model, k, seed, categories, candidates) -> ExplanationRecord:
-    """The record of the first valid candidate, numbered from 1 as `candidates` yields them, or of none."""
-    length = len(as_items(source))  # a substitution keeps it, so the candidates are one batch of rows
-    evaluate = _RowEvaluator(model, setting, source, k, categories, length)
-    rows = np.array(list(candidates), dtype=np.int64).reshape(-1, length)
-    hit = np.flatnonzero(evaluate.valid(rows, np.full(len(rows), length)))
-    if hit.size == 0:
-        return explanation_record(source, method, setting, None, None, seed)
-    return explanation_record(source, method, setting, tuple(rows[hit[0]].tolist()), int(hit[0]) + 1, seed)
+def _random_attempts(items, rng, *, budget: int, m: int) -> list[tuple[int, ...]]:
+    """Each attempt replaces a random position of the previous one with an item not in it."""
+    attempts = []
+    for _ in range(budget):
+        items = mutate_replace(items, m, rng)
+        attempts.append(items)
+    return attempts
+
+
+def _educated_attempts(items, rng, *, budget: int, target: int | None, members: list[int]) -> list[tuple[int, ...]]:
+    """Each attempt places the target, or a target-category member not yet present, at a random position.
+
+    An item target goes into a fresh position of the source each time (it
+    cannot be placed twice, so attempts do not stack, and a source that
+    holds it gets none); category members accumulate like the random
+    baseline's edits until every member is present.
+    """
+    if target is not None:
+        if target in items:
+            return []
+        return [items[:i] + (target,) + items[i + 1 :] for i in (int(rng.integers(len(items))) for _ in range(budget))]
+    attempts = []
+    for _ in range(budget):
+        present = set(items)
+        pool = [z for z in members if z not in present]
+        if not pool:
+            break
+        z = pool[int(rng.integers(len(pool)))]
+        i = int(rng.integers(len(items)))
+        items = items[:i] + (z,) + items[i + 1 :]
+        attempts.append(items)
+    return attempts
+
+
+def _chunk_records(sources, method, setting, model, k, seed, categories, attempts_of) -> list[ExplanationRecord]:
+    """The record of each source: its first valid attempt, numbered from 1, or none."""
+    m = model.num_items
+    items = [_checked_source(source, m, k, m - 1) for source in sources]  # a substitution keeps the length
+    top1 = _source_top1(model, *_padded(items))
+    attempts = [attempts_of(it, derive_stream(seed, [TAG_BASELINE, user_of(s)])) for s, it in zip(sources, items)]
+    counts = np.fromiter(map(len, attempts), dtype=np.int64, count=len(attempts))
+    rows, lengths = _padded(list(chain.from_iterable(attempts)))
+    valid = _valid(model, setting, np.repeat(top1, counts), rows, lengths, k, categories, _block_rows(m))
+    starts = np.cumsum(counts) - counts
+    # a user's first valid row is the first valid row at or after its first row, if still its own
+    hits = np.flatnonzero(valid)
+    first = np.append(hits, len(valid))[np.searchsorted(hits, starts)]
+    out = []
+    for u, source in enumerate(sources):
+        if first[u] < starts[u] + counts[u]:
+            row = int(first[u])
+            cand = tuple(rows[row, : lengths[row]].tolist())
+            out.append(explanation_record(source, method, setting, cand, row - int(starts[u]) + 1, seed))
+        else:
+            out.append(explanation_record(source, method, setting, None, None, seed))
+    return out
+
+
+def baseline_records(
+    method: str,
+    sources,
+    setting: SettingSpec,
+    model,
+    k: int,
+    budget: int,
+    seed: int,
+    categories: CategoryMap | None,
+) -> list[ExplanationRecord]:
+    """The record of each source under `method` ("random" or "educated"), in order.
+
+    Each record equals the one `baseline_random` or `baseline_educated`
+    returns for that source alone.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if method == "random":
+        attempts_of = partial(_random_attempts, budget=budget, m=model.num_items)
+    elif method == "educated":
+        if not setting.targeted:
+            raise SettingNotApplicableError("educated baseline does not apply to untargeted settings")
+        # rejects a target outside the catalog or the category map before any attempt is drawn
+        weights, _ = loss_weights(setting, None, model.num_items, categories)
+        members = np.flatnonzero(weights).tolist()  # the target item, or the category's items in ascending order
+        if not members:
+            raise ValueError(f"target category {setting.target_category} has no items")
+        attempts_of = partial(_educated_attempts, budget=budget, target=setting.target_item, members=members)
+    else:
+        raise ValueError(f"unknown baseline {method!r}")
+    per_chunk = max(1, _CHUNK_ROWS // budget)
+    out = []
+    for start in range(0, len(sources), per_chunk):
+        chunk = sources[start : start + per_chunk]
+        out += _chunk_records(chunk, method, setting, model, k, seed, categories, attempts_of)
+    return out
 
 
 def baseline_random(
@@ -44,20 +141,10 @@ def baseline_random(
     """Accumulate random single-item substitutions until one is valid.
 
     Each edit replaces a uniformly random position of the current sequence
-    with a uniformly random item not present in it; the loop stops at the
-    first valid candidate or after `budget` edits.
+    with a uniformly random item not present in it; the first valid one of
+    the `budget` edits is the answer.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = derive_stream(seed, [TAG_BASELINE, user_of(source)])
-
-    def edits():
-        items = as_items(source)
-        for _ in range(budget):
-            items = mutate_replace(items, model.num_items, rng)
-            yield items
-
-    return _first_valid(source, "random", setting, model, k, seed, categories, edits())
+    return baseline_records("random", [source], setting, model, k, budget, seed, categories)[0]
 
 
 def baseline_educated(
@@ -78,35 +165,4 @@ def baseline_educated(
     with a category target the edits accumulate like the random baseline,
     drawing a not-yet-present member of the category each time.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if not setting.targeted:
-        raise SettingNotApplicableError(
-            "educated baseline does not apply to untargeted settings"
-        )
-    source_items = as_items(source)
-    rng = derive_stream(seed, [TAG_BASELINE, user_of(source)])
-
-    def placements():
-        members = categories.members(setting.target_category)
-        if not members:
-            raise ValueError(f"target category {setting.target_category} has no items")
-        items = source_items
-        for _ in range(budget):
-            pool = [z for z in members if z not in items]
-            if not pool:
-                return  # every member already present; nothing left to place
-            z = pool[int(rng.integers(len(pool)))]
-            i = int(rng.integers(len(items)))
-            items = items[:i] + (z,) + items[i + 1 :]
-            yield items
-
-    if not setting.categorized:
-        target = setting.target_item
-        # the target cannot be substituted in without duplicating itself
-        attempts = 0 if target in source_items else budget
-        positions = (int(rng.integers(len(source_items))) for _ in range(attempts))
-        candidates = (source_items[:i] + (target,) + source_items[i + 1 :] for i in positions)
-    else:
-        candidates = placements()
-    return _first_valid(source, "educated", setting, model, k, seed, categories, candidates)
+    return baseline_records("educated", [source], setting, model, k, budget, seed, categories)[0]

@@ -7,10 +7,11 @@ each output file header; the worker-count flag and output destination are
 execution details and deliberately stay out of the header so reruns
 compare byte for byte.
 
-`explain --method {gece,random,educated,oracle}` runs every method through
-one per-user function; its header records only the chosen method's own
-parameter (`ga`, `budget` or `max_distance`), and other methods' flags are
-ignored.
+`explain --method {gece,random,educated,oracle}` hands the sampled users
+to one function per method: the baselines judge the whole sample in one
+batch, while gece and the oracle explain one user at a time. Its header
+records only the chosen method's own parameter (`ga`, `budget` or
+`max_distance`), and other methods' flags are ignored.
 
 Arguments can also come from a file: `seqcf explain @run.args --out x.jsonl`
 reads one argument per line (`--population=1024`), checked and cast exactly
@@ -132,17 +133,23 @@ def _oracle_record(source, setting, model, k, *, max_distance, seed, categories=
     return records.explanation_record(source, "oracle", setting, cand, None, seed)
 
 
-def _per_user(args, max_len: int):
-    """`f(source, setting, model, k, seed=..., categories=...)` for the method, and its parameter's header entry."""
+def _one_user_at_a_time(explain_user):
+    """A per-user function `f(source, ...)` as one over a list of sources."""
+    return lambda sources, *args, **kwargs: [explain_user(source, *args, **kwargs) for source in sources]
+
+
+def _method(args, max_len: int):
+    """`f(sources, setting, model, k, seed=..., categories=...)` for the method, and its parameter's header entry."""
     if args.method == "gece":
         config = _ga_config(args, max_len)
-        return partial(search.explain, config=config), {"ga": asdict(config)}
+        return _one_user_at_a_time(partial(search.explain, config=config)), {"ga": asdict(config)}
     if args.method == "oracle":
-        return partial(_oracle_record, max_distance=args.max_distance), {"max_distance": args.max_distance}
+        explain_user = partial(_oracle_record, max_distance=args.max_distance)
+        return _one_user_at_a_time(explain_user), {"max_distance": args.max_distance}
     from . import baselines
 
-    baseline = {"random": baselines.baseline_random, "educated": baselines.baseline_educated}[args.method]
-    return partial(baseline, budget=args.budget), {"budget": args.budget}
+    # the baselines judge the whole sample in one batch
+    return partial(baselines.baseline_records, args.method, budget=args.budget), {"budget": args.budget}
 
 
 def cmd_explain(args) -> int:
@@ -151,9 +158,9 @@ def cmd_explain(args) -> int:
     _check_one_catalog(args, model, split)
     setting = _build_setting(args, split)
     seed, k = args.seed, args.k
-    explain_user, method_param = _per_user(args, split.max_len)
+    explain_users, method_param = _method(args, split.max_len)
     users = dataset.sample_users(split, args.sample_users, derive_stream(seed, [TAG_SAMPLE]))
-    out = [explain_user(split.train[u], setting, model, k, seed=seed, categories=split.categories) for u in users]
+    out = explain_users([split.train[u] for u in users], setting, model, k, seed=seed, categories=split.categories)
     header = {
         "command": "explain",
         "method": args.method,

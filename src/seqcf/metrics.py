@@ -13,6 +13,7 @@ with a reserved null item; padded positions count as differing.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -298,9 +299,12 @@ def read_report_csv(path, required: Sequence[str] = ()) -> tuple[dict, list[dict
 
 
 def write_report_json(path, rows: Iterable[dict], config: Mapping | None = None) -> None:
-    doc = {"config": dict(config) if config else {}, "rows": list(rows)}
+    """The report as one JSON document; an undefined mean (NaN: no user of the row has a counterfactual) is null."""
+    rows = [{key: None if isinstance(value, float) and math.isnan(value) else value for key, value in row.items()}
+            for row in rows]
+    doc = {"config": dict(config) if config else {}, "rows": rows}
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

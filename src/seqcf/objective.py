@@ -173,41 +173,48 @@ def _threshold_secures_top_k(threshold: float, k: int) -> bool:
 
 def valid_rows(
     setting: SettingSpec,
-    source_top1: int,
+    source_top1: int | np.ndarray,
     norm: np.ndarray,
     k: int,
     categories: CategoryMap | None = None,
 ) -> np.ndarray:
     """`valid_from_topk` of every row of a (rows, m) normalized score matrix.
 
-    The regime is read from `loss_weights`, the items whose mass the loss
-    counts. No row's top k is built: the top-1 is the argmax (the first
+    `source_top1` is one item for every row, or one per row, so a batch
+    may hold candidates of several sources, each judged against its own
+    source. No row's top k is built: the top-1 is the argmax (the first
     maximum, which is the ascending-id tie-break), and an item is in the
     top k when its rank by (-score, id), the count of items scoring above it
     plus the lower ids scoring the same, is below k. Untargeted, the row's
-    top-1 must carry no weight and clear the threshold, and under
-    `topk_absence` the source's top-1 must leave the top k too. Targeted,
-    some weighted item of the top k clears the threshold exactly when the
-    best-scoring weighted item (the argmax over the weighted columns) does
-    and ranks below k. A targeted item that clears the threshold needs no
-    rank when the threshold alone puts it in the top k
-    (threshold · (k + 1) > 1), so a row that passes costs no more than one
-    that fails.
+    top-1 must differ from its source's (under `un_cat`, share no category
+    with it: a membership test of the two items) and clear the threshold,
+    and under `topk_absence` the source's top-1 must leave the top k too.
+    Targeted, the regime is read from `loss_weights`, the items whose mass
+    the loss counts: some weighted item of the top k clears the threshold
+    exactly when the best-scoring weighted item (the argmax over the
+    weighted columns) does and ranks below k. A targeted item that clears
+    the threshold needs no rank when the threshold alone puts it in the
+    top k (threshold · (k + 1) > 1), so a row that passes costs no more than
+    one that fails.
     """
     n, m = norm.shape
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside [1, {m}]")
-    w, targeted = loss_weights(setting, source_top1, m, categories)
+    source = np.broadcast_to(source_top1, (n,))
     top1 = np.argmax(norm, axis=1)
     at = np.arange(n)
     t = setting.threshold
     # an unchanged recommendation is never a counterfactual
-    ok = top1 != source_top1
-    if not targeted:
-        ok &= (w[top1] == 0) & (norm[at, top1] >= t)
-        if not setting.categorized and setting.untargeted_rank_rule == "topk_absence":
-            ok &= ~_in_top_k(norm, top1, np.full(n, source_top1), k, ok)
+    ok = top1 != source
+    if not setting.targeted:
+        ok &= norm[at, top1] >= t
+        if setting.categorized:
+            member = _require_categories(setting, categories).membership
+            ok &= ~(member[top1] & member[source]).any(axis=1)
+        elif setting.untargeted_rank_rule == "topk_absence":
+            ok &= ~_in_top_k(norm, top1, source, k, ok)
         return ok
+    w, _ = loss_weights(setting, None, m, categories)  # a target's weights do not depend on the source
     members = np.flatnonzero(w)
     if members.size == 0:
         return np.zeros(n, dtype=bool)
@@ -238,7 +245,7 @@ def is_valid(
 
 def loss_weights(
     setting: SettingSpec,
-    source_top1: int,
+    source_top1: int | None,
     num_items: int,
     categories: CategoryMap | None = None,
 ) -> tuple[np.ndarray, bool]:
@@ -247,7 +254,8 @@ def loss_weights(
     The loss of a candidate with normalized scores p is `p @ w` when the
     flag is False (untargeted: mass to suppress, the source's top-1 or the
     items sharing a category with it) and `1 - p @ w` when True (targeted:
-    mass to attract, the target item or the target category's items).
+    mass to attract, the target item or the target category's items, so
+    `source_top1` is not read and may be None).
     A target outside the catalog or the category map is rejected.
     """
     w = np.zeros(num_items, dtype=float)

@@ -22,9 +22,9 @@ reference and used by the baselines). One gather kernel, `apply_edits`,
 makes the edit of every mutant and radius-1 ball member; `crossover_rows`
 gathers its children from the pool and repairs them with a presence bitmap
 and a running count. Neither sorts. Crossover's repair needs duplicate-free
-parents, and every row is one: `_RowEvaluator`, which checks the inputs
-of the search and of the baselines, rejects a source that repeats an
-item, a mutant only takes an item its row lacks, and a child's repair
+parents, and every row is one: `_checked_source`, which checks the
+inputs of the search and of the baselines, rejects a source that repeats
+an item, a mutant only takes an item its row lacks, and a child's repair
 drops its repeats. Selection's one stable sort of the pool by items keeps
 each sequence's first copy in pool order, which is its earliest-born
 copy, and the copies born this generation, the sequences new to the
@@ -35,13 +35,15 @@ distance by `levenshtein_batch`), so its results do not depend on the rows
 batched with it. The source's own top-1, which validity and the loss
 weights compare against, is ranked on the same path: the argmax of its
 softmax row, whose first maximum is the scalar `top_k`'s ascending-id
-tie-break. Every caller hands the evaluator a whole batch, which it
+tie-break. Every caller hands over a whole batch, which `_normalized`
 alone blocks: 512 KiB of float64 scores, normalized in place in one
 buffer, so the scorer's block and the buffer stay within a core's 2 MiB
-L2 cache over every (rows, m) pass. The baselines judge their attempts
-through the same evaluator, so the search and both baselines decide
-validity on one path; the scalar `is_valid` and `objective_loss` remain
-the reference of the judges (`evaluate`, the oracle) and of the tests.
+L2 cache over every (rows, m) pass. The baselines share that row path
+(`_checked_source`, `_source_top1`, `_valid`) for a whole user sample at
+once, each attempt judged against its own source's top-1, so the search
+and both baselines decide validity on one path; the scalar `is_valid` and
+`objective_loss` remain the reference of the judges (`evaluate`, the
+oracle) and of the tests.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -246,6 +249,15 @@ def _pad_stack(*blocks: np.ndarray) -> np.ndarray:
     return np.vstack([_widen(b, width) for b in blocks])
 
 
+def _padded(seqs: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Item sequences as one NULL-padded (rows, lengths) batch."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    rows = np.full((len(seqs), int(lengths.max(initial=0))), NULL_ITEM, dtype=np.int64)
+    cells = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = cells  # row-major, as the items follow each other
+    return rows, lengths
+
+
 def apply_edits(
     rows: np.ndarray, kind: np.ndarray, pos: np.ndarray, item: np.ndarray, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -358,76 +370,103 @@ def crossover_rows(
     return out, out_lengths[:, 0]
 
 
+def _checked_source(source, m: int, k: int, max_len: int) -> tuple[int, ...]:
+    """The items of `source`, after the checks every search and baseline makes of its input.
+
+    `max_len` is the longest row the caller makes, at most m - 1: replacement
+    needs a spare item and masking scorers need at least one scoreable item.
+    """
+    source_items = as_items(source)
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} outside [1, {m}]")
+    if len(source_items) > max_len:
+        raise ValueError(f"source length {len(source_items)} exceeds limit {max_len}")
+    if not source_items or min(source_items) < 0 or max(source_items) >= m:
+        raise ValueError("source must be a non-empty sequence of catalog items")
+    if len(set(source_items)) < len(source_items):
+        raise ValueError("source repeats an item")  # crossover's repair relies on unique items
+    return source_items
+
+
+def _block_rows(m: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * m))
+
+
+def _normalized(model, rows: np.ndarray, lengths: np.ndarray, block_rows: int):
+    """(block, normalized scores) per block of `block_rows` rows.
+
+    Every block is normalized in place in one buffer, allocated per call,
+    so a block's scores are only valid until the next block is yielded.
+    The scorer's own array is never written: a scorer may hand back a
+    cached one.
+    """
+    buffer = np.empty((min(block_rows, len(lengths)), model.num_items))
+    for start in range(0, len(lengths), block_rows):
+        block = slice(start, start + block_rows)
+        logits = score_batch_logits(model, rows[block], lengths[block])
+        yield block, softmax(logits, out=buffer[: len(logits)])
+
+
+def _source_top1(model, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The top-1 item of each source row, ranked on the candidates' path.
+
+    It is the first maximum of the row's softmax, which is the item
+    `top_k(model.score(source), 1)` picks (ascending-id tie-break) without
+    building a `ScoreVector` or sorting the catalog.
+    """
+    top1 = np.empty(len(lengths), dtype=np.int64)
+    for block, norm in _normalized(model, rows, lengths, _block_rows(model.num_items)):
+        top1[block] = np.argmax(norm, axis=1)
+    return top1
+
+
+def _valid(model, setting, source_top1, rows, lengths, k, categories, block_rows) -> np.ndarray:
+    """Whether each row is a counterfactual at k, against `source_top1` (one item, or one per row)."""
+    source_top1 = np.broadcast_to(source_top1, lengths.shape)
+    valid = np.empty(len(lengths), dtype=bool)
+    for block, norm in _normalized(model, rows, lengths, block_rows):
+        valid[block] = valid_rows(setting, source_top1[block], norm, k, categories)
+    return valid
+
+
 class _RowEvaluator:
-    """Loss and validity of candidate rows for one search, whatever the method.
+    """Loss and validity of one search's candidate rows.
 
-    Building it checks the search's inputs; `max_len`, the longest row the
-    search makes, is capped at m - 1, since replacement needs a spare item
-    and masking scorers need at least one scoreable item. It also ranks
-    the source on the rows' path (`score_batch_logits`, `softmax`, then
-    the first maximum), which picks the item `top_k(model.score(source), 1)`
-    picks without building a `ScoreVector` or sorting the catalog.
-
+    Building it checks the search's inputs (`_checked_source`, with
+    `max_len` capped at m - 1) and ranks the source (`_source_top1`).
     A row's results depend on its items alone, never on the other rows of
     the batch (the objective mass is one dot product per row). Every
-    caller (a GA generation, the final population, the radius-1 ball, the
-    baselines) hands over a whole batch, which this class alone scores in
-    blocks of `block_rows` rows, 512 KiB of float64 scores. `loss` and
-    `valid` each score their rows: the GA's generations need only the
-    loss, and validity only decides the final pick.
+    caller (a GA generation, the final population, the radius-1 ball)
+    hands over a whole batch, which is scored in blocks of `block_rows`
+    rows, 512 KiB of float64 scores. `loss` and `valid` each score their
+    rows: the GA's generations need only the loss, and validity only
+    decides the final pick.
     """
 
     def __init__(self, model, setting, source, k, categories, max_len):
-        source_items = as_items(source)
         m = model.num_items
-        if not 1 <= k <= m:
-            raise ValueError(f"k={k} outside [1, {m}]")
         self.max_len = min(max_len, m - 1)
-        if len(source_items) > self.max_len:
-            raise ValueError(f"source length {len(source_items)} exceeds limit {self.max_len}")
-        if not source_items or min(source_items) < 0 or max(source_items) >= m:
-            raise ValueError("source must be a non-empty sequence of catalog items")
-        if len(set(source_items)) < len(source_items):
-            raise ValueError("source repeats an item")  # crossover's repair relies on unique items
+        self.source_items = _checked_source(source, m, k, self.max_len)
         self.model = model
         self.setting = setting
-        self.source_items = source_items
         self.k = k
         self.categories = categories
-        source_row = np.array([source_items], dtype=np.int64)
-        scores = softmax(score_batch_logits(model, source_row, np.array([len(source_items)])))
-        self.source_top1 = int(np.argmax(scores[0]))
+        self.source_top1 = int(_source_top1(model, *_padded([self.source_items]))[0])
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
-        self.block_rows = max(1, _BLOCK_BYTES // (8 * m))
-
-    def _normalized(self, rows: np.ndarray, lengths: np.ndarray):
-        """(block, normalized scores) per block of `block_rows` rows.
-
-        Every block is normalized in place in one buffer, allocated here
-        (tests set `block_rows` after construction), so a block's scores
-        are only valid until the next block is yielded. The scorer's own
-        array is never written: a scorer may hand back a cached one.
-        """
-        buffer = np.empty((min(self.block_rows, len(lengths)), self.model.num_items))
-        for start in range(0, len(lengths), self.block_rows):
-            block = slice(start, start + self.block_rows)
-            logits = score_batch_logits(self.model, rows[block], lengths[block])
-            yield block, softmax(logits, out=buffer[: len(logits)])
+        self.block_rows = _block_rows(m)  # tests set it after construction
 
     def loss(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The objective loss of each row."""
         loss = np.empty(len(lengths))
-        for block, norm in self._normalized(rows, lengths):
+        for block, norm in _normalized(self.model, rows, lengths, self.block_rows):
             mass = np.vecdot(norm, self.weights)
             loss[block] = 1.0 - mass if self.targeted_loss else mass
         return loss
 
     def valid(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Whether each row is a counterfactual at the search's k."""
-        valid = np.empty(len(lengths), dtype=bool)
-        for block, norm in self._normalized(rows, lengths):
-            valid[block] = valid_rows(self.setting, self.source_top1, norm, self.k, self.categories)
-        return valid
+        return _valid(self.model, self.setting, self.source_top1, rows, lengths, self.k, self.categories,
+                      self.block_rows)
 
 
 def _ga_results(evaluate: _RowEvaluator, config: GaConfig, rows: np.ndarray, lengths: np.ndarray):

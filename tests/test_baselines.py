@@ -10,7 +10,7 @@ from seqcf import (
     baseline_random,
     verify_eps_vcs,
 )
-from seqcf import baselines
+from seqcf import baselines, search
 from seqcf.core import CategoryMap
 from seqcf.objective import SettingSpec, is_valid
 
@@ -25,21 +25,18 @@ CATS6 = CategoryMap(
 
 @pytest.fixture
 def drawn_attempts(monkeypatch):
-    """The attempts of each baseline call, in the order the baseline drew them: one list per call."""
-    first_valid, drawn = baselines._first_valid, []
+    """The attempts of each user a baseline served, in the order they were drawn: one list per user."""
+    drawn = []
 
-    def spy(*args):
-        *head, candidates = args
-        drawn.append([])
+    def spy(draw):
+        def kept(*args, **kwargs):
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
 
-        def kept():
-            for cand in candidates:
-                drawn[-1].append(cand)
-                yield cand
+        return kept
 
-        return first_valid(*head, kept())
-
-    monkeypatch.setattr(baselines, "_first_valid", spy)
+    for name in ("_random_attempts", "_educated_attempts"):
+        monkeypatch.setattr(baselines, name, spy(getattr(baselines, name)))
     return drawn
 
 
@@ -302,3 +299,57 @@ class TestPinnedOutputs:
         for k in (1, 10):
             rec = baseline_educated(source, setting, model, k, budget=10, seed=0, categories=cats)
             assert (rec.counterfactual, rec.generation_found, rec.hamming) == (None, None, None)
+
+
+# every (method, setting) the baselines serve, at thresholds where some attempts are valid and some not
+BATCHED = [("random", s) for s in TestPinnedOutputs.SETTINGS.values()] + [
+    ("educated", TestPinnedOutputs.SETTINGS[name]) for name in ("targ_un", "targ_cat")
+]
+
+
+class TestBatching:
+    """A user's record does not depend on the users batched with it, nor on how the batch is cut."""
+
+    @staticmethod
+    def lines(recs):
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in recs]
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("method, setting", BATCHED, ids=[f"{m}-{s.name}" for m, s in BATCHED])
+    def test_records_are_the_same_however_users_are_batched(self, synth_corpus, monkeypatch, method, setting, k):
+        train, model, cats = synth_corpus
+        sources = [train[u] for u in sorted(train)]
+        run = {"random": baseline_random, "educated": baseline_educated}[method]
+        alone = self.lines(run(s, setting, model, k, budget=10, seed=0, categories=cats) for s in sources)
+        if method == "random":  # the educated targ_un baseline never succeeds on the Markov scorer
+            assert 0 < sum('"counterfactual": null' not in line for line in alone) < len(sources)
+        m = model.num_items
+        assert len(sources) <= baselines._CHUNK_ROWS // 10  # unpatched, the sample is one chunk
+        for block_rows, chunk_rows in [(None, None), (1, None), (7, None), (None, 70), (7, 10)]:
+            if block_rows:
+                monkeypatch.setattr(search, "_BLOCK_BYTES", 8 * m * block_rows)
+            if chunk_rows:  # 7 users, then 1 user, per chunk at budget 10
+                monkeypatch.setattr(baselines, "_CHUNK_ROWS", chunk_rows)
+            batch = baselines.baseline_records(method, sources, setting, model, k, 10, 0, cats)
+            assert self.lines(batch) == alone, (block_rows, chunk_rows)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("chunk_rows", [None, 70])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("method, setting", [BATCHED[0], BATCHED[-1]], ids=["random", "educated"])
+    def test_a_repeating_source_fails_alike_anywhere_in_a_batch(
+        self, synth_corpus, monkeypatch, method, setting, at, chunk_rows
+    ):
+        train, model, cats = synth_corpus
+        sources = [train[u] for u in sorted(train)]
+        bad = (3, 5, 3)
+        sources[{"first": 0, "middle": len(sources) // 2, "last": -1}[at]] = bad
+        run = {"random": baseline_random, "educated": baseline_educated}[method]
+        with pytest.raises(ValueError) as alone:
+            run(bad, setting, model, 1, budget=10, seed=0, categories=cats)
+        assert str(alone.value) == "source repeats an item"
+        if chunk_rows:
+            monkeypatch.setattr(baselines, "_CHUNK_ROWS", chunk_rows)
+        with pytest.raises(ValueError) as batch:
+            baselines.baseline_records(method, sources, setting, model, 1, 10, 0, cats)
+        assert str(batch.value) == str(alone.value)

@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -293,6 +293,22 @@ class TestFailureModes:
         assert main(["train", "--split", str(pipeline["split"]), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_baseline_batch_with_a_repeating_source_writes_no_records(self, pipeline, tmp_path, capsys, monkeypatch, at):
+        # a library caller's split may hold a bare tuple; the loader only makes duplicate-free UserSequences
+        load_split = seqcf.dataset.load_split
+
+        def with_a_repeat(path):
+            split = load_split(path)
+            user = split.users[at]
+            return replace(split, train={**split.train, user: (3, 5, 3)})
+
+        monkeypatch.setattr(seqcf.dataset, "load_split", with_a_repeat)
+        out = tmp_path / "random.jsonl"
+        assert main(explain_args(pipeline, out, method="random", **{"--sample-users": 0})) == 1
+        assert capsys.readouterr().err == "error: source repeats an item\n"
+        assert not out.exists()
 
     def test_oracle_subcommand_is_gone(self, pipeline, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -652,6 +668,14 @@ class TestStartUp:
         assert loaded.splitlines()[-1] == "[]"  # after the command's own line
         _, recs = read_records(out)
         assert len(recs) == 2 and all(r.generation_found == 0 for r in recs)  # each answered by the ball
+
+    def test_random_baseline_explain_loads_no_numpy_ma(self, pipeline, tmp_path):
+        out = tmp_path / "random.jsonl"
+        args = explain_args(pipeline, out, method="random", setting="un_cat", **{"--sample-users": 0})
+        loaded = _fresh_python("import sys; from seqcf.cli import main; main(sys.argv[1:]); " + self.LOADED, *args)
+        assert loaded.splitlines()[-1] == "['seqcf.baselines']"  # after the command's own line
+        _, recs = read_records(out)
+        assert len(recs) == len(load_split(pipeline["split"]).train)
 
     def test_every_public_name_resolves(self):
         code = "import seqcf; print(len(seqcf.__all__), all(getattr(seqcf, n) is not None for n in seqcf.__all__))"

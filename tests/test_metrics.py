@@ -1,3 +1,5 @@
+import json
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -12,6 +14,7 @@ from seqcf.metrics import (
     levenshtein_batch,
     mean_levenshtein,
     merge_seed_reports,
+    write_report_json,
 )
 from seqcf.models import ScoreVector
 from seqcf.records import ExplanationRecord
@@ -179,6 +182,16 @@ class TestAggregates:
         # the echo model recommends the last item: (1, 2, 4) flips the source's top-1 (3), (1, 5, 3) does not
         assert rows[0]["valid_fraction"] == pytest.approx(1 / 3)
         assert rows[0]["fidelity"] == pytest.approx(2 / 3)
+
+    def test_json_report_writes_null_for_an_undefined_mean(self, tmp_path):
+        # no record has a counterfactual: both mean distances are NaN, which JSON has no literal for
+        rows = aggregate_report([_record(1, None, None, None)], EchoScorer(12), [1, 5], 0.5)
+        assert all(math.isnan(r["mean_hamming"]) and math.isnan(r["mean_levenshtein"]) for r in rows)
+        write_report_json(tmp_path / "r.json", rows, {"command": "evaluate"})
+        doc = json.loads((tmp_path / "r.json").read_text(), parse_constant=pytest.fail)
+        assert [(r["mean_hamming"], r["mean_levenshtein"], r["valid_fraction"]) for r in doc["rows"]] == [
+            (None, None, 0.0), (None, None, 0.0)
+        ]
 
     def test_merge_seed_reports(self):
         row = {

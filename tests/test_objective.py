@@ -232,6 +232,43 @@ class TestValidRows:
                     setting, 3, rows_ranked, k, cats
                 )
 
+    @pytest.mark.parametrize("m", [12, 40])
+    def test_per_row_sources_match_scalar_is_valid(self, m):
+        # candidates of many sources in one block, each judged against its own source's top-1
+        rng = np.random.default_rng(100 + m)
+        cats = CategoryMap(
+            categories_of=tuple(frozenset(int(c) for c in rng.choice(4, int(rng.integers(0, 3)), replace=False))
+                                for _ in range(m)),
+            num_categories=4,
+        )
+        valid, tied_at_k = {}, dict.fromkeys((1, 5, 10), 0)
+        for levels in (2, 3, 5, m):
+            cand_logits = tie_heavy_logits(rng, 40, m, levels)
+            sources = [ScoreVector(row) for row in tie_heavy_logits(rng, 40, m, 3)]
+            cands = [ScoreVector(row) for row in cand_logits]
+            source_top1 = np.array([top_k(s, 1)[0] for s in sources])
+            assert len(set(source_top1.tolist())) > 1
+            norm = softmax(cand_logits)
+            ordered = -np.sort(-norm, axis=1)
+            for k in tied_at_k:
+                tied_at_k[k] += int(np.count_nonzero(ordered[:, k - 1] == ordered[:, k]))
+            for t in (0.05, 0.25, 0.5):
+                settings = [
+                    SettingSpec.from_name("un_un", threshold=t),
+                    SettingSpec.from_name("un_un", threshold=t, untargeted_rank_rule="top1_change"),
+                    SettingSpec.from_name("targ_un", target_item=int(rng.integers(m)), threshold=t),
+                    SettingSpec.from_name("un_cat", threshold=t),
+                    SettingSpec.from_name("targ_cat", target_category=int(rng.integers(4)), threshold=t),
+                ]
+                for setting in settings:
+                    for k in tied_at_k:
+                        got = valid_rows(setting, source_top1, norm, k, cats).tolist()
+                        assert got == [is_valid(setting, s, c, k, cats) for s, c in zip(sources, cands)]
+                        key = (setting.name, setting.untargeted_rank_rule)
+                        valid[key] = valid.get(key, 0) + sum(got)
+        assert all(tied_at_k.values())  # rows tied across the k-th score, at every k
+        assert len(valid) == 5 and all(valid.values())
+
     def test_k_out_of_range(self):
         setting = SettingSpec.from_name("un_un")
         with pytest.raises(ValueError):
