@@ -153,6 +153,8 @@ def _method(args, max_len: int):
 
 
 def cmd_explain(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     split = dataset.load_split(args.split)
     model = models.load_model(args.model)
     _check_one_catalog(args, model, split)

@@ -46,6 +46,28 @@ class ModelFormatError(ValueError):
 _BROADCAST_BUFSIZE = 128
 
 
+def softmax_numerators(logits: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """exp(logits - row max) and its row sums: a softmax before the divide.
+
+    Returns (numerators, sums), the sums with a trailing axis of 1, so that
+    `numerators / sums` is `softmax(logits)` bit for bit. A caller that reads
+    only some columns of the softmax divides only those. `out` and the
+    buffer size are as in `softmax`; the numerators lie in [0, 1], -inf
+    logits giving exactly 0.
+    """
+    logits = np.asarray(logits, dtype=float)
+    peak = np.max(logits, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("softmax needs at least one finite logit per row")
+    bufsize = np.setbufsize(_BROADCAST_BUFSIZE)
+    try:
+        z = np.subtract(logits, peak, out=out)
+        np.exp(z, out=z)
+    finally:
+        np.setbufsize(bufsize)
+    return z, np.sum(z, axis=-1, keepdims=True)
+
+
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise stable softmax; -inf logits map to exactly 0.
 
@@ -62,15 +84,10 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     float64 row sum is not buffered. The caller's buffer size is restored
     on return and on error.
     """
-    logits = np.asarray(logits, dtype=float)
-    peak = np.max(logits, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(peak)):
-        raise ValueError("softmax needs at least one finite logit per row")
+    z, sums = softmax_numerators(logits, out)
     bufsize = np.setbufsize(_BROADCAST_BUFSIZE)
     try:
-        z = np.subtract(logits, peak, out=out)
-        np.exp(z, out=z)
-        z /= np.sum(z, axis=-1, keepdims=True)
+        z /= sums
     finally:
         np.setbufsize(bufsize)
     return z
@@ -136,9 +153,9 @@ def _check_sequence(items: tuple[int, ...], num_items: int) -> None:
 
 
 def _mask_rows(logits: np.ndarray, rows: np.ndarray) -> None:
-    valid = rows >= 0
-    idx = np.nonzero(valid)
-    logits[idx[0], rows[idx]] = -np.inf
+    """-inf at each row's items, written through one flat index of the C-contiguous `logits`."""
+    flat = (rows + np.arange(0, logits.size, logits.shape[1])[:, None])[rows >= 0]
+    logits.reshape(-1)[flat] = -np.inf  # a view: both scorers build a new contiguous block
 
 
 def _int_array(name: str, values) -> np.ndarray:

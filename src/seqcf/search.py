@@ -20,17 +20,20 @@ numpy steps whatever N is: `mutate_rows` and `crossover_rows` are the array
 forms of the scalar operators `mutate_*` and `crossover` (kept as their
 reference and used by the baselines). One gather kernel, `apply_edits`,
 makes the edit of every mutant and radius-1 ball member; `crossover_rows`
-gathers its children from the pool and repairs them with a presence bitmap
-and a running count. Neither sorts. Crossover's repair needs duplicate-free
-parents, and every row is one: `_checked_source`, which checks the
-inputs of the search and of the baselines, rejects a source that repeats
-an item, a mutant only takes an item its row lacks, and a child's repair
-drops its repeats. Selection's one stable sort of the pool by items keeps
-each sequence's first copy in pool order, which is its earliest-born
-copy, and the copies born this generation, the sequences new to the
-population, are scored in one batch.
+gathers its children's real cells from the pool, one flat run per child,
+and repairs them with a presence bitmap and a count of the kept cells.
+Neither sorts. A generation's pool is one NULL-padded buffer, which
+crossover reads its parents from and writes its children into.
+Crossover's repair needs duplicate-free parents, and every row is one:
+`_checked_source`, which checks the inputs of the search and of the
+baselines, rejects a source that repeats an item, a mutant only takes an
+item its row lacks, and a child's repair drops its repeats. Selection's
+one stable sort of the pool by items keeps each sequence's first copy in
+pool order, which is its earliest-born copy, and the copies born this
+generation, the sequences new to the population, are scored in one batch.
 A row is scored by itself (softmax; validity by `valid_rows`, from argmax
-and rank counts with no top-k; objective mass by one dot product; edit
+and rank counts with no top-k; objective mass by one dot product over the
+row, whose weighted columns alone are divided by the row sum; edit
 distance by `levenshtein_batch`), so its results do not depend on the rows
 batched with it. The source's own top-1, which validity and the loss
 weights compare against, is ranked on the same path: the argmax of its
@@ -56,9 +59,10 @@ one of minimal (loss, items) is exactly what harvesting would pick among
 all distance-1 sequences, so no evolved candidate can beat it, and it is
 recorded as found in generation 0. Only when no member is valid, or the
 ball is too large to score first, does the GA run. At a catalog of
-1000 items the ball of a 12-item source is 25k rows, about as many as a
-1024 × 30 search scores; scored first, it would make a user's cost
-differ twofold by whether the target happens to be one edit away.
+1000 items the ball of a 12-item source is 25k rows, about two thirds of
+the 35k–42k rows a 1024 × 30 search scores; scored first, it would make
+a user's cost differ more than twofold by whether the target happens to
+be one edit away.
 
 Everything is reproducible: randomness comes from streams keyed by
 (master seed, purpose, user, generation), and evaluation is pure, so the
@@ -85,7 +89,7 @@ from .core import (
     user_of,
 )
 from .metrics import NULL_ITEM, levenshtein, levenshtein_batch
-from .models import ScoreVector, score_batch_logits, softmax
+from .models import ScoreVector, score_batch_logits, softmax, softmax_numerators
 from .objective import SettingSpec, loss_weights, objective_loss, valid_rows
 from .records import ExplanationRecord, explanation_record
 
@@ -236,19 +240,6 @@ def fitness(
     return combine_fitness(lev, loss, edit_weight, max_len)
 
 
-def _widen(rows: np.ndarray, width: int) -> np.ndarray:
-    """`rows` with NULL_ITEM columns appended up to `width`."""
-    out = np.full((rows.shape[0], width), NULL_ITEM, dtype=np.int64)
-    out[:, : rows.shape[1]] = rows
-    return out
-
-
-def _pad_stack(*blocks: np.ndarray) -> np.ndarray:
-    """Stack row blocks of different widths into one NULL-padded block."""
-    width = max(b.shape[1] for b in blocks)
-    return np.vstack([_widen(b, width) for b in blocks])
-
-
 def _padded(seqs: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Item sequences as one NULL-padded (rows, lengths) batch."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
@@ -331,43 +322,50 @@ def crossover_rows(
     rng: np.random.Generator,
     max_len: int,
     m: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-cut crossover of the row pairs (a[j], b[j]) of `rows`: the array form of `crossover`.
 
     Pair j draws uniform cuts c_a, c_b in [1, length] of its parents; its
     children a[:c_a] + b[c_b:] and b[:c_b] + a[c_a:] are rows j and
-    len(a) + j of the result, gathered from `rows` in one step. The parents
-    must be duplicate-free, so a repeated item can only be a tail cell whose
-    item is in the head's prefix. Repair drops those cells, looked up in a
-    presence bitmap of the prefix over the m items, and keeps the last
-    `max_len` items: a running count of the kept cells gives each its place,
-    so nothing is sorted.
+    len(a) + j of the result. Only the children's real cells are made, one
+    flat run per child (head cells, then tail cells), gathered from `rows`
+    in one step. The parents must be duplicate-free, so a repeated item can
+    only be a tail cell whose item is in the head's prefix. Repair drops
+    those cells, looked up in a presence bitmap of the heads over the m
+    items, and a child with more than `max_len` kept cells drops its first
+    ones. One masked assignment writes the kept cells into the padded rows,
+    so nothing is sorted. The children go to `out` when given (NULL_ITEM
+    rows at least as wide as the longest child, which is at most
+    min(max_len, 2 * longest parent - 1)), else to a new array exactly
+    that wide. Returns (children's rows, lengths).
     """
     cut_a = rng.integers(1, lengths[a] + 1)
     cut_b = rng.integers(1, lengths[b] + 1)
-    head, tail = np.concatenate([a, b])[:, None], np.concatenate([b, a])[:, None]
-    cut, tail_cut = np.concatenate([cut_a, cut_b])[:, None], np.concatenate([cut_b, cut_a])[:, None]
+    head, tail = np.concatenate([a, b]), np.concatenate([b, a])
+    cut, tail_cut = np.concatenate([cut_a, cut_b]), np.concatenate([cut_b, cut_a])
     n, width = len(head), rows.shape[1]
-    # the pool's cells, each row followed by one NULL cell, which the cells past the tail read
-    cells, stride = _widen(rows, width + 1).ravel(), width + 1
-    cols = np.arange(2 * width)
-    in_head = cols < cut
-    wide = cells[np.where(in_head, head * stride + cols, tail * stride + np.minimum(tail_cut + cols - cut, width))]
-    # m + 1 presence flags per child, item z at flag z + 1: flag 0, which
-    # NULL_ITEM reads, counts as seen
-    base = np.arange(n)[:, None] * (m + 1)
-    flag = base + 1 + wide
-    seen = np.zeros(n * (m + 1), dtype=bool)
-    seen[np.where(in_head, flag, base)] = True
+    size = cut + lengths[tail] - tail_cut  # each child's cells before repair
+    child = np.repeat(np.arange(n), size)
+    pos = np.arange(len(child)) - np.repeat(np.cumsum(size) - size, size)  # cell's place in its child
+    in_head = pos < cut[child]
+    # head cells read the head parent's cell pos, tail cells its tail parent's cell tail_cut + pos - cut
+    src = np.where(in_head, head[child] * width + pos, tail[child] * width + (tail_cut - cut)[child] + pos)
+    cells = np.take(rows, src)
+    flag = child * m + cells  # child's presence flag of the cell's item
+    seen = np.zeros(n * m, dtype=bool)
+    seen[flag[in_head]] = True
     keep = in_head | ~seen[flag]
-    count = np.cumsum(keep, axis=1)  # kept cells up to and including each cell
-    total = count[:, -1:]
+    total = np.bincount(child[keep], minlength=n)  # kept cells per child
     out_lengths = np.minimum(total, max_len)
-    dest = count - 1 - (total - out_lengths)  # the first total - max_len kept cells fall off
-    write = keep & (dest >= 0)
-    out = np.full((n, int(out_lengths.max(initial=0))), NULL_ITEM, dtype=np.int64)
-    out[np.nonzero(write)[0], dest[write]] = wide[write]
-    return out, out_lengths[:, 0]
+    if (total > max_len).any():  # an overflowing child drops its first total - max_len kept cells
+        kept = child[keep]
+        rank = np.arange(len(kept)) - (np.cumsum(total) - total)[kept]
+        keep[keep] = rank >= (total - out_lengths)[kept]
+    if out is None:
+        out = np.full((n, int(out_lengths.max(initial=0))), NULL_ITEM, dtype=np.int64)
+    out[np.arange(out.shape[1]) < out_lengths[:, None]] = cells[keep]  # row-major, as the cells follow each other
+    return out, out_lengths
 
 
 def _checked_source(source, m: int, k: int, max_len: int) -> tuple[int, ...]:
@@ -392,19 +390,19 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * m))
 
 
-def _normalized(model, rows: np.ndarray, lengths: np.ndarray, block_rows: int):
-    """(block, normalized scores) per block of `block_rows` rows.
+def _normalized(model, rows: np.ndarray, lengths: np.ndarray, block_rows: int, normalize=softmax):
+    """(block, normalize(block's logits)) per block of `block_rows` rows.
 
-    Every block is normalized in place in one buffer, allocated per call,
-    so a block's scores are only valid until the next block is yielded.
-    The scorer's own array is never written: a scorer may hand back a
-    cached one.
+    `normalize` is `softmax` or `softmax_numerators`. Every block is
+    normalized in place in one buffer, allocated per call, so a block's
+    scores are only valid until the next block is yielded. The scorer's
+    own array is never written: a scorer may hand back a cached one.
     """
     buffer = np.empty((min(block_rows, len(lengths)), model.num_items))
     for start in range(0, len(lengths), block_rows):
         block = slice(start, start + block_rows)
         logits = score_batch_logits(model, rows[block], lengths[block])
-        yield block, softmax(logits, out=buffer[: len(logits)])
+        yield block, normalize(logits, out=buffer[: len(logits)])
 
 
 def _source_top1(model, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -453,13 +451,26 @@ class _RowEvaluator:
         self.categories = categories
         self.source_top1 = int(_source_top1(model, *_padded([self.source_items]))[0])
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
+        self.weighted = np.flatnonzero(self.weights)  # the columns the loss reads
         self.block_rows = _block_rows(m)  # tests set it after construction
 
     def loss(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The objective loss of each row."""
+        """The objective loss of each row.
+
+        The mass is `np.vecdot(softmax row, weights)` to the last bit, but
+        only the weighted columns are divided by the row sum: an undivided
+        numerator is finite and non-negative, so its weight of 0 adds
+        exactly 0 to the same sum over the same row. A single weight of 1.0
+        (an item's mass) is that column's softmax value itself.
+        """
         loss = np.empty(len(lengths))
-        for block, norm in _normalized(self.model, rows, lengths, self.block_rows):
-            mass = np.vecdot(norm, self.weights)
+        one_item = len(self.weighted) == 1 and self.weights[self.weighted[0]] == 1.0
+        for block, (e, sums) in _normalized(self.model, rows, lengths, self.block_rows, softmax_numerators):
+            if one_item:
+                mass = e[:, self.weighted[0]] / sums[:, 0]
+            else:
+                e[:, self.weighted] /= sums
+                mass = np.vecdot(e, self.weights)
             loss[block] = 1.0 - mass if self.targeted_loss else mass
         return loss
 
@@ -600,20 +611,30 @@ def _select(
 def _variation(
     population: Population, gen: int, m: int, max_len: int, config: GaConfig, seed: int, user: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pool of generation `gen`: the population, then its mutants and crossover children."""
+    """The pool of generation `gen`: the population, then its mutants and crossover children.
+
+    The pool is one NULL-padded buffer, as wide as its longest row: the
+    population and the mutants are copied in, and crossover reads its
+    parents from there and writes its children below them.
+    """
     m_rng = derive_stream(seed, [TAG_MUTATE, user, gen])
     parents = np.flatnonzero(m_rng.random(len(population)) < config.mutation_prob)
     mut_rows, mut_lengths = mutate_rows(
         population.rows[parents], population.lengths[parents], m, config.mutation_weights, max_len, m_rng
     )
-    rows = _pad_stack(population.rows, mut_rows)
     lengths = np.concatenate([population.lengths, mut_lengths])
     c_rng = derive_stream(seed, [TAG_CROSSOVER, user, gen])
     order = c_rng.permutation(len(lengths))
     pairs = order[: len(order) // 2 * 2].reshape(-1, 2)
     a, b = pairs[c_rng.random(len(pairs)) < config.crossover_prob].T
-    kid_rows, kid_lengths = crossover_rows(rows, lengths, a, b, c_rng, max_len, m)
-    return _pad_stack(rows, kid_rows), np.concatenate([lengths, kid_lengths])
+
+    n, width = len(lengths), max(population.rows.shape[1], mut_rows.shape[1])
+    pool = np.full((n + 2 * len(a), min(max_len, 2 * width - 1)), NULL_ITEM, dtype=np.int64)
+    pool[: len(population), : population.rows.shape[1]] = population.rows
+    pool[len(population) : n, : mut_rows.shape[1]] = mut_rows
+    _, kid_lengths = crossover_rows(pool[:n], lengths, a, b, c_rng, max_len, m, out=pool[n:])
+    lengths = np.concatenate([lengths, kid_lengths])
+    return pool[:, : lengths.max()], lengths
 
 
 def _evolve(evaluate: _RowEvaluator, config: GaConfig, seed: int, user: int) -> Population:

@@ -282,6 +282,13 @@ class TestFailureModes:
         assert capsys.readouterr().err == "error: max_len must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, pipeline, tmp_path, capsys, threads):
+        out = tmp_path / "out.jsonl"
+        assert main(explain_args(pipeline, out, **{"--threads": threads})) == 1
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not out.exists()
+
     def test_split_given_as_model_names_the_file(self, pipeline, tmp_path, capsys):
         args = explain_args(pipeline, tmp_path / "out.jsonl")
         args[args.index("--model") + 1] = str(pipeline["split"])

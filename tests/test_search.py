@@ -24,7 +24,7 @@ from seqcf import (
 )
 from seqcf import search
 from seqcf.cli import main
-from seqcf.core import derive_stream
+from seqcf.core import CategoryMap, derive_stream
 from seqcf.metrics import NULL_ITEM
 from seqcf.models import PopularityScorer, ScoreVector, top_k
 from seqcf.objective import SettingSpec, is_valid
@@ -319,6 +319,35 @@ class TestCrossoverRows:
                 assert 1 <= len(child) <= 8
                 assert len(set(child)) == len(child)
 
+    @pytest.mark.parametrize("max_len", [4, 9])
+    def test_overflowing_children_written_into_a_pool(self, max_len):
+        # parents no longer than max_len, as in the search, whose children
+        # reach 2 * max_len - 1 cells before repair and overflow
+        m, n = 40, 400
+        rng = derive_stream(3, [max_len])
+        parents = [tuple(rng.permutation(m)[: rng.integers(1, max_len + 1)].tolist()) for _ in range(n)]
+        rows, lengths = as_rows(parents)
+        a, b = np.arange(n // 2), np.arange(n // 2, n)
+        cut_a, cut_b = rng.integers(1, lengths[a] + 1), rng.integers(1, lengths[b] + 1)
+        pool = np.full((2 * n, 2 * max_len - 1), NULL_ITEM, dtype=np.int64)
+        pool[:n, : rows.shape[1]] = rows
+        kids, kid_lengths = crossover_rows(pool[:n], lengths, a, b, QueuedRng(integers=[cut_a, cut_b]), max_len, m,
+                                           out=pool[n:])
+        assert np.shares_memory(kids, pool)
+        assert np.array_equal(pool[:n, : rows.shape[1]], rows) and (pool[:n, rows.shape[1]:] == NULL_ITEM).all()
+        width = kid_lengths.max()
+        assert (pool[n:, width:] == NULL_ITEM).all()
+        out = row_tuples(pool[n:, :width], kid_lengths)
+        overflowed = 0
+        for j in range(n // 2):
+            p1, p2 = parents[j], parents[n // 2 + j]
+            assert (out[j], out[n // 2 + j]) == crossover(p1, p2, QueuedRng(integers=[cut_a[j], cut_b[j]]), max_len)
+            overflowed += len(set(p1[: cut_a[j]] + p2[cut_b[j]:])) > max_len
+            overflowed += len(set(p2[: cut_b[j]] + p1[cut_a[j]:])) > max_len
+        assert overflowed >= 20
+        # into a new array, exactly as wide as the longest child
+        assert row_tuples(*crossover_rows(rows, lengths, a, b, QueuedRng(integers=[cut_a, cut_b]), max_len, m)) == out
+
 
 class TestRowEvaluator:
     SETTINGS = [
@@ -413,6 +442,69 @@ class TestRowEvaluator:
             assert _RowEvaluator(model, setting, source, 1, None, m).source_top1 == top_k(scores, 1)[0]
             tied += np.count_nonzero(scores.normalized == scores.normalized.max()) > 1
         assert tied >= 100
+
+
+class TestWeightedColumnLoss:
+    """The loss divides only the weighted columns by the row sum; its bits are the full softmax's.
+
+    References: `np.vecdot` of the fully normalized block with the weights,
+    and the scalar `objective_loss` of each row, on a Markov scorer that
+    masks each row's items (-inf cells, which include weighted columns).
+    """
+
+    M = 150
+    CATS = overlapping_categories(M)  # items 0, 4, 8, ... carry two categories
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(31)
+        return train_markov(seqs({u: tuple(rng.permutation(self.M)[: rng.integers(2, 20)].tolist())
+                                  for u in range(1, 400)}), self.M)
+
+    def assert_same_bits(self, model, setting, source, cats, seed=0):
+        rng = derive_stream(seed, [len(source)])
+        cands = [source] + [tuple(rng.permutation(self.M)[: rng.integers(1, 30)].tolist()) for _ in range(300)]
+        rows, lengths = as_rows(cands)
+        evaluate = _RowEvaluator(model, setting, source, 10, cats, 49)
+        mass = np.vecdot(search.softmax(search.score_batch_logits(model, rows, lengths)), evaluate.weights)
+        want = 1.0 - mass if evaluate.targeted_loss else mass
+        for block_rows in (1, 7, len(cands)):  # one-row blocks, a ragged last block, one block
+            evaluate.block_rows = block_rows
+            assert evaluate.loss(rows, lengths).tobytes() == want.tobytes()
+        src_scores = model.score(source)
+        assert [objective_loss(setting, src_scores, model.score(c), cats) for c in cands] == want.tolist()
+        return evaluate
+
+    @pytest.mark.parametrize("setting", [
+        SettingSpec.from_name("un_un"),
+        SettingSpec.from_name("targ_un", target_item=7),
+        SettingSpec.from_name("un_cat"),
+        SettingSpec.from_name("targ_cat", target_category=1),
+    ], ids=lambda s: s.name)
+    def test_four_regimes(self, model, setting):
+        evaluate = self.assert_same_bits(model, setting, (3, 1, 4, 15, 9, 2, 6), self.CATS)
+        assert 0 < len(evaluate.weighted) < self.M
+
+    def test_un_cat_top1_in_two_categories(self, model):
+        rng = derive_stream(4, [1])
+        while True:  # a source whose top-1 carries two categories
+            source = tuple(rng.permutation(self.M)[:6].tolist())
+            evaluate = _RowEvaluator(model, SettingSpec.from_name("un_cat"), source, 10, self.CATS, 49)
+            if len(self.CATS.of(evaluate.source_top1)) == 2:
+                break
+        # an item sharing both categories is weighed once: membership is boolean
+        shares = [i for i in range(self.M) if self.CATS.of(i) & self.CATS.of(evaluate.source_top1)]
+        assert evaluate.weighted.tolist() == shares and set(evaluate.weights[shares]) == {1.0}
+        assert any(self.CATS.of(i) == self.CATS.of(evaluate.source_top1) for i in shares if i != evaluate.source_top1)
+        self.assert_same_bits(model, SettingSpec.from_name("un_cat"), source, self.CATS)
+
+    def test_one_hot_category(self, model):
+        # category 3 holds item 5 alone, so the targeted weights are one-hot
+        cats = CategoryMap(categories_of=tuple(c | ({3} if i == 5 else set()) for i, c in
+                                               enumerate(self.CATS.categories_of)), num_categories=4)
+        setting = SettingSpec.from_name("targ_cat", target_category=3)
+        evaluate = self.assert_same_bits(model, setting, (3, 1, 4, 15, 9, 2, 6), cats)
+        assert evaluate.weighted.tolist() == [5]
 
 
 def row_results(evaluate, cfg, rows, lengths):
@@ -858,7 +950,8 @@ class TestPinnedOutputs:
 
     The ball of every source here exceeds its share of a 64 x 10 search, so
     each user reaches the GA; (counterfactual, generation_found) pins the
-    harvest and a digest of user 1's final population pins every row.
+    harvest and a digest of user 1's final population pins every row and
+    the bits of every result (fitness, loss, edit distance, validity).
     """
 
     SETTINGS = {
@@ -873,28 +966,28 @@ class TestPinnedOutputs:
              ((53, 23, 29, 2, 27, 30, 9, 14, 43, 46, 18, 21, 51, 12), 1),
              ((1, 5, 21, 51, 6, 3, 7, 19, 26, 39, 53, 50), 8),
              ((0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25, 56), 6)],
-            "15a57ec2bda4eb89",
+            "69db57e37bcf782e",
         ),
         "targ_un": (
             [((13, 14, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0, 30), 10),
              ((53, 23, 29, 2, 27, 30), 1),
              (None, None),
              ((0, 2, 27, 30), 2)],
-            "7f2c9bb2d98f3b72",
+            "23456059a08f651d",
         ),
         "un_cat": (
             [((13, 41, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0), 8),
              ((53, 23, 29, 2, 27, 30, 9, 14, 43, 46, 18, 21), 3),
              ((1, 5, 21, 51, 6, 3, 7, 19, 26, 39, 24), 9),
              ((0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25, 41), 5)],
-            "7bc550f9eba2ba0e",
+            "8507a75601dc6170",
         ),
         "targ_cat": (
             [((13, 41, 16, 32, 54, 34, 36, 48, 17, 20, 49, 1, 0, 2, 46), 7),
              ((53, 23, 29, 2, 27, 30, 9, 14, 43, 56, 46, 18, 21, 41), 6),
              ((1, 5, 21, 51, 6, 3, 7, 19, 14, 26, 39, 48), 4),
              ((0, 2, 27, 30, 9, 14, 43, 46, 18, 55, 58, 25), 1)],
-            "d6cc07d2f3d85804",
+            "bf6b40883d2f9e39",
         ),
     }
 
@@ -907,7 +1000,9 @@ class TestPinnedOutputs:
             rec = explain(train[user], setting, model, 1, cfg, seed=0, categories=cats)
             found.append((rec.counterfactual, rec.generation_found))
         pop = genetic(train[1], setting, model, 1, cfg, seed=0, categories=cats)
-        digest = hashlib.sha256(pop.rows.tobytes() + pop.lengths.tobytes() + pop.born.tobytes()).hexdigest()
+        # every row and every result, to the last bit of each float
+        fields = ("rows", "lengths", "born", "fitness", "loss", "lev", "valid")
+        digest = hashlib.sha256(b"".join(getattr(pop, f).tobytes() for f in fields)).hexdigest()
         assert (found, digest[:16]) == self.EXPECTED[name]
 
     def test_ball_answers(self, synth_corpus):
