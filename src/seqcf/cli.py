@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="accepted for compatibility; the search is single-threaded until "
+        help="at least 1; accepted for compatibility: the search is single-threaded until "
         "process-level parallelism over users lands, and output never depends on it",
     )
     p.add_argument("--out", required=True)

@@ -153,9 +153,9 @@ def _check_sequence(items: tuple[int, ...], num_items: int) -> None:
 
 
 def _mask_rows(logits: np.ndarray, rows: np.ndarray) -> None:
-    """-inf at each row's items, written through one flat index of the C-contiguous `logits`."""
+    """-inf at each row's items, written through one flat (row-major) index of `logits`."""
     flat = (rows + np.arange(0, logits.size, logits.shape[1])[:, None])[rows >= 0]
-    logits.reshape(-1)[flat] = -np.inf  # a view: both scorers build a new contiguous block
+    np.put(logits, flat, -np.inf)
 
 
 def _int_array(name: str, values) -> np.ndarray:

@@ -322,8 +322,8 @@ def crossover_rows(
     rng: np.random.Generator,
     max_len: int,
     m: int,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: np.ndarray,
+) -> np.ndarray:
     """Single-cut crossover of the row pairs (a[j], b[j]) of `rows`: the array form of `crossover`.
 
     Pair j draws uniform cuts c_a, c_b in [1, length] of its parents; its
@@ -335,10 +335,9 @@ def crossover_rows(
     those cells, looked up in a presence bitmap of the heads over the m
     items, and a child with more than `max_len` kept cells drops its first
     ones. One masked assignment writes the kept cells into the padded rows,
-    so nothing is sorted. The children go to `out` when given (NULL_ITEM
+    so nothing is sorted. The children go to `out`: 2 * len(a) NULL_ITEM
     rows at least as wide as the longest child, which is at most
-    min(max_len, 2 * longest parent - 1)), else to a new array exactly
-    that wide. Returns (children's rows, lengths).
+    min(max_len, 2 * longest parent - 1). Returns the children's lengths.
     """
     cut_a = rng.integers(1, lengths[a] + 1)
     cut_b = rng.integers(1, lengths[b] + 1)
@@ -362,10 +361,8 @@ def crossover_rows(
         kept = child[keep]
         rank = np.arange(len(kept)) - (np.cumsum(total) - total)[kept]
         keep[keep] = rank >= (total - out_lengths)[kept]
-    if out is None:
-        out = np.full((n, int(out_lengths.max(initial=0))), NULL_ITEM, dtype=np.int64)
     out[np.arange(out.shape[1]) < out_lengths[:, None]] = cells[keep]  # row-major, as the cells follow each other
-    return out, out_lengths
+    return out_lengths
 
 
 def _checked_source(source, m: int, k: int, max_len: int) -> tuple[int, ...]:
@@ -460,17 +457,12 @@ class _RowEvaluator:
         The mass is `np.vecdot(softmax row, weights)` to the last bit, but
         only the weighted columns are divided by the row sum: an undivided
         numerator is finite and non-negative, so its weight of 0 adds
-        exactly 0 to the same sum over the same row. A single weight of 1.0
-        (an item's mass) is that column's softmax value itself.
+        exactly 0 to the same sum over the same row.
         """
         loss = np.empty(len(lengths))
-        one_item = len(self.weighted) == 1 and self.weights[self.weighted[0]] == 1.0
         for block, (e, sums) in _normalized(self.model, rows, lengths, self.block_rows, softmax_numerators):
-            if one_item:
-                mass = e[:, self.weighted[0]] / sums[:, 0]
-            else:
-                e[:, self.weighted] /= sums
-                mass = np.vecdot(e, self.weights)
+            e[:, self.weighted] /= sums
+            mass = np.vecdot(e, self.weights)
             loss[block] = 1.0 - mass if self.targeted_loss else mass
         return loss
 
@@ -632,7 +624,7 @@ def _variation(
     pool = np.full((n + 2 * len(a), min(max_len, 2 * width - 1)), NULL_ITEM, dtype=np.int64)
     pool[: len(population), : population.rows.shape[1]] = population.rows
     pool[len(population) : n, : mut_rows.shape[1]] = mut_rows
-    _, kid_lengths = crossover_rows(pool[:n], lengths, a, b, c_rng, max_len, m, out=pool[n:])
+    kid_lengths = crossover_rows(pool[:n], lengths, a, b, c_rng, max_len, m, pool[n:])
     lengths = np.concatenate([lengths, kid_lengths])
     return pool[:, : lengths.max()], lengths
 

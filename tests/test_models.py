@@ -16,7 +16,7 @@ from seqcf import (
     train_markov,
     train_popularity,
 )
-from seqcf.models import ScoreVector, softmax
+from seqcf.models import ScoreVector, _mask_rows, softmax
 
 from conftest import seqs
 
@@ -112,6 +112,21 @@ class TestScoring:
         batch = model.score_batch(rows, lengths)
         for i, c in enumerate(cands):
             assert np.array_equal(batch[i], model.score(c).logits)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_mask_rows_writes_through_any_layout(self, layout):
+        rng = np.random.default_rng(5)
+        rows = np.full((9, 4), -1, dtype=np.int64)
+        for i in range(9):
+            n = int(rng.integers(0, 5))
+            rows[i, :n] = rng.permutation(11)[:n]
+        base = rng.normal(size=(9, 24))
+        logits = {"C": base[:, :11].copy(), "F": np.asfortranarray(base[:, :11]), "strided": base[:, :22:2]}[layout]
+        expected = np.array(logits)
+        for i, j in zip(*np.nonzero(rows >= 0)):
+            expected[i, rows[i, j]] = -np.inf
+        _mask_rows(logits, rows)
+        assert np.array_equal(logits, expected)
 
 
 def transition_of(model) -> list[tuple[int, int, int]]:
