@@ -23,7 +23,7 @@ import numpy as np
 from .core import TAG_BASELINE, CategoryMap, UserSequence, derive_stream, user_of
 from .objective import SettingSpec, loss_weights
 from .records import ExplanationRecord, explanation_record
-from .search import _block_rows, _checked_source, _padded, _source_top1, _valid, mutate_replace
+from .search import _checked_source, _padded, _source_top1, _valid, mutate_replace
 
 # attempts per chunk of users: their (rows, max_len) int64 cells, at most 400 KiB, stay below a score block
 _CHUNK_ROWS = 1024
@@ -75,7 +75,7 @@ def _chunk_records(sources, method, setting, model, k, seed, categories, attempt
     attempts = [attempts_of(it, derive_stream(seed, [TAG_BASELINE, user_of(s)])) for s, it in zip(sources, items)]
     counts = np.fromiter(map(len, attempts), dtype=np.int64, count=len(attempts))
     rows, lengths = _padded(list(chain.from_iterable(attempts)))
-    valid = _valid(model, setting, np.repeat(top1, counts), rows, lengths, k, categories, _block_rows(m))
+    valid = _valid(model, setting, np.repeat(top1, counts), rows, lengths, k, categories)
     starts = np.cumsum(counts) - counts
     # a user's first valid row is the first valid row at or after its first row, if still its own
     hits = np.flatnonzero(valid)

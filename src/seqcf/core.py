@@ -110,10 +110,6 @@ class CategoryMap:
             out[item, list(cats)] = True
         return out
 
-    def members(self, category: int) -> tuple[int, ...]:
-        """Items carrying the given category, in ascending item order."""
-        return tuple(i for i, cats in enumerate(self.categories_of) if category in cats)
-
     def category_id(self, name_or_id: str | int) -> int:
         """Resolve a category label or numeric id string to its dense id."""
         if isinstance(name_or_id, int):

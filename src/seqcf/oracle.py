@@ -4,17 +4,25 @@ The oracle enumerates, distance level by distance level, every fixed-length
 sequence reachable from the source by substitutions only, and returns the
 first level containing a valid candidate. It exists as trivially correct
 ground truth for the genetic search, so it deliberately does no pruning.
+It judges on the search's row path (`search._checked_source`,
+`_source_top1`, `_valid`), as the baselines do, each level in chunks of at
+most `_CHUNK_ROWS` candidates, so memory does not grow with the level.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, perm
 
+import numpy as np
+
 from .core import CategoryMap, as_items
-from .objective import SettingSpec, is_valid
+from .objective import SettingSpec
+from .search import _checked_source, _padded, _source_top1, _valid
 
 ENUMERATION_BUDGET = 10_000_000
+# candidates per chunk: their Python tuples and (rows, length) int64 cells take a few MiB at most
+_CHUNK_ROWS = 4096
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -31,8 +39,15 @@ def count_search_space(n: int, length: int) -> int:
     return perm(n, length)
 
 
-def _level_size_bound(length: int, n: int, max_distance: int) -> int:
-    return sum(comb(length, d) * (n - length) ** d for d in range(1, max_distance + 1))
+def _level_size(length: int, m: int, d: int) -> int:
+    """How many candidates `substitutions` yields at level d for a duplicate-free source.
+
+    A level-d candidate replaces d of the `length` positions with distinct
+    items among the m - length unused ones and the d replaced ones, none
+    keeping its own item: inclusion-exclusion over the j positions that do.
+    """
+    spare = m - length + d
+    return comb(length, d) * sum((-1) ** j * comb(d, j) * perm(spare - j, d - j) for j in range(d + 1))
 
 
 def oracle_optimal(
@@ -49,28 +64,28 @@ def oracle_optimal(
     which for substitution-only candidates equals the number of replaced
     positions. Within the first successful level the lexicographically
     smallest candidate wins, so results do not depend on enumeration
-    chunking. Raises EnumerationBudgetError when the estimated candidate
-    count exceeds the budget.
+    chunking. The source is checked as the search checks it. Raises
+    EnumerationBudgetError when the candidate count exceeds the budget.
     """
-    src = as_items(source)
-    length = len(src)
-    m = model.num_items
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
-    max_distance = min(max_distance, length)
-    if _level_size_bound(length, m, max_distance) > ENUMERATION_BUDGET:
+    m = model.num_items
+    src = _checked_source(source, m, k, m - 1)  # a substitution keeps the length
+    max_distance = min(max_distance, len(src))
+    if sum(_level_size(len(src), m, d) for d in range(1, max_distance + 1)) > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration would exceed {ENUMERATION_BUDGET} candidates"
         )
-    src_scores = model.score(src)
+    top1 = _source_top1(model, *_padded([src]))
 
     for d in range(1, max_distance + 1):
         best: tuple[int, ...] | None = None
-        for cand in substitutions(src, m, d):
-            if best is not None and cand >= best:
-                continue
-            if is_valid(setting, src_scores, model.score(cand), k, categories):
-                best = cand
+        level = substitutions(src, m, d)
+        while chunk := list(islice(level, _CHUNK_ROWS)):
+            hits = np.flatnonzero(_valid(model, setting, top1, *_padded(chunk), k, categories))
+            if hits.size:
+                cand = min(chunk[i] for i in hits)
+                best = cand if best is None else min(best, cand)
         if best is not None:
             return best, d
     return None

@@ -16,9 +16,10 @@ which are then harvested for the closest valid candidate.
 The population is a set of arrays (`Population`): an (N, W) item matrix
 padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
-numpy steps whatever N is: `mutate_rows` and `crossover_rows` are the array
-forms of the scalar operators `mutate_*` and `crossover` (kept as their
-reference and used by the baselines). One gather kernel, `apply_edits`,
+numpy steps whatever N is: `mutate_rows` and `crossover_rows` edit every
+row at once (the random baseline keeps the scalar `mutate_replace`; the
+tests keep the scalar add, delete and crossover operators as references
+of these). One gather kernel, `apply_edits`,
 makes the edit of every mutant and radius-1 ball member; `crossover_rows`
 gathers its children's real cells from the pool, one flat run per child,
 and repairs them with a presence bitmap and a count of the kept cells.
@@ -31,6 +32,9 @@ item its row lacks, and a child's repair drops its repeats. Selection's
 one stable sort of the pool by items keeps each sequence's first copy in
 pool order, which is its earliest-born copy, and the copies born this
 generation, the sequences new to the population, are scored in one batch.
+It is the search's one distinct pass: selection leaves its d distinct
+sequences first, by (fitness, items), and row i >= d a copy of row i mod d,
+so the final population's validity is judged on its first d rows.
 A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product over the
 row, whose weighted columns alone are divided by the row sum; edit
@@ -43,10 +47,11 @@ alone blocks: 512 KiB of float64 scores, normalized in place in one
 buffer, so the scorer's block and the buffer stay within a core's 2 MiB
 L2 cache over every (rows, m) pass. The baselines share that row path
 (`_checked_source`, `_source_top1`, `_valid`) for a whole user sample at
-once, each attempt judged against its own source's top-1, so the search
-and both baselines decide validity on one path; the scalar `is_valid` and
-`objective_loss` remain the reference of the judges (`evaluate`, the
-oracle) and of the tests.
+once, each attempt judged against its own source's top-1, and so does the
+oracle, one chunk of a substitution level at a time, so every explainer
+decides validity on one path; the scalar `is_valid` and `objective_loss`
+remain the reference of `evaluate`, of the benchmark's record checks and
+of the tests.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation
@@ -88,9 +93,9 @@ from .core import (
     derive_stream,
     user_of,
 )
-from .metrics import NULL_ITEM, levenshtein, levenshtein_batch
-from .models import ScoreVector, score_batch_logits, softmax, softmax_numerators
-from .objective import SettingSpec, loss_weights, objective_loss, valid_rows
+from .metrics import NULL_ITEM, levenshtein_batch
+from .models import score_batch_logits, softmax, softmax_numerators
+from .objective import SettingSpec, loss_weights, valid_rows
 from .records import ExplanationRecord, explanation_record
 
 MUTATION_KINDS = ("replace", "add", "delete")
@@ -184,60 +189,8 @@ def mutate_replace(seq, m: int, rng: np.random.Generator) -> tuple[int, ...]:
     return items[:i] + (z,) + items[i + 1 :]
 
 
-def mutate_add(seq, m: int, rng: np.random.Generator, max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...]:
-    """Insert an unseen item of range(m) at a random slot; overflow drops the oldest item."""
-    items = as_items(seq)
-    i = int(rng.integers(len(items) + 1))
-    z = _draw_unseen(items, m, rng)
-    out = items[:i] + (z,) + items[i:]
-    if len(out) > max_len:
-        out = out[1:]
-    return out
-
-
-def mutate_delete(seq, rng: np.random.Generator) -> tuple[int, ...]:
-    """Remove one uniformly random position, shifting the suffix left."""
-    items = as_items(seq)
-    if len(items) < 2:
-        raise ValueError("cannot delete from a length-1 sequence")
-    i = int(rng.integers(len(items)))
-    return items[:i] + items[i + 1 :]
-
-
-def _dedup_keep_first(items: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(dict.fromkeys(items))
-
-
-def crossover(
-    parent1, parent2, rng: np.random.Generator, max_len: int = DEFAULT_MAX_LEN
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Single-cut recombination; duplicate repair drops later occurrences."""
-    p1, p2 = as_items(parent1), as_items(parent2)
-    c1 = int(rng.integers(1, len(p1) + 1))
-    c2 = int(rng.integers(1, len(p2) + 1))
-    child1 = _dedup_keep_first(p1[:c1] + p2[c2:])[-max_len:]
-    child2 = _dedup_keep_first(p2[:c2] + p1[c1:])[-max_len:]
-    return child1, child2
-
-
 def combine_fitness(lev: float, loss: float, edit_weight: float, max_len: int) -> float:
     return edit_weight * (lev / max_len) + (1.0 - edit_weight) * loss
-
-
-def fitness(
-    source,
-    source_scores: ScoreVector,
-    cand,
-    cand_scores: ScoreVector,
-    setting: SettingSpec,
-    edit_weight: float = 0.5,
-    max_len: int = DEFAULT_MAX_LEN,
-    categories: CategoryMap | None = None,
-) -> float:
-    """Stand-alone fitness of one scored candidate (lower is better)."""
-    lev = levenshtein(as_items(source), as_items(cand))
-    loss = objective_loss(setting, source_scores, cand_scores, categories)
-    return combine_fitness(lev, loss, edit_weight, max_len)
 
 
 def _padded(seqs: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +234,7 @@ def mutate_rows(
     max_len: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One replace / add / delete edit per row: the array form of `mutate_*`.
+    """One replace / add / delete edit per row: the array form of the scalar mutation operators.
 
     Each row draws its kind among the kinds that apply to it (replace and
     add need an item the row lacks, delete needs two items), weighted by
@@ -324,7 +277,7 @@ def crossover_rows(
     m: int,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Single-cut crossover of the row pairs (a[j], b[j]) of `rows`: the array form of `crossover`.
+    """Single-cut crossover of the row pairs (a[j], b[j]) of `rows`, with duplicate repair.
 
     Pair j draws uniform cuts c_a, c_b in [1, length] of its parents; its
     children a[:c_a] + b[c_b:] and b[:c_b] + a[c_a:] are rows j and
@@ -383,18 +336,15 @@ def _checked_source(source, m: int, k: int, max_len: int) -> tuple[int, ...]:
     return source_items
 
 
-def _block_rows(m: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * m))
-
-
-def _normalized(model, rows: np.ndarray, lengths: np.ndarray, block_rows: int, normalize=softmax):
-    """(block, normalize(block's logits)) per block of `block_rows` rows.
+def _normalized(model, rows: np.ndarray, lengths: np.ndarray, normalize=softmax):
+    """(block, normalize(block's logits)) per block of `_BLOCK_BYTES` of float64 scores.
 
     `normalize` is `softmax` or `softmax_numerators`. Every block is
     normalized in place in one buffer, allocated per call, so a block's
     scores are only valid until the next block is yielded. The scorer's
     own array is never written: a scorer may hand back a cached one.
     """
+    block_rows = max(1, _BLOCK_BYTES // (8 * model.num_items))
     buffer = np.empty((min(block_rows, len(lengths)), model.num_items))
     for start in range(0, len(lengths), block_rows):
         block = slice(start, start + block_rows)
@@ -410,16 +360,16 @@ def _source_top1(model, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     building a `ScoreVector` or sorting the catalog.
     """
     top1 = np.empty(len(lengths), dtype=np.int64)
-    for block, norm in _normalized(model, rows, lengths, _block_rows(model.num_items)):
+    for block, norm in _normalized(model, rows, lengths):
         top1[block] = np.argmax(norm, axis=1)
     return top1
 
 
-def _valid(model, setting, source_top1, rows, lengths, k, categories, block_rows) -> np.ndarray:
+def _valid(model, setting, source_top1, rows, lengths, k, categories) -> np.ndarray:
     """Whether each row is a counterfactual at k, against `source_top1` (one item, or one per row)."""
     source_top1 = np.broadcast_to(source_top1, lengths.shape)
     valid = np.empty(len(lengths), dtype=bool)
-    for block, norm in _normalized(model, rows, lengths, block_rows):
+    for block, norm in _normalized(model, rows, lengths):
         valid[block] = valid_rows(setting, source_top1[block], norm, k, categories)
     return valid
 
@@ -432,10 +382,10 @@ class _RowEvaluator:
     A row's results depend on its items alone, never on the other rows of
     the batch (the objective mass is one dot product per row). Every
     caller (a GA generation, the final population, the radius-1 ball)
-    hands over a whole batch, which is scored in blocks of `block_rows`
-    rows, 512 KiB of float64 scores. `loss` and `valid` each score their
-    rows: the GA's generations need only the loss, and validity only
-    decides the final pick.
+    hands over a whole batch, which is scored in blocks of 512 KiB of
+    float64 scores. `loss` and `valid` each score their rows: the GA's
+    generations need only the loss, and validity only decides the final
+    pick.
     """
 
     def __init__(self, model, setting, source, k, categories, max_len):
@@ -449,7 +399,6 @@ class _RowEvaluator:
         self.source_top1 = int(_source_top1(model, *_padded([self.source_items]))[0])
         self.weights, self.targeted_loss = loss_weights(setting, self.source_top1, m, categories)
         self.weighted = np.flatnonzero(self.weights)  # the columns the loss reads
-        self.block_rows = _block_rows(m)  # tests set it after construction
 
     def loss(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The objective loss of each row.
@@ -460,7 +409,7 @@ class _RowEvaluator:
         exactly 0 to the same sum over the same row.
         """
         loss = np.empty(len(lengths))
-        for block, (e, sums) in _normalized(self.model, rows, lengths, self.block_rows, softmax_numerators):
+        for block, (e, sums) in _normalized(self.model, rows, lengths, softmax_numerators):
             e[:, self.weighted] /= sums
             mass = np.vecdot(e, self.weights)
             loss[block] = 1.0 - mass if self.targeted_loss else mass
@@ -468,8 +417,7 @@ class _RowEvaluator:
 
     def valid(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Whether each row is a counterfactual at the search's k."""
-        return _valid(self.model, self.setting, self.source_top1, rows, lengths, self.k, self.categories,
-                      self.block_rows)
+        return _valid(self.model, self.setting, self.source_top1, rows, lengths, self.k, self.categories)
 
 
 def _ga_results(evaluate: _RowEvaluator, config: GaConfig, rows: np.ndarray, lengths: np.ndarray):
@@ -641,13 +589,15 @@ def _evolve(evaluate: _RowEvaluator, config: GaConfig, seed: int, user: int) -> 
         rows, lengths = _variation(population, gen, m, evaluate.max_len, config, seed, user)
         population = _select(population, rows, lengths, gen, evaluate, config)
 
+    # `_select` leaves its d distinct sequences first, by (fitness, items), and
+    # row i >= d a copy of row i mod d, so d is where row 0 first repeats
+    repeats = np.flatnonzero((population.rows[1:] == population.rows[0]).all(axis=1))
+    d = int(repeats[0]) + 1 if repeats.size else n
+    copy_of = np.arange(n) % d
     # validity steers no generation, so only the final population's distinct rows are judged
-    words = _row_words(population.rows, m)
-    _, first, copy_of = np.unique(words, axis=0, return_index=True, return_inverse=True)
-    valid = evaluate.valid(population.rows[first], population.lengths[first])[copy_of.reshape(-1)]
-    population = replace(population, valid=valid)
-    # by (fitness, items): equal sequences are copies of one row, so born breaks no tie
-    return population.take(np.lexsort((*words.T[::-1], population.fitness)))
+    valid = evaluate.valid(population.rows[:d], population.lengths[:d])[copy_of]
+    # by (fitness, items): each sequence's copies follow it
+    return replace(population, valid=valid).take(np.argsort(copy_of, kind="stable"))
 
 
 def genetic(

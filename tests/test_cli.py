@@ -686,7 +686,7 @@ class TestStartUp:
 
     def test_every_public_name_resolves(self):
         code = "import seqcf; print(len(seqcf.__all__), all(getattr(seqcf, n) is not None for n in seqcf.__all__))"
-        assert _fresh_python(code) == "56 True\n"
+        assert _fresh_python(code) == "52 True\n"
         assert _fresh_python("from seqcf import *; print(callable(explain), callable(reduce))") == "True True\n"
 
 
@@ -704,8 +704,8 @@ def test_parser_flags_snapshot():
 PUBLIC_KEYWORD_DEFAULTS = {
     "Catalog": 1, "CategoryMap": 1, "GaConfig": 7, "InteractionLog": 1, "MarkovScorer": 2, "PopularityScorer": 1, "SettingSpec": 5,
     "SplitDataset": 2, "UserSequence": 1, "aggregate_report": 2, "baseline_educated": 3, "baseline_random": 3,
-    "crossover": 1, "explain": 3, "fitness": 3, "genetic": 3, "is_valid": 1, "k_core_filter": 1,
-    "leave_one_out_split": 1, "mutate_add": 1, "objective_loss": 1, "oracle_optimal": 1, "synthesize_corpus": 3,
+    "explain": 3, "genetic": 3, "is_valid": 1, "k_core_filter": 1, "leave_one_out_split": 1, "objective_loss": 1,
+    "oracle_optimal": 1, "synthesize_corpus": 3,
     "train_markov": 2, "train_popularity": 1, "write_records": 1,
 }
 
@@ -722,7 +722,7 @@ def _keyword_defaults(obj) -> int:
 def test_public_keyword_defaults_snapshot():
     counts = {name: _keyword_defaults(getattr(seqcf, name)) for name in seqcf.__all__}
     assert {name: n for name, n in counts.items() if n} == PUBLIC_KEYWORD_DEFAULTS
-    assert sum(counts.values()) == 52
+    assert sum(counts.values()) == 47
 
 
 class TestReduceVc:

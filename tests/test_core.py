@@ -77,14 +77,12 @@ class TestCatalogAndCategories:
         with pytest.raises(ValueError, match="out-of-range"):
             CategoryMap(categories_of=(frozenset({2}),), num_categories=2)
 
-    def test_members_and_resolution(self):
+    def test_category_resolution(self):
         cm = CategoryMap(
             categories_of=(frozenset({0}), frozenset({0, 1}), frozenset()),
             num_categories=2,
             category_labels=("Action", "Drama"),
         )
-        assert cm.members(0) == (0, 1)
-        assert cm.members(1) == (1,)
         assert cm.category_id("Drama") == 1
         assert cm.category_id("0") == 0
         with pytest.raises(ValueError):

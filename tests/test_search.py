@@ -9,13 +9,9 @@ import pytest
 from seqcf import (
     GaConfig,
     UserSequence,
-    crossover,
     explain,
-    fitness,
     genetic,
     levenshtein,
-    mutate_add,
-    mutate_delete,
     mutate_replace,
     objective_loss,
     oracle_optimal,
@@ -42,6 +38,7 @@ from seqcf.search import (
 )
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
+from reference import crossover, fitness, mutate_add, mutate_delete
 
 
 def chi_square(counts, expected):
@@ -395,21 +392,21 @@ class TestRowEvaluator:
 
     @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
     @pytest.mark.parametrize("k", [1, 3])
-    def test_blocks_match_one_batch(self, walk_markov, setting, k):
+    def test_blocks_match_one_batch(self, walk_markov, setting, k, monkeypatch):
         cats = overlapping_categories(12)
         cfg = GaConfig(population_size=8, edit_weight=0.3, max_len=8)
         rng = derive_stream(5, [7])
         rows, lengths = as_rows([tuple(rng.permutation(12)[: rng.integers(1, 9)].tolist()) for _ in range(100)])
         evaluate = _RowEvaluator(walk_markov, setting, (0, 1, 2, 3), k, cats, cfg.max_len)
-        evaluate.block_rows = len(lengths)
+        set_block_rows(monkeypatch, 12, len(lengths))
         whole = row_results(evaluate, cfg, rows, lengths)
         for block_rows in (1, 7, len(lengths)):
-            evaluate.block_rows = block_rows
+            set_block_rows(monkeypatch, 12, block_rows)
             for got, want in zip(row_results(evaluate, cfg, rows, lengths), whole):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
-    def test_cached_scorer_arrays_stay_unwritten(self, walk_markov, setting):
+    def test_cached_scorer_arrays_stay_unwritten(self, walk_markov, setting, monkeypatch):
         cats = overlapping_categories(12)
         cfg = GaConfig(population_size=8, edit_weight=0.3, max_len=8)
         rng = derive_stream(6, [7])
@@ -418,7 +415,7 @@ class TestRowEvaluator:
         memo = MemoScorer(walk_markov)
         evaluate = _RowEvaluator(memo, setting, (0, 1, 2, 3), 3, cats, cfg.max_len)
         for block_rows in (len(lengths), 7, len(lengths), 7):  # the second pass is served from the cache
-            evaluate.block_rows = block_rows
+            set_block_rows(monkeypatch, 12, block_rows)
             kept = {key: logits.copy() for key, logits in memo.cache.items()}
             for got, expected in zip(row_results(evaluate, cfg, rows, lengths), want):
                 assert np.array_equal(got, expected)
@@ -465,7 +462,7 @@ class TestWeightedColumnLoss:
         return train_markov(seqs({u: tuple(rng.permutation(self.M)[: rng.integers(2, 20)].tolist())
                                   for u in range(1, 400)}), self.M)
 
-    def assert_same_bits(self, model, setting, source, cats, seed=0):
+    def assert_same_bits(self, monkeypatch, model, setting, source, cats, seed=0):
         rng = derive_stream(seed, [len(source)])
         cands = [source] + [tuple(rng.permutation(self.M)[: rng.integers(1, 30)].tolist()) for _ in range(300)]
         rows, lengths = as_rows(cands)
@@ -473,7 +470,7 @@ class TestWeightedColumnLoss:
         mass = np.vecdot(search.softmax(search.score_batch_logits(model, rows, lengths)), evaluate.weights)
         want = 1.0 - mass if evaluate.targeted_loss else mass
         for block_rows in (1, 7, len(cands)):  # one-row blocks, a ragged last block, one block
-            evaluate.block_rows = block_rows
+            set_block_rows(monkeypatch, self.M, block_rows)
             assert evaluate.loss(rows, lengths).tobytes() == want.tobytes()
         src_scores = model.score(source)
         assert [objective_loss(setting, src_scores, model.score(c), cats) for c in cands] == want.tolist()
@@ -485,11 +482,11 @@ class TestWeightedColumnLoss:
         SettingSpec.from_name("un_cat"),
         SettingSpec.from_name("targ_cat", target_category=1),
     ], ids=lambda s: s.name)
-    def test_four_regimes(self, model, setting):
-        evaluate = self.assert_same_bits(model, setting, (3, 1, 4, 15, 9, 2, 6), self.CATS)
+    def test_four_regimes(self, model, setting, monkeypatch):
+        evaluate = self.assert_same_bits(monkeypatch, model, setting, (3, 1, 4, 15, 9, 2, 6), self.CATS)
         assert 0 < len(evaluate.weighted) < self.M
 
-    def test_un_cat_top1_in_two_categories(self, model):
+    def test_un_cat_top1_in_two_categories(self, model, monkeypatch):
         rng = derive_stream(4, [1])
         while True:  # a source whose top-1 carries two categories
             source = tuple(rng.permutation(self.M)[:6].tolist())
@@ -500,15 +497,20 @@ class TestWeightedColumnLoss:
         shares = [i for i in range(self.M) if self.CATS.of(i) & self.CATS.of(evaluate.source_top1)]
         assert evaluate.weighted.tolist() == shares and set(evaluate.weights[shares]) == {1.0}
         assert any(self.CATS.of(i) == self.CATS.of(evaluate.source_top1) for i in shares if i != evaluate.source_top1)
-        self.assert_same_bits(model, SettingSpec.from_name("un_cat"), source, self.CATS)
+        self.assert_same_bits(monkeypatch, model, SettingSpec.from_name("un_cat"), source, self.CATS)
 
-    def test_one_hot_category(self, model):
+    def test_one_hot_category(self, model, monkeypatch):
         # category 3 holds item 5 alone, so the targeted weights are one-hot
         cats = CategoryMap(categories_of=tuple(c | ({3} if i == 5 else set()) for i, c in
                                                enumerate(self.CATS.categories_of)), num_categories=4)
         setting = SettingSpec.from_name("targ_cat", target_category=3)
-        evaluate = self.assert_same_bits(model, setting, (3, 1, 4, 15, 9, 2, 6), cats)
+        evaluate = self.assert_same_bits(monkeypatch, model, setting, (3, 1, 4, 15, 9, 2, 6), cats)
         assert evaluate.weighted.tolist() == [5]
+
+
+def set_block_rows(monkeypatch, m, block_rows):
+    """Score blocks of `block_rows` rows at catalog size m."""
+    monkeypatch.setattr(search, "_BLOCK_BYTES", 8 * m * block_rows)
 
 
 def row_results(evaluate, cfg, rows, lengths):
@@ -786,6 +788,62 @@ class TestGenetic:
         source_rows = [i for i in range(len(pop)) if pop.items(i) == (0, 1, 2)]
         assert source_rows and all(pop.born[i] == 0 for i in source_rows)
         assert pop.born.max() > 0
+
+
+class TestSelectInvariant:
+    """`_select` leaves the d distinct sequences first, by (fitness, items), then their cyclic copies.
+
+    d is the smaller of the population size and the pool's distinct
+    sequence count. The final population's validity and order rest on this.
+    """
+
+    SETTINGS = ("un_un", "targ_un", "un_cat", "targ_cat")
+
+    def test_random_small_configurations(self, monkeypatch):
+        select = search._select
+        selected, padded = [], 0
+
+        def watch(population, rows, lengths, *rest):
+            out = select(population, rows, lengths, *rest)
+            items = [out.items(i) for i in range(len(out))]
+            d = min(len(out), len({tuple(row[:n].tolist()) for row, n in zip(rows, lengths)}))
+            assert len(set(items[:d])) == d
+            keys = [(out.fitness[i], items[i]) for i in range(d)]
+            assert keys == sorted(keys)
+            for i in range(d, len(out)):
+                assert items[i] == items[i % d]
+                assert all(getattr(out, f)[i] == getattr(out, f)[i % d] for f in ("born", "fitness", "loss", "lev"))
+            selected.append(out)
+            return out
+
+        monkeypatch.setattr(search, "_select", watch)
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            m = int(rng.integers(3, 14))
+            model = train_markov(seqs({u: tuple(rng.permutation(m)[: rng.integers(2, m + 1)].tolist())
+                                       for u in range(1, 6)}), m)
+            source = tuple(rng.permutation(m)[: rng.integers(1, m)].tolist())
+            name = self.SETTINGS[trial % 4]
+            target = {"targ_un": {"target_item": int(rng.integers(m))}, "targ_cat": {"target_category": 1}}
+            setting = SettingSpec.from_name(name, threshold=0.3, **target.get(name, {}))
+            cfg = GaConfig(
+                generations=int(rng.integers(1, 5)), population_size=int(rng.integers(2, 40)),
+                mutation_prob=float(rng.random()), crossover_prob=float(rng.random()),
+                mutation_weights=tuple(rng.integers(0, 3, size=3) + np.array([1, 0, 0])),
+                max_len=int(rng.integers(len(source), m)),
+            )
+            k, cats = int(rng.integers(1, m + 1)), overlapping_categories(m)
+            pop = genetic(source, setting, model, k, cfg, seed=trial, categories=cats)
+            # the final population is the last selection's rows by (fitness, items)
+            last = selected[-1]
+            order = np.lexsort((*last.rows.T[::-1], last.fitness))
+            for f in ("rows", "lengths", "born", "fitness", "loss", "lev"):
+                assert np.array_equal(getattr(pop, f), getattr(last, f)[order])
+            src_scores = model.score(source)
+            assert pop.valid.tolist() == [is_valid(setting, src_scores, model.score(pop.items(i)), k, cats)
+                                          for i in range(len(pop))]
+            padded += len({pop.items(i) for i in range(len(pop))}) < len(pop)
+        assert len(selected) > 40 and 0 < padded < 40
 
 
 class TestGaConfig:
