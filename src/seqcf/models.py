@@ -25,6 +25,7 @@ Files of versions 1 and 2 (a dense transition matrix) are rejected.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -46,6 +47,16 @@ class ModelFormatError(ValueError):
 _BROADCAST_BUFSIZE = 128
 
 
+@contextmanager
+def _row_broadcasts():
+    """Run the body with a ufunc buffer of `_BROADCAST_BUFSIZE` elements; the caller's size is restored."""
+    bufsize = np.setbufsize(_BROADCAST_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
+
+
 def softmax_numerators(logits: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """exp(logits - row max) and its row sums: a softmax before the divide.
 
@@ -59,12 +70,9 @@ def softmax_numerators(logits: np.ndarray, out: np.ndarray | None = None) -> tup
     peak = np.max(logits, axis=-1, keepdims=True)
     if not np.all(np.isfinite(peak)):
         raise ValueError("softmax needs at least one finite logit per row")
-    bufsize = np.setbufsize(_BROADCAST_BUFSIZE)
-    try:
+    with _row_broadcasts():
         z = np.subtract(logits, peak, out=out)
         np.exp(z, out=z)
-    finally:
-        np.setbufsize(bufsize)
     return z, np.sum(z, axis=-1, keepdims=True)
 
 
@@ -85,12 +93,37 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     on return and on error.
     """
     z, sums = softmax_numerators(logits, out)
-    bufsize = np.setbufsize(_BROADCAST_BUFSIZE)
-    try:
+    with _row_broadcasts():
         z /= sums
-    finally:
-        np.setbufsize(bufsize)
     return z
+
+
+# how far a logit screen keeps from its exact cut, in logit units: far above
+# the rounding of softmax's subtract, exp, row sum and divide for any catalog
+# below 10^9 items, so a row a screen settles is settled as its softmax would be
+LOGIT_MARGIN = 1e-6
+
+
+def unique_argmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's logit argmax, and whether it is surely the first maximum of the row's softmax.
+
+    It is when every other logit of the row lies below peak - LOGIT_MARGIN ·
+    max(1, |peak|) (the scaling covers the rounding of that difference): the
+    softmax then exponentiates a difference below -0.99 · LOGIT_MARGIN for
+    every other item, which stays below the peak's exp(0) = 1 through any
+    rounding of the exp and of the divide by the row sum. A row whose peak
+    is not finite (NaN, +inf, every logit -inf) is never sure, so softmax
+    still rejects it.
+    """
+    top = np.argmax(logits, axis=1)
+    at = np.arange(len(top))
+    peak = logits[at, top]
+    finite = np.isfinite(peak)
+    peak = np.where(finite, peak, np.nan)  # NaN compares False with every logit
+    with _row_broadcasts():  # the comparison is a row broadcast too
+        near = logits >= (peak - LOGIT_MARGIN * np.maximum(1.0, np.abs(peak)))[:, None]
+    near[at, top] = False
+    return top, finite & ~near.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -131,14 +164,16 @@ class BlackBoxScorer(Protocol):
 
 
 def score_batch_logits(model: BlackBoxScorer, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Raw logits for a padded batch of sequences, one row per candidate.
+    """Raw float64 logits for a padded batch of sequences, one row per candidate.
 
     Uses the scorer's vectorized `score_batch` when it has one, otherwise
-    falls back to per-row `score` calls. Padding cells are NULL/-1.
+    falls back to per-row `score` calls. Padding cells are NULL/-1. The
+    logits are float64 as softmax reads them, so a logit screen compares
+    the differences softmax exponentiates.
     """
     batch_fn = getattr(model, "score_batch", None)
     if batch_fn is not None:
-        return batch_fn(rows, lengths)
+        return np.asarray(batch_fn(rows, lengths), dtype=float)
     out = np.empty((rows.shape[0], model.num_items), dtype=float)
     for b in range(rows.shape[0]):
         out[b] = model.score(tuple(int(x) for x in rows[b, : lengths[b]])).logits

@@ -8,13 +8,14 @@ regime adds its own rank and threshold conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CategoryMap, as_items, typed_field
 from .metrics import levenshtein
-from .models import ScoreVector, top_k
+from .models import LOGIT_MARGIN, ScoreVector, top_k, unique_argmax
 
 SETTING_NAMES = ("un_un", "targ_un", "un_cat", "targ_cat")
 RANK_RULES = ("topk_absence", "top1_change")
@@ -223,6 +224,50 @@ def valid_rows(
     if _threshold_secures_top_k(t, k):
         return ok
     return _in_top_k(norm, top1, best, k, ok)
+
+
+def _target_cut(threshold: float) -> float:
+    """The bound on (best weighted logit - row peak) below which a targeted row is surely invalid."""
+    if threshold < np.finfo(float).tiny:
+        return -math.inf  # a subnormal threshold: exp rounds too coarsely there, so nothing is settled
+    return min(0.0, math.log(threshold / (1.0 - threshold))) - LOGIT_MARGIN
+
+
+def settled_invalid(
+    setting: SettingSpec,
+    source_top1: int | np.ndarray,
+    logits: np.ndarray,
+    categories: CategoryMap | None = None,
+) -> np.ndarray:
+    """The rows of a (rows, m) logit matrix whose logits alone prove them invalid.
+
+    `valid_rows` of such a row's softmax is False, so it needs no softmax;
+    the other rows are left to `valid_rows`. `source_top1` is as there.
+    Targeted, no weighted item (the items `loss_weights` weighs) clears the
+    threshold t when every weighted logit lies below the row's peak by more
+    than c = -min(0, ln(t / (1 - t))): the peak is then an unweighted item,
+    which adds exp(0) = 1 to the row sum, so a weighted item whose
+    exponential e is below min(1, t / (1 - t)) scores at most e / (1 + e),
+    below min(1/2, t). The min(0, ·) matters above t = 1/2, where a
+    weighted item holding the peak may clear t. The cut keeps
+    `models.LOGIT_MARGIN` from c, on the differences softmax exponentiates.
+    Untargeted, the recommendation is unchanged when the row's logit argmax
+    is surely its softmax's (`models.unique_argmax`) and is the source's
+    top-1. A row whose peak is not finite is never settled, so softmax
+    still rejects it, and a categorized setting without a category map or
+    a target outside the catalog fails here as in `valid_rows`.
+    """
+    if not setting.targeted:
+        if setting.categorized:
+            _require_categories(setting, categories)
+        top1, unique = unique_argmax(logits)
+        return unique & (top1 == source_top1)
+    w, _ = loss_weights(setting, None, logits.shape[1], categories)
+    peak = np.max(logits, axis=1)
+    peak[~np.isfinite(peak)] = np.nan  # NaN compares False below
+    # an empty target category gives -inf: its rows are all invalid
+    best = np.max(logits[:, np.flatnonzero(w)], axis=1, initial=-np.inf)
+    return best - peak < _target_cut(setting.threshold)
 
 
 def is_valid(

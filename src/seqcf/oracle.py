@@ -3,10 +3,12 @@
 The oracle enumerates, distance level by distance level, every fixed-length
 sequence reachable from the source by substitutions only, and returns the
 first level containing a valid candidate. It exists as trivially correct
-ground truth for the genetic search, so it deliberately does no pruning.
-It judges on the search's row path (`search._checked_source`,
-`_source_top1`, `_valid`), as the baselines do, each level in chunks of at
-most `_CHUNK_ROWS` candidates, so memory does not grow with the level.
+ground truth for the genetic search, so it deliberately prunes no
+candidate: every one of a level is enumerated and judged. It judges on the
+search's row path (`search._checked_source`, `_source_top1`, `_valid`), as
+the baselines do, each level in chunks of at most `_CHUNK_ROWS`
+candidates, so memory does not grow with the level; that path's exact
+logit screen only spares the softmax of candidates it proves invalid.
 """
 
 from __future__ import annotations

@@ -39,13 +39,19 @@ A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product over the
 row, whose weighted columns alone are divided by the row sum; edit
 distance by `levenshtein_batch`), so its results do not depend on the rows
-batched with it. The source's own top-1, which validity and the loss
-weights compare against, is ranked on the same path: the argmax of its
-softmax row, whose first maximum is the scalar `top_k`'s ascending-id
-tie-break. Every caller hands over a whole batch, which `_normalized`
-alone blocks: 512 KiB of float64 scores, normalized in place in one
-buffer, so the scorer's block and the buffer stay within a core's 2 MiB
-L2 cache over every (rows, m) pass. The baselines share that row path
+batched with it. Validity first screens each row on its logits
+(`objective.settled_invalid`): an exact bound settles most invalid rows,
+and only the others are normalized and judged. The source's own top-1,
+which validity and the loss weights compare against, is ranked on the
+same path: the argmax of its softmax row, whose first maximum is the
+scalar `top_k`'s ascending-id tie-break, or straight from the logits when
+their argmax is unique by a margin (`models.unique_argmax`). Every caller
+hands over a whole batch, which `_normalized` alone blocks: 512 KiB of
+float64 scores, normalized in place in one buffer, so the scorer's block
+and the buffer stay within a core's 2 MiB L2 cache over every (rows, m)
+pass. A screened pass copies only its open rows into that buffer and
+normalizes it when it fills, so the scorer still sees the same blocks
+and each row is scored once. The baselines share that row path
 (`_checked_source`, `_source_top1`, `_valid`) for a whole user sample at
 once, each attempt judged against its own source's top-1, and so does the
 oracle, one chunk of a substitution level at a time, so every explainer
@@ -94,8 +100,8 @@ from .core import (
     user_of,
 )
 from .metrics import NULL_ITEM, levenshtein_batch
-from .models import score_batch_logits, softmax, softmax_numerators
-from .objective import SettingSpec, loss_weights, valid_rows
+from .models import score_batch_logits, softmax, softmax_numerators, unique_argmax
+from .objective import SettingSpec, loss_weights, settled_invalid, valid_rows
 from .records import ExplanationRecord, explanation_record
 
 MUTATION_KINDS = ("replace", "add", "delete")
@@ -336,20 +342,44 @@ def _checked_source(source, m: int, k: int, max_len: int) -> tuple[int, ...]:
     return source_items
 
 
-def _normalized(model, rows: np.ndarray, lengths: np.ndarray, normalize=softmax):
-    """(block, normalize(block's logits)) per block of `_BLOCK_BYTES` of float64 scores.
+def _normalized(model, rows: np.ndarray, lengths: np.ndarray, normalize=softmax, screen=None):
+    """(rows, normalize(their logits)) per block of `_BLOCK_BYTES` of float64 scores.
 
     `normalize` is `softmax` or `softmax_numerators`. Every block is
     normalized in place in one buffer, allocated per call, so a block's
     scores are only valid until the next block is yielded. The scorer's
     own array is never written: a scorer may hand back a cached one.
+    Without `screen` each yield is a block, as a slice of the batch. With
+    it, `screen(block, logits)` marks the rows of a block to normalize,
+    and only those are copied into the buffer, which is normalized and
+    yielded, with those rows' indices in the batch, whenever it fills and
+    once at the end: the scorer still sees the same blocks, each row is
+    scored once, and few rows make no small softmax calls. A block whose
+    rows are all marked, met with an empty buffer, is yielded as without
+    a screen, so a batch the screen settles nothing of is not copied.
     """
     block_rows = max(1, _BLOCK_BYTES // (8 * model.num_items))
     buffer = np.empty((min(block_rows, len(lengths)), model.num_items))
+    held = np.empty(len(buffer), dtype=np.int64)  # the batch index of each buffered row
+    n = 0
     for start in range(0, len(lengths), block_rows):
         block = slice(start, start + block_rows)
         logits = score_batch_logits(model, rows[block], lengths[block])
-        yield block, normalize(logits, out=buffer[: len(logits)])
+        kept = None if screen is None else np.flatnonzero(screen(block, logits))
+        if kept is None or (n == 0 and kept.size == len(logits)):  # the whole block: no copy
+            yield block, normalize(logits, out=buffer[: len(logits)])
+            continue
+        while kept.size:
+            take, kept = kept[: len(buffer) - n], kept[len(buffer) - n :]
+            # "clip" only spares np.take a buffered copy: every index is in range
+            np.take(logits, take, axis=0, out=buffer[n : n + len(take)], mode="clip")
+            held[n : n + len(take)] = start + take
+            n += len(take)
+            if n == len(buffer):
+                yield held, normalize(buffer, out=buffer)
+                n = 0
+    if n:
+        yield held[:n], normalize(buffer[:n], out=buffer[:n])
 
 
 def _source_top1(model, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -357,20 +387,43 @@ def _source_top1(model, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     It is the first maximum of the row's softmax, which is the item
     `top_k(model.score(source), 1)` picks (ascending-id tie-break) without
-    building a `ScoreVector` or sorting the catalog.
+    building a `ScoreVector` or sorting the catalog. A row whose logit
+    argmax is surely that maximum (`models.unique_argmax`) takes it
+    without a softmax; only the others are normalized.
     """
     top1 = np.empty(len(lengths), dtype=np.int64)
-    for block, norm in _normalized(model, rows, lengths):
-        top1[block] = np.argmax(norm, axis=1)
+
+    def unsure(block, logits):
+        top1[block], sure = unique_argmax(logits)
+        return ~sure
+
+    for held, norm in _normalized(model, rows, lengths, screen=unsure):
+        top1[held] = np.argmax(norm, axis=1)
     return top1
 
 
 def _valid(model, setting, source_top1, rows, lengths, k, categories) -> np.ndarray:
-    """Whether each row is a counterfactual at k, against `source_top1` (one item, or one per row)."""
+    """Whether each row is a counterfactual at k, against `source_top1` (one item, or one per row).
+
+    Each block is first screened on its logits (`objective.settled_invalid`,
+    where the bounds are proved). Targeted at threshold t, a row is invalid
+    when every weighted logit lies more than -min(0, ln(t / (1 - t))) plus
+    `models.LOGIT_MARGIN` below the row's peak; untargeted, when its logit
+    argmax is unique by that margin and is the source's top-1. Both bounds
+    are exact, so a settled row needs no softmax; the open rows are
+    normalized in `_normalized`'s one buffer and judged by `valid_rows`.
+    A categorized setting without a category map fails even when every row
+    is settled, and a row whose peak is not finite is always judged, so
+    softmax rejects it.
+    """
     source_top1 = np.broadcast_to(source_top1, lengths.shape)
-    valid = np.empty(len(lengths), dtype=bool)
-    for block, norm in _normalized(model, rows, lengths):
-        valid[block] = valid_rows(setting, source_top1[block], norm, k, categories)
+    valid = np.zeros(len(lengths), dtype=bool)
+
+    def unsettled(block, logits):
+        return ~settled_invalid(setting, source_top1[block], logits, categories)
+
+    for held, norm in _normalized(model, rows, lengths, screen=unsettled):
+        valid[held] = valid_rows(setting, source_top1[held], norm, k, categories)
     return valid
 
 

@@ -45,6 +45,18 @@ class ConstScorer:
         return ScoreVector(logits)
 
 
+class TableScorer:
+    """Crafted logits: the sequence (i, ...) scores as row i of the table."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=float)
+        self.num_items = self.logits.shape[1]
+
+    def score(self, seq):
+        items = seq.items if isinstance(seq, UserSequence) else tuple(seq)
+        return ScoreVector(self.logits[items[0]])
+
+
 class CountingScorer:
     """Wraps a scorer and records every sequence it is asked to score."""
 

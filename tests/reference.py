@@ -7,7 +7,9 @@ these:
 - `crossover` against `search.crossover_rows`;
 - `fitness` against the GA's per-row results (`search._ga_results`);
 - `scalar_oracle` against `oracle.oracle_optimal`: it scores each
-  substitution with `model.score` and judges it with the scalar `is_valid`.
+  substitution with `model.score` and judges it with the scalar `is_valid`;
+- `unscreened_valid` against `search._valid`: it normalizes every row and
+  judges it with `objective.valid_rows`, with no logit screen.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 from seqcf.core import DEFAULT_MAX_LEN, CategoryMap, as_items
 from seqcf.metrics import levenshtein
 from seqcf.models import ScoreVector
-from seqcf.objective import SettingSpec, is_valid, objective_loss
+from seqcf.objective import SettingSpec, is_valid, objective_loss, valid_rows
 from seqcf.oracle import substitutions
-from seqcf.search import _draw_unseen, combine_fitness
+from seqcf.search import _draw_unseen, _normalized, combine_fitness
 
 
 def mutate_add(seq, m: int, rng: np.random.Generator, max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...]:
@@ -98,3 +100,12 @@ def scalar_oracle(
         if best is not None:
             return best, d
     return None
+
+
+def unscreened_valid(model, setting, source_top1, rows, lengths, k, categories=None) -> np.ndarray:
+    """`search._valid` without its logit screen: every row is normalized and judged by `valid_rows`."""
+    source_top1 = np.broadcast_to(source_top1, lengths.shape)
+    valid = np.empty(len(lengths), dtype=bool)
+    for block, norm in _normalized(model, rows, lengths):
+        valid[block] = valid_rows(setting, source_top1[block], norm, k, categories)
+    return valid

@@ -18,12 +18,12 @@ from seqcf import (
     train_markov,
     verify_eps_vcs,
 )
-from seqcf import search
+from seqcf import models, search
 from seqcf.cli import main
 from seqcf.core import CategoryMap, derive_stream
 from seqcf.metrics import NULL_ITEM
-from seqcf.models import PopularityScorer, ScoreVector, top_k
-from seqcf.objective import SettingSpec, is_valid
+from seqcf.models import LOGIT_MARGIN, PopularityScorer, ScoreVector, top_k, unique_argmax
+from seqcf.objective import SettingSpec, is_valid, settled_invalid
 from seqcf.search import (
     MUTATION_KINDS,
     _ga_results,
@@ -37,8 +37,8 @@ from seqcf.search import (
     radius1_size,
 )
 
-from conftest import ConstScorer, EchoScorer, QueuedRng, overlapping_categories, seqs
-from reference import crossover, fitness, mutate_add, mutate_delete
+from conftest import ConstScorer, EchoScorer, QueuedRng, TableScorer, overlapping_categories, seqs
+from reference import crossover, fitness, mutate_add, mutate_delete, unscreened_valid
 
 
 def chi_square(counts, expected):
@@ -508,6 +508,180 @@ class TestWeightedColumnLoss:
         assert evaluate.weighted.tolist() == [5]
 
 
+D = LOGIT_MARGIN
+NEG = -np.inf
+
+
+def peaked(m, item):
+    """Source scores whose top-1 is `item`."""
+    return ScoreVector(np.where(np.arange(m) == item, 1.0, 0.0))
+
+
+def judge_crafted(setting, logits, source_top1, k, cats=None):
+    """`search._valid` of one row per crafted logit row; it must equal the unscreened judge and `is_valid`."""
+    logits = np.asarray(logits, dtype=float)
+    model = TableScorer(logits)
+    rows, lengths = as_rows([(i,) for i in range(len(logits))])
+    got = search._valid(model, setting, source_top1, rows, lengths, k, cats).tolist()
+    assert got == unscreened_valid(model, setting, source_top1, rows, lengths, k, cats).tolist()
+    sources = np.broadcast_to(source_top1, len(logits))
+    m = logits.shape[1]
+    assert got == [is_valid(setting, peaked(m, s), ScoreVector(row), k, cats) for s, row in zip(sources, logits)]
+    return got
+
+
+def settled(setting, logits, source_top1, cats=None):
+    logits = np.asarray(logits, dtype=float)
+    return settled_invalid(setting, np.broadcast_to(source_top1, len(logits)), logits, cats).tolist()
+
+
+class TestLogitScreen:
+    """`search._valid` settles rows on their logits alone (`objective.settled_invalid`) and judges the rest.
+
+    Every crafted case is checked against the scalar `is_valid` and against
+    the unscreened judge (`reference.unscreened_valid`), and names the rows
+    the screen settles, so each cut is exercised from both sides.
+    """
+
+    CATS6 = CategoryMap(  # category 1 holds items 2 and 4; category 2 holds none
+        categories_of=tuple(frozenset({1}) if i in (2, 4) else frozenset({0}) for i in range(6)), num_categories=3
+    )
+
+    @pytest.mark.parametrize("t", [0.6, 0.9])
+    @pytest.mark.parametrize("name", ["targ_un", "targ_cat"])
+    def test_target_holding_the_peak_is_not_cut_above_one_half(self, t, name):
+        kw = {"target_item": 2} if name == "targ_un" else {"target_category": 1}
+        setting = SettingSpec.from_name(name, threshold=t, **kw)
+        logits = [[0, 0, 5, 0, 0, 0], [0, 0, 1, 0, 0, 0], [3, 0, 0, 0, 0, 0]]
+        assert settled(setting, logits, 0, self.CATS6) == [False, False, True]
+        assert judge_crafted(setting, logits, 0, 1, self.CATS6) == [True, False, False]
+        # a cut of ln(t / (1 - t)) alone would have settled the valid first row
+        assert logits[0][2] - max(logits[0]) < np.log(t / (1 - t))
+
+    def test_target_near_the_cut(self):
+        t = 0.05
+        c = np.log(t / (1 - t))
+        setting = SettingSpec.from_name("targ_un", target_item=1, threshold=t)
+        logits = [[0, c - D / 2, NEG, NEG], [0, c - 2 * D, NEG, NEG], [0, c + D / 2, NEG, NEG]]
+        assert settled(setting, logits, 3) == [False, True, False]
+        assert judge_crafted(setting, logits, 3, 2) == [False, False, True]
+
+    def test_near_ties_at_the_peak(self):
+        setting = SettingSpec.from_name("un_un", threshold=0.2)
+        logits = [
+            [1, 1 - D / 2, 0, 0],  # inside the margin: judged, the source keeps the top
+            [1, 1 - 2 * D, 0, 0],  # outside it: settled
+            [1, 1, 0, 0],  # an exact tie goes to the lower id, the source
+            [1 - D / 2, 1, 0, 0],
+            [1, np.nextafter(1, 2), 0, 0],  # one ulp apart
+        ]
+        assert settled(setting, logits, 0) == [False, True, False, False, False]
+        assert judge_crafted(setting, logits, 0, 1) == [False, False, False, True, True]
+        rows, lengths = as_rows([(i,) for i in range(len(logits))])
+        want = [top_k(ScoreVector(np.array(row, dtype=float)), 1)[0] for row in logits]
+        assert search._source_top1(TableScorer(logits), rows, lengths).tolist() == want
+        assert unique_argmax(np.array(logits, dtype=float))[1].tolist() == [False, True, False, False, False]
+
+    def test_rank_check_at_a_low_threshold(self):
+        # t = 0.05 at k = 10: t (k + 1) <= 1, so a target clearing t still needs its rank
+        setting = SettingSpec.from_name("targ_un", target_item=11, threshold=0.05)
+        far, behind, ahead = np.full(14, np.log(0.03)), np.full(14, np.log(0.055)), np.full(14, np.log(0.08))
+        behind[:11], behind[11] = np.log(0.08), np.log(0.06)  # the target ranks 11th
+        ahead[9:] = np.log(0.055)
+        ahead[11] = np.log(0.06)  # 9 items above it: it ranks 9th
+        far[11] = np.log(0.001)
+        logits = [behind, ahead, far]
+        assert settled(setting, logits, 13) == [False, False, True]
+        assert judge_crafted(setting, logits, 13, 10) == [False, True, False]
+
+    @pytest.mark.parametrize("setting", [
+        SettingSpec.from_name("un_un", threshold=0.5),
+        SettingSpec.from_name("un_un", threshold=0.5, untargeted_rank_rule="top1_change"),
+        SettingSpec.from_name("un_cat", threshold=0.5),
+    ], ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
+    def test_per_row_sources(self, setting):
+        logits = [[3, 0, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0], [0, 3, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0]]
+        sources = np.array([0, 1, 1, 2])
+        assert settled(setting, logits, sources, self.CATS6) == [True, False, True, True]
+        assert judge_crafted(setting, logits, sources, 1, self.CATS6) == [False, setting.name == "un_un", False, False]
+
+    def test_empty_target_category_settles_every_finite_row(self):
+        setting = SettingSpec.from_name("targ_cat", target_category=2, threshold=0.05)
+        logits = [[0, 0, 0, 0, 0, 0], [NEG, NEG, 4, NEG, NEG, NEG]]
+        assert settled(setting, logits, 0, self.CATS6) == [True, True]
+        assert judge_crafted(setting, logits, 0, 1, self.CATS6) == [False, False]
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0, 0, 0, 0], [0, 0, np.inf, 0, 0, 0], [NEG] * 6],
+                             ids=["nan", "inf", "all-neg-inf"])
+    @pytest.mark.parametrize("setting", [
+        SettingSpec.from_name("un_un"),
+        SettingSpec.from_name("targ_un", target_item=2),
+        SettingSpec.from_name("un_cat"),
+        SettingSpec.from_name("targ_cat", target_category=1),
+        SettingSpec.from_name("targ_cat", target_category=2),
+    ], ids=lambda s: f"{s.name}-{s.target_category}")
+    def test_a_peak_that_is_not_finite_still_fails(self, setting, bad):
+        logits = np.array([[5, 0, 0, 0, 0, 0], bad], dtype=float)
+        assert settled(setting, logits, 0, self.CATS6)[1] is False
+        rows, lengths = as_rows([(0,), (1,)])
+        with pytest.raises(ValueError, match="at least one finite logit per row"):
+            search._valid(TableScorer(logits), setting, 0, rows, lengths, 1, self.CATS6)
+        with pytest.raises(ValueError, match="at least one finite logit per row"):
+            search._source_top1(TableScorer(logits), rows, lengths)
+
+    def test_a_float32_scorer_is_screened_in_float64(self):
+        # the screen reads the float64 logits softmax reads, and copies them into the float64 buffer
+        class Float32Scorer(TableScorer):
+            def score_batch(self, rows, lengths):
+                return self.logits[rows[:, 0]].astype(np.float32)
+
+        t = 1e-30
+        setting = SettingSpec.from_name("targ_un", target_item=1, threshold=t)
+        logits = np.float32([[4.0, 4.0 + np.log(t / (1 - t)), NEG], [0.0, -80.0, NEG]]).astype(float)
+        model = Float32Scorer(logits)
+        rows, lengths = as_rows([(0,), (1,)])
+        assert models.score_batch_logits(model, rows, lengths).dtype == np.float64
+        got = search._valid(model, setting, 2, rows, lengths, 1, None)
+        assert got.tolist() == unscreened_valid(model, setting, 2, rows, lengths, 1, None).tolist()
+
+    @pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.6, 0.9])
+    def test_near_cut_rows_match_the_references(self, t, monkeypatch):
+        # rows crowded at both cuts: logits within a few margins of the peak
+        # and of the targeted cut, ties and masked items, each row with its
+        # own source, scored in small blocks so the screened buffer fills
+        # across blocks
+        rng = np.random.default_rng(int(t * 100))
+        m, n = 12, 120
+        cats = overlapping_categories(m)
+        steps = np.array([0.0, D / 2, 2 * D, 1e-15, 1.0])
+        logits = np.round(rng.normal(0, 2, (n, m)), 1)
+        logits[rng.random((n, m)) < 0.2] = NEG
+        logits[:, 0] = np.maximum(logits[:, 0], -3.0)
+        logits[np.arange(n), rng.integers(m, size=n)] += rng.choice([0.0, 6.0], n)  # some rows with a clear top
+        peak = logits.max(axis=1)
+        tied = np.flatnonzero(rng.random(n) < 0.5)
+        logits[tied, rng.integers(m, size=len(tied))] = peak[tied] - rng.choice(steps, len(tied))
+        cut = min(0.0, np.log(t / (1 - t)))
+        cut_rows = rng.random(n) < 0.5
+        logits[cut_rows, 5] = peak[cut_rows] + cut + rng.choice([-2 * D, -D / 2, 0.0, D / 2], cut_rows.sum())
+        sources = rng.integers(m, size=n)
+        settings = [
+            SettingSpec.from_name("un_un", threshold=t),
+            SettingSpec.from_name("un_un", threshold=t, untargeted_rank_rule="top1_change"),
+            SettingSpec.from_name("targ_un", target_item=5, threshold=t),
+            SettingSpec.from_name("un_cat", threshold=t),
+            SettingSpec.from_name("targ_cat", target_category=1, threshold=t),
+        ]
+        set_block_rows(monkeypatch, m, 7)
+        seen_settled, seen_valid = 0, 0
+        for setting in settings:
+            for k in (1, 5, 10):
+                got = judge_crafted(setting, logits, sources, k, cats)
+                seen_valid += sum(got)
+            seen_settled += sum(settled(setting, logits, sources, cats))
+        assert 0 < seen_settled < len(settings) * n and seen_valid > 0
+
+
 def set_block_rows(monkeypatch, m, block_rows):
     """Score blocks of `block_rows` rows at catalog size m."""
     monkeypatch.setattr(search, "_BLOCK_BYTES", 8 * m * block_rows)
@@ -725,23 +899,25 @@ class TestGenetic:
     @pytest.mark.parametrize("setting", TestRowEvaluator.SETTINGS, ids=lambda s: s.name + "-" + s.untargeted_rank_rule)
     def test_validity_judged_once_on_the_final_population(self, walk_markov, monkeypatch, setting):
         judged = []
-        valid_rows = search.valid_rows
+        valid = search._valid
 
-        def counted(setting, source_top1, norm, *rest):
-            judged.append(len(norm))
-            return valid_rows(setting, source_top1, norm, *rest)
+        def recorded(model, setting, source_top1, rows, lengths, *rest):
+            verdicts = valid(model, setting, source_top1, rows, lengths, *rest)
+            judged.append(([tuple(int(x) for x in row[:n]) for row, n in zip(rows, lengths)], verdicts))
+            return verdicts
 
-        monkeypatch.setattr(search, "valid_rows", counted)
+        monkeypatch.setattr(search, "_valid", recorded)
         cats = overlapping_categories(12)
         cfg = GaConfig(generations=6, population_size=32, max_len=6)
         src = UserSequence(1, (4, 2, 9), 6)
         pop = genetic(src, setting, walk_markov, 3, cfg, seed=3, categories=cats)
-        distinct = {pop.items(i) for i in range(len(pop))}
-        # one block at m = 12: each distinct final sequence once, not a batch per generation
-        assert judged == [len(distinct)] and len(distinct) <= cfg.population_size
+        # one call holding each distinct final sequence once, not a batch per generation
+        [(cands, verdicts)] = judged
+        assert len(set(cands)) == len(cands) and set(cands) == {pop.items(i) for i in range(len(pop))}
         src_scores = walk_markov.score(src.items)
+        assert verdicts.tolist() == [is_valid(setting, src_scores, walk_markov.score(c), 3, cats) for c in cands]
         for i in range(len(pop)):
-            assert pop.valid[i] == is_valid(setting, src_scores, walk_markov.score(pop.items(i)), 3, cats)
+            assert pop.valid[i] == verdicts[cands.index(pop.items(i))]
 
     def test_toy_flip_matches_oracle(self, cycle_markov):
         # trained cycle 0->1->2->3; from (0,1) the model suggests 2, and one
