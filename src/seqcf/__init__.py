@@ -21,7 +21,7 @@ _MODULE_NAMES = {  # module -> the public names it defines
         "InteractionLog", "SplitDataset", "k_core_filter", "leave_one_out_split", "load_categories",
         "load_interactions", "load_split", "save_split", "synthesize_corpus",
     ),
-    "search": ("GaConfig", "Population", "explain", "genetic", "mutate_replace"),
+    "search": ("GaConfig", "Population", "explain", "genetic"),
     "metrics": ("aggregate_report", "fidelity_at_k", "hamming", "levenshtein", "mean_hamming", "mean_levenshtein"),
     "models": (
         "BlackBoxScorer", "MarkovScorer", "ModelFormatError", "PopularityScorer", "ScoreVector", "load_model",

@@ -5,12 +5,17 @@ with the first valid one, numbered from 1. `baseline_records` serves a
 whole user sample on one row path, shared with the search
 (`search._checked_source`, `search._source_top1`, `search._valid`): it
 checks every source and ranks all of them in one blocked pass, draws each
-user's attempts from the user's own stream, then judges every attempt in
-512 KiB blocks, each row against its own source's top-1, so the attempts
-after a user's first valid one are drawn and scored too. Users are taken
-in chunks of at most `_CHUNK_ROWS` attempts, so memory does not grow with
-the sample. `baseline_random` and `baseline_educated` are the batch of
-one: a user's record does not depend on the users batched with it.
+user's attempts from the user's own stream as rows of the chunk, then
+judges every attempt in 512 KiB blocks, each row against its own source's
+top-1, so the attempts after a user's first valid one are drawn and
+scored too. The random baseline draws each user's numbers in one call and
+makes the chunk's substitutions as array steps (`_random_rows`), exactly
+as the scalar operator, which the tests keep as its reference, would; the
+educated baseline, which no benchmark runs, draws each user's attempts as
+a list. Users are taken in chunks of at most `_CHUNK_ROWS` attempts, so
+memory does not grow with the sample. `baseline_random` and
+`baseline_educated` are the batch of one: a user's record does not depend
+on the users batched with it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .core import TAG_BASELINE, CategoryMap, UserSequence, derive_stream, user_of
 from .objective import SettingSpec, loss_weights
 from .records import ExplanationRecord, explanation_record
-from .search import _checked_source, _padded, _source_top1, _valid, mutate_replace
+from .search import _checked_source, _padded, _source_top1, _valid
 
 # attempts per chunk of users: their (rows, max_len) int64 cells, at most 400 KiB, stay below a score block
 _CHUNK_ROWS = 1024
@@ -33,13 +38,71 @@ class SettingNotApplicableError(ValueError):
     """The requested baseline has no defined behaviour in this regime."""
 
 
-def _random_attempts(items, rng, *, budget: int, m: int) -> list[tuple[int, ...]]:
-    """Each attempt replaces a random position of the previous one with an item not in it."""
-    attempts = []
-    for _ in range(budget):
-        items = mutate_replace(items, m, rng)
-        attempts.append(items)
-    return attempts
+def _random_rows(streams, items, src_rows, src_lengths, *, budget: int, m: int):
+    """Each user's `budget` random attempts as rows: (rows, lengths, counts), user by user.
+
+    Attempt t replaces a random position of attempt t - 1 (the source for
+    t = 0) with a random item not in it. The scalar operator draws the
+    position, then items until one is not in the row. Here each user's
+    numbers come from one `integers(0, bounds)` call, bounds (L, m, L, m,
+    ...), which consumes the stream exactly as those scalar calls do, and
+    the chunk's substitutions are made one attempt at a time across all
+    users. Each stream is taken in turn for its starting state, which one
+    generator restores before every draw, so no user's generator outlives
+    it. A drawn item already in its row is a redraw: the user draws again
+    in the next round with one more m bound at that attempt; the new
+    list's prefix repeats the same values. A second redraw at the same
+    attempt is counted out at once, drawing items one at a time after the
+    replayed prefix until one is not in the row, so a source nearly as long
+    as the catalog takes at most two rounds per attempt. Rounds continue
+    until no user redraws. `items` is unused; it keeps the signature of
+    `_educated_rows`.
+    """
+    n, width = src_rows.shape
+    starts = []
+    for rng in streams:  # a user's stream lives until its state is saved; the last one draws for every user
+        starts.append(rng.bit_generator.state)
+    redraws = np.zeros((n, budget), dtype=np.int64)  # each attempt's item draws known to be in its row
+    bounds = np.empty((n, budget, 2), dtype=np.int64)
+    bounds[..., 0], bounds[..., 1] = src_lengths[:, None], m
+    rows = np.empty((n, budget, width), dtype=np.int64)
+    todo, first = np.arange(n), 0  # the users to draw, and the first attempt any of them may change
+    while todo.size:
+        per = np.ones((todo.size, budget, 2), dtype=np.int64)  # draws per bound: one, or one more per redraw
+        per[..., 1] += redraws[todo]
+        ends = np.cumsum(per.ravel())
+        flat = np.repeat(bounds[todo].ravel(), per.ravel())
+        begins = [0, *ends[2 * budget - 1 :: 2 * budget].tolist()]  # where each user's draws begin, then end
+        drawn = []
+        for u, a, b in zip(todo.tolist(), begins, begins[1:]):
+            rng.bit_generator.state = starts[u]
+            drawn.append(rng.integers(0, flat[a:b]))
+        ends = ends.reshape(todo.size, budget, 2) - 1
+        pos, item = np.concatenate(drawn)[ends].transpose(2, 0, 1)  # an attempt's position and its last item draw
+        cur = (rows[todo, first - 1] if first else src_rows[todo]).copy()
+        seen, at = np.zeros((todo.size, budget), dtype=bool), np.arange(todo.size)
+        for t in range(first, budget):
+            seen[:, t] = (cur == item[:, t, None]).any(axis=1)
+            cur[at, pos[:, t]] = item[:, t]
+            rows[todo, t] = cur
+        # a user redraws at its first item already in its row, which discards the draws after it
+        redrawn = np.flatnonzero(seen.any(axis=1))
+        at = seen.argmax(axis=1)[redrawn]
+        spans = zip(np.array(begins)[redrawn].tolist(), (ends[redrawn, at, 1] + 1).tolist())  # its draws through it
+        todo = todo[redrawn]
+        known = redraws[todo, at]  # 1 at a second redraw, counted out below; 2 or more once counted out
+        if (known > 1).any():  # a counted-out attempt redraws only if the array and scalar draws disagree
+            raise RuntimeError("integers(0, bounds) and its scalar calls drew a stream differently")
+        redraws[todo, at] += 1
+        for u, t, (a, b), count_out in zip(todo.tolist(), at.tolist(), spans, (known == 1).tolist()):
+            if count_out:  # replay the draws through this item, then draw items until one is not in the row
+                rng.bit_generator.state = starts[u]
+                rng.integers(0, flat[a:b])
+                present = set((rows[u, t - 1] if t else src_rows[u])[: src_lengths[u]].tolist())
+                while int(rng.integers(m)) in present:
+                    redraws[u, t] += 1
+        first = int(at.min(initial=budget))
+    return rows.reshape(n * budget, width), np.repeat(src_lengths, budget), np.full(n, budget, dtype=np.int64)
 
 
 def _educated_attempts(items, rng, *, budget: int, target: int | None, members: list[int]) -> list[tuple[int, ...]]:
@@ -67,14 +130,21 @@ def _educated_attempts(items, rng, *, budget: int, target: int | None, members: 
     return attempts
 
 
-def _chunk_records(sources, method, setting, model, k, seed, categories, attempts_of) -> list[ExplanationRecord]:
+def _educated_rows(streams, items, src_rows, src_lengths, **draw):
+    """Each user's educated attempts as rows: (rows, lengths, counts), user by user."""
+    attempts = [_educated_attempts(it, rng, **draw) for it, rng in zip(items, streams)]
+    counts = np.fromiter(map(len, attempts), dtype=np.int64, count=len(attempts))
+    return *_padded(list(chain.from_iterable(attempts))), counts
+
+
+def _chunk_records(sources, method, setting, model, k, seed, categories, rows_of) -> list[ExplanationRecord]:
     """The record of each source: its first valid attempt, numbered from 1, or none."""
     m = model.num_items
     items = [_checked_source(source, m, k, m - 1) for source in sources]  # a substitution keeps the length
-    top1 = _source_top1(model, *_padded(items))
-    attempts = [attempts_of(it, derive_stream(seed, [TAG_BASELINE, user_of(s)])) for s, it in zip(sources, items)]
-    counts = np.fromiter(map(len, attempts), dtype=np.int64, count=len(attempts))
-    rows, lengths = _padded(list(chain.from_iterable(attempts)))
+    src_rows, src_lengths = _padded(items)
+    top1 = _source_top1(model, src_rows, src_lengths)
+    streams = (derive_stream(seed, [TAG_BASELINE, user_of(s)]) for s in sources)  # each taken in turn, then freed
+    rows, lengths, counts = rows_of(streams, items, src_rows, src_lengths)
     valid = _valid(model, setting, np.repeat(top1, counts), rows, lengths, k, categories)
     starts = np.cumsum(counts) - counts
     # a user's first valid row is the first valid row at or after its first row, if still its own
@@ -109,7 +179,7 @@ def baseline_records(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if method == "random":
-        attempts_of = partial(_random_attempts, budget=budget, m=model.num_items)
+        rows_of = partial(_random_rows, budget=budget, m=model.num_items)
     elif method == "educated":
         if not setting.targeted:
             raise SettingNotApplicableError("educated baseline does not apply to untargeted settings")
@@ -118,14 +188,14 @@ def baseline_records(
         members = np.flatnonzero(weights).tolist()  # the target item, or the category's items in ascending order
         if not members:
             raise ValueError(f"target category {setting.target_category} has no items")
-        attempts_of = partial(_educated_attempts, budget=budget, target=setting.target_item, members=members)
+        rows_of = partial(_educated_rows, budget=budget, target=setting.target_item, members=members)
     else:
         raise ValueError(f"unknown baseline {method!r}")
     per_chunk = max(1, _CHUNK_ROWS // budget)
     out = []
     for start in range(0, len(sources), per_chunk):
         chunk = sources[start : start + per_chunk]
-        out += _chunk_records(chunk, method, setting, model, k, seed, categories, attempts_of)
+        out += _chunk_records(chunk, method, setting, model, k, seed, categories, rows_of)
     return out
 
 
@@ -164,5 +234,11 @@ def baseline_educated(
     source (the target cannot be inserted twice, so attempts do not stack);
     with a category target the edits accumulate like the random baseline,
     drawing a not-yet-present member of the category each time.
+
+    FOUND: with an item target (`targ_un`) it cannot succeed on the
+    shipped scorers (Markov, popularity), which mask the sequence's own
+    items: the placed target is never recommended. No run succeeded for
+    any user of the 200 x 100 or 2000 x 1000 synthetic corpora, under
+    either scorer, three targets and k = 1 and 10 (0 of 26,400).
     """
     return baseline_records("educated", [source], setting, model, k, budget, seed, categories)[0]

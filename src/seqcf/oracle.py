@@ -9,6 +9,9 @@ search's row path (`search._checked_source`, `_source_top1`, `_valid`), as
 the baselines do, each level in chunks of at most `_CHUNK_ROWS`
 candidates, so memory does not grow with the level; that path's exact
 logit screen only spares the softmax of candidates it proves invalid.
+`ENUMERATION_BUDGET` caps the candidates enumerated, checked just before
+each level, so a deep `max_distance` does not stop an answer at a
+shallow level.
 """
 
 from __future__ import annotations
@@ -67,20 +70,22 @@ def oracle_optimal(
     positions. Within the first successful level the lexicographically
     smallest candidate wins, so results do not depend on enumeration
     chunking. The source is checked as the search checks it. Raises
-    EnumerationBudgetError when the candidate count exceeds the budget.
+    EnumerationBudgetError, naming the level, when enumerating a level
+    would take the running candidate count past the budget; the levels
+    after the first successful one are never counted.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
     m = model.num_items
     src = _checked_source(source, m, k, m - 1)  # a substitution keeps the length
     max_distance = min(max_distance, len(src))
-    if sum(_level_size(len(src), m, d) for d in range(1, max_distance + 1)) > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"enumeration would exceed {ENUMERATION_BUDGET} candidates"
-        )
     top1 = _source_top1(model, *_padded([src]))
 
+    enumerated = 0
     for d in range(1, max_distance + 1):
+        enumerated += _level_size(len(src), m, d)
+        if enumerated > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(f"enumeration through level {d} would exceed {ENUMERATION_BUDGET} candidates")
         best: tuple[int, ...] | None = None
         level = substitutions(src, m, d)
         while chunk := list(islice(level, _CHUNK_ROWS)):

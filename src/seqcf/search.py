@@ -17,9 +17,9 @@ The population is a set of arrays (`Population`): an (N, W) item matrix
 padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
 numpy steps whatever N is: `mutate_rows` and `crossover_rows` edit every
-row at once (the random baseline keeps the scalar `mutate_replace`; the
-tests keep the scalar add, delete and crossover operators as references
-of these). One gather kernel, `apply_edits`,
+row at once (the tests keep the scalar replace, add, delete and
+crossover operators as references of these, and the random baseline
+draws its attempts as rows too). One gather kernel, `apply_edits`,
 makes the edit of every mutant and radius-1 ball member; `crossover_rows`
 gathers its children's real cells from the pool, one flat run per child,
 and repairs them with a presence bitmap and a count of the kept cells.
@@ -175,24 +175,6 @@ class Population:
 
 _RESULTS = ("fitness", "loss", "lev")  # a row's evaluation in each generation, in `_ga_results` order
 _PER_ROW = ("lengths", "born", *_RESULTS, "valid")  # Population fields after rows
-
-
-def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
-    present = set(items)
-    if len(present) >= m:
-        raise ValueError("catalog exhausted: every item already in the sequence")
-    while True:
-        z = int(rng.integers(m))
-        if z not in present:
-            return z
-
-
-def mutate_replace(seq, m: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Overwrite one uniformly random position with an item of range(m) not in the sequence."""
-    items = as_items(seq)
-    i = int(rng.integers(len(items)))
-    z = _draw_unseen(items, m, rng)
-    return items[:i] + (z,) + items[i + 1 :]
 
 
 def combine_fitness(lev: float, loss: float, edit_weight: float, max_len: int) -> float:

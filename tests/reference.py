@@ -2,8 +2,11 @@
 
 The package runs only the batched forms; the tests check them against
 these:
-- `mutate_add` and `mutate_delete` (with the package's `mutate_replace`)
-  against `search.mutate_rows` and `search.apply_edits`;
+- `mutate_replace`, `mutate_add` and `mutate_delete` against
+  `search.mutate_rows` and `search.apply_edits`;
+- `random_attempts` against `baselines._random_rows`: each attempt is a
+  `mutate_replace` of the one before, drawn call by call from the user's
+  stream;
 - `crossover` against `search.crossover_rows`;
 - `fitness` against the GA's per-row results (`search._ga_results`);
 - `scalar_oracle` against `oracle.oracle_optimal`: it scores each
@@ -21,7 +24,34 @@ from seqcf.metrics import levenshtein
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid, objective_loss, valid_rows
 from seqcf.oracle import substitutions
-from seqcf.search import _draw_unseen, _normalized, combine_fitness
+from seqcf.search import _normalized, combine_fitness
+
+
+def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
+    present = set(items)
+    if len(present) >= m:
+        raise ValueError("catalog exhausted: every item already in the sequence")
+    while True:
+        z = int(rng.integers(m))
+        if z not in present:
+            return z
+
+
+def mutate_replace(seq, m: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Overwrite one uniformly random position with an item of range(m) not in the sequence."""
+    items = as_items(seq)
+    i = int(rng.integers(len(items)))
+    z = _draw_unseen(items, m, rng)
+    return items[:i] + (z,) + items[i + 1 :]
+
+
+def random_attempts(items, rng: np.random.Generator, budget: int, m: int) -> list[tuple[int, ...]]:
+    """The random baseline's attempts: each replaces a random position of the previous one with an item not in it."""
+    attempts = []
+    for _ in range(budget):
+        items = mutate_replace(items, m, rng)
+        attempts.append(items)
+    return attempts
 
 
 def mutate_add(seq, m: int, rng: np.random.Generator, max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from seqcf import (
@@ -11,10 +12,11 @@ from seqcf import (
     verify_eps_vcs,
 )
 from seqcf import baselines, search
-from seqcf.core import CategoryMap
+from seqcf.core import TAG_BASELINE, CategoryMap, derive_stream
 from seqcf.objective import SettingSpec, is_valid
 
 from conftest import ConstScorer, CountingScorer, EchoScorer, SumScorer
+from reference import random_attempts
 
 
 CATS6 = CategoryMap(
@@ -25,17 +27,19 @@ CATS6 = CategoryMap(
 
 @pytest.fixture
 def drawn_attempts(monkeypatch):
-    """The attempts of each user a baseline served, in the order they were drawn: one list per user."""
+    """The attempts of each user a baseline served, as its chunk's attempt rows hold them: one list per user."""
     drawn = []
 
     def spy(draw):
         def kept(*args, **kwargs):
-            drawn.append(draw(*args, **kwargs))
-            return drawn[-1]
+            rows, lengths, counts = draw(*args, **kwargs)
+            attempts = iter(tuple(row[:n].tolist()) for row, n in zip(rows, lengths))
+            drawn.extend([next(attempts) for _ in range(c)] for c in counts.tolist())
+            return rows, lengths, counts
 
         return kept
 
-    for name in ("_random_attempts", "_educated_attempts"):
+    for name in ("_random_rows", "_educated_rows"):
         monkeypatch.setattr(baselines, name, spy(getattr(baselines, name)))
     return drawn
 
@@ -76,6 +80,66 @@ class TestRandomBaseline:
             UserSequence(1, (0, 1), 50), SettingSpec.from_name("un_un"), SumScorer(8), 1, seed=1
         )
         assert rec.method == "random"
+
+
+def test_one_array_draw_consumes_the_stream_as_scalar_draws_do():
+    # `_random_rows` draws a user's positions and items, bounds (L, m, L, m, ...) with
+    # a repeated m per redraw, in one call; that call must match the scalar calls one for one
+    shapes = np.random.default_rng(0)
+    for case in range(300):
+        m = int(shapes.choice([2, 3, 7, 100, 1000, 2**31 - 1]))
+        length = int(shapes.integers(1, min(m, 51)))
+        bounds = [b for _ in range(10) for b in [length] + [m] * int(shapes.integers(1, 4))]
+        rng, scalar = derive_stream(case, [TAG_BASELINE, 1]), derive_stream(case, [TAG_BASELINE, 1])
+        assert rng.integers(0, np.array(bounds)).tolist() == [int(scalar.integers(b)) for b in bounds]
+        assert rng.integers(2**40) == scalar.integers(2**40)  # and both streams end in the same state
+
+
+# (m, source lengths): redraws rare (m = 1000), and frequent (m = L + 1, m = 2L)
+DRAWS = [(1000, [1, 5, 20, 50, 999]), (6, [5, 1, 5, 3]), (40, [20, 1, 39, 20])]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "all"])
+@pytest.mark.parametrize("budget", [1, 10])
+@pytest.mark.parametrize("m, lengths", DRAWS, ids=[f"m{m}" for m, _ in DRAWS])
+def test_random_rows_are_the_scalar_attempts(m, lengths, budget, chunk):
+    # every user's attempts equal the scalar reference's, attempt for attempt, however users are chunked
+    shapes = np.random.default_rng(m)
+    sources = [tuple(shapes.permutation(m)[: lengths[u % len(lengths)]].tolist()) for u in range(24)]
+    want = [random_attempts(items, derive_stream(3, [TAG_BASELINE, u]), budget, m) for u, items in enumerate(sources)]
+    chunk = chunk or len(sources)
+    got = []
+    for start in range(0, len(sources), chunk):
+        items = sources[start : start + chunk]
+        streams = [derive_stream(3, [TAG_BASELINE, u]) for u in range(start, start + len(items))]
+        rows, lengths_, counts = baselines._random_rows(streams, items, *search._padded(items), budget=budget, m=m)
+        assert counts.tolist() == [budget] * len(items)
+        attempts = [tuple(row[:n].tolist()) for row, n in zip(rows, lengths_)]
+        got += [attempts[i : i + budget] for i in range(0, len(attempts), budget)]
+    assert got == want
+
+
+class TrailingDrawStream:
+    """A stream whose array draws consume one number more at their end than its scalar draws do."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator = rng, rng.bit_generator
+
+    def integers(self, low, high=None):
+        if high is None:
+            return self.rng.integers(low)
+        drawn = self.rng.integers(low, high)
+        self.rng.integers(2)
+        return drawn
+
+
+def test_random_rows_fail_when_array_and_scalar_draws_disagree():
+    # a count-out replays the array draw, then continues with scalar draws; if the next round's
+    # array draw does not repeat them, it must fail rather than redraw forever
+    sources = [(0, 1, 2, 3, 4)] * 24
+    streams = [TrailingDrawStream(derive_stream(3, [TAG_BASELINE, u])) for u in range(len(sources))]
+    with pytest.raises(RuntimeError, match="drew a stream differently"):
+        baselines._random_rows(streams, sources, *search._padded(sources), budget=10, m=6)
 
 
 class TestEducatedBaseline:

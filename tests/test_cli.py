@@ -686,7 +686,7 @@ class TestStartUp:
 
     def test_every_public_name_resolves(self):
         code = "import seqcf; print(len(seqcf.__all__), all(getattr(seqcf, n) is not None for n in seqcf.__all__))"
-        assert _fresh_python(code) == "52 True\n"
+        assert _fresh_python(code) == "51 True\n"
         assert _fresh_python("from seqcf import *; print(callable(explain), callable(reduce))") == "True True\n"
 
 

@@ -118,9 +118,17 @@ class TestOracle:
         assert cand == min(others)
 
     def test_budget_guard(self):
-        model = SumScorer(2000)
-        with pytest.raises(EnumerationBudgetError):
+        # no substitution flips a constant scorer, so level 2 (about 1.8e8 candidates) is reached
+        model = ConstScorer(2000)
+        with pytest.raises(EnumerationBudgetError, match="through level 2 would exceed 10000000 candidates"):
             oracle_optimal(tuple(range(10)), SettingSpec.from_name("un_un"), model, 1, max_distance=4)
+
+    def test_level_one_answer_when_level_two_is_over_budget(self):
+        setting, model = SettingSpec.from_name("un_un"), SumScorer(2000)
+        assert _level_size(10, 2000, 1) + _level_size(10, 2000, 2) > oracle.ENUMERATION_BUDGET
+        found = oracle_optimal(tuple(range(10)), setting, model, 1, max_distance=4)
+        assert found is not None and found[1] == 1
+        assert found == oracle_optimal(tuple(range(10)), setting, model, 1, max_distance=1)
 
     def test_genetic_never_beats_oracle_spot_check(self, cycle_markov):
         setting = SettingSpec.from_name("un_un")

@@ -12,7 +12,6 @@ from seqcf import (
     explain,
     genetic,
     levenshtein,
-    mutate_replace,
     objective_loss,
     oracle_optimal,
     train_markov,
@@ -38,7 +37,7 @@ from seqcf.search import (
 )
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, TableScorer, overlapping_categories, seqs
-from reference import crossover, fitness, mutate_add, mutate_delete, unscreened_valid
+from reference import crossover, fitness, mutate_add, mutate_delete, mutate_replace, unscreened_valid
 
 
 def chi_square(counts, expected):
