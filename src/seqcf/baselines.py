@@ -9,13 +9,14 @@ user's attempts from the user's own stream as rows of the chunk, then
 judges every attempt in 512 KiB blocks, each row against its own source's
 top-1, so the attempts after a user's first valid one are drawn and
 scored too. The random baseline draws each user's numbers in one call and
-makes the chunk's substitutions as array steps (`_random_rows`), exactly
-as the scalar operator, which the tests keep as its reference, would; the
-educated baseline, which no benchmark runs, draws each user's attempts as
-a list. Users are taken in chunks of at most `_CHUNK_ROWS` attempts, so
-memory does not grow with the sample. `baseline_random` and
-`baseline_educated` are the batch of one: a user's record does not depend
-on the users batched with it.
+makes the chunk's substitutions as array steps (`_random_rows`); a user
+whose drawn item is already in its row takes its attempts from there on
+by the scalar rule, so every attempt is the one the scalar operator, which
+the tests keep as its reference, makes. The educated baseline, which no
+benchmark runs, draws each user's attempts as a list. Users are taken in
+chunks of at most `_CHUNK_ROWS` attempts, so memory does not grow with
+the sample. `baseline_random` and `baseline_educated` are the batch of
+one: a user's record does not depend on the users batched with it.
 """
 
 from __future__ import annotations
@@ -42,66 +43,48 @@ def _random_rows(streams, items, src_rows, src_lengths, *, budget: int, m: int):
     """Each user's `budget` random attempts as rows: (rows, lengths, counts), user by user.
 
     Attempt t replaces a random position of attempt t - 1 (the source for
-    t = 0) with a random item not in it. The scalar operator draws the
-    position, then items until one is not in the row. Here each user's
-    numbers come from one `integers(0, bounds)` call, bounds (L, m, L, m,
-    ...), which consumes the stream exactly as those scalar calls do, and
-    the chunk's substitutions are made one attempt at a time across all
-    users. Each stream is taken in turn for its starting state, which one
-    generator restores before every draw, so no user's generator outlives
-    it. A drawn item already in its row is a redraw: the user draws again
-    in the next round with one more m bound at that attempt; the new
-    list's prefix repeats the same values. A second redraw at the same
-    attempt is counted out at once, drawing items one at a time after the
-    replayed prefix until one is not in the row, so a source nearly as long
-    as the catalog takes at most two rounds per attempt. Rounds continue
-    until no user redraws. `items` is unused; it keeps the signature of
-    `_educated_rows`.
+    t = 0) with a random item not in it: the scalar rule draws the
+    position, then items until one is not in the row. Each user draws its
+    numbers in one `integers(0, bounds)` call, bounds (L, m, L, m, ...),
+    which consumes the stream exactly as the scalar calls do while no drawn
+    item is already in its row. The chunk's substitutions are then made in
+    `budget` array steps, which also mark each user's first attempt whose
+    item is in its row. From that attempt on, a marked user's attempts are
+    the scalar rule's: its stream replays the call up to the attempt and
+    draws the rest one number at a time. Each stream is taken in turn for
+    its starting state, which one generator restores before every draw, so
+    no user's generator outlives it. `items` holds the sources, the rows a
+    clash at the first attempt starts from.
     """
     n, width = src_rows.shape
     starts = []
     for rng in streams:  # a user's stream lives until its state is saved; the last one draws for every user
         starts.append(rng.bit_generator.state)
-    redraws = np.zeros((n, budget), dtype=np.int64)  # each attempt's item draws known to be in its row
-    bounds = np.empty((n, budget, 2), dtype=np.int64)
-    bounds[..., 0], bounds[..., 1] = src_lengths[:, None], m
+    bounds = np.tile(np.column_stack([src_lengths, np.full(n, m)]), budget)  # (L, m, L, m, ...) per user
+    drawn = np.empty_like(bounds)
+    for u, state in enumerate(starts):
+        rng.bit_generator.state = state
+        drawn[u] = rng.integers(0, bounds[u])
     rows = np.empty((n, budget, width), dtype=np.int64)
-    todo, first = np.arange(n), 0  # the users to draw, and the first attempt any of them may change
-    while todo.size:
-        per = np.ones((todo.size, budget, 2), dtype=np.int64)  # draws per bound: one, or one more per redraw
-        per[..., 1] += redraws[todo]
-        ends = np.cumsum(per.ravel())
-        flat = np.repeat(bounds[todo].ravel(), per.ravel())
-        begins = [0, *ends[2 * budget - 1 :: 2 * budget].tolist()]  # where each user's draws begin, then end
-        drawn = []
-        for u, a, b in zip(todo.tolist(), begins, begins[1:]):
-            rng.bit_generator.state = starts[u]
-            drawn.append(rng.integers(0, flat[a:b]))
-        ends = ends.reshape(todo.size, budget, 2) - 1
-        pos, item = np.concatenate(drawn)[ends].transpose(2, 0, 1)  # an attempt's position and its last item draw
-        cur = (rows[todo, first - 1] if first else src_rows[todo]).copy()
-        seen, at = np.zeros((todo.size, budget), dtype=bool), np.arange(todo.size)
+    cur, at = src_rows.copy(), np.arange(n)
+    clash = np.full(n, budget)  # each user's first attempt whose drawn item is already in its row
+    for t in range(budget):
+        pos, item = drawn[:, 2 * t], drawn[:, 2 * t + 1]
+        clash[(clash == budget) & (cur == item[:, None]).any(axis=1)] = t
+        cur[at, pos] = item
+        rows[:, t] = cur
+    for u in np.flatnonzero(clash < budget).tolist():
+        first, length = int(clash[u]), int(src_lengths[u])
+        rng.bit_generator.state = starts[u]
+        rng.integers(0, bounds[u, : 2 * first])  # the array draw up to the marked attempt
+        row = list(items[u]) if first == 0 else rows[u, first - 1, :length].tolist()
         for t in range(first, budget):
-            seen[:, t] = (cur == item[:, t, None]).any(axis=1)
-            cur[at, pos[:, t]] = item[:, t]
-            rows[todo, t] = cur
-        # a user redraws at its first item already in its row, which discards the draws after it
-        redrawn = np.flatnonzero(seen.any(axis=1))
-        at = seen.argmax(axis=1)[redrawn]
-        spans = zip(np.array(begins)[redrawn].tolist(), (ends[redrawn, at, 1] + 1).tolist())  # its draws through it
-        todo = todo[redrawn]
-        known = redraws[todo, at]  # 1 at a second redraw, counted out below; 2 or more once counted out
-        if (known > 1).any():  # a counted-out attempt redraws only if the array and scalar draws disagree
-            raise RuntimeError("integers(0, bounds) and its scalar calls drew a stream differently")
-        redraws[todo, at] += 1
-        for u, t, (a, b), count_out in zip(todo.tolist(), at.tolist(), spans, (known == 1).tolist()):
-            if count_out:  # replay the draws through this item, then draw items until one is not in the row
-                rng.bit_generator.state = starts[u]
-                rng.integers(0, flat[a:b])
-                present = set((rows[u, t - 1] if t else src_rows[u])[: src_lengths[u]].tolist())
-                while int(rng.integers(m)) in present:
-                    redraws[u, t] += 1
-        first = int(at.min(initial=budget))
+            i, z = int(rng.integers(length)), int(rng.integers(m))
+            present = set(row)
+            while z in present:
+                z = int(rng.integers(m))
+            row[i] = z
+            rows[u, t, :length] = row
     return rows.reshape(n * budget, width), np.repeat(src_lengths, budget), np.full(n, budget, dtype=np.int64)
 
 

@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from . import dataset, metrics, models, records, search
-from .core import TAG_SAMPLE, TAG_TARGET, derive_stream, read_text
+from .core import TAG_SAMPLE, TAG_TARGET, derive_stream, read_text, user_of
 from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
 
 # explain flags of the GaConfig fields whose flag is not the field name
@@ -128,7 +128,10 @@ def _oracle_record(source, setting, model, k, *, max_distance, seed, categories=
     """The oracle's record: the exhaustive optimum within `max_distance` substitutions, or its absence."""
     from . import oracle
 
-    result = oracle.oracle_optimal(source, setting, model, k, max_distance, categories=categories)
+    try:
+        result = oracle.oracle_optimal(source, setting, model, k, max_distance, categories=categories)
+    except oracle.EnumerationBudgetError as exc:
+        raise oracle.EnumerationBudgetError(f"user {user_of(source)}: {exc}") from None
     cand = None if result is None else result[0]
     return records.explanation_record(source, "oracle", setting, cand, None, seed)
 
@@ -184,6 +187,9 @@ def cmd_evaluate(args) -> int:
     header, recs = records.read_records(args.records)
     if not recs:
         raise ValueError(f"no explanation records in {args.records}")
+    if recs[0].setting.categorized and not args.split:  # aggregate_report takes one setting per file
+        raise ValueError(f"{args.records}: setting {recs[0].setting.name} is judged by categories; "
+                         "evaluate with --split, the split the records were explained with")
     model = models.load_model(args.model)
     categories = None
     if args.split:
@@ -197,6 +203,13 @@ def cmd_evaluate(args) -> int:
                 f"{args.records}: user {rec.user} holds item {item}, outside the {model.num_items} "
                 f"items of model {args.model}; evaluate with the model the records were explained with"
             )
+        cand, want = rec.counterfactual, (None, None)  # the report's distances are the stored ones
+        if cand is not None:
+            want = (metrics.hamming(rec.source, cand), metrics.levenshtein(rec.source, cand))
+        if (rec.hamming, rec.levenshtein) != want:
+            held = "no counterfactual" if cand is None else "a counterfactual at {} and {}".format(*want)
+            raise ValueError(f"{args.records}: user {rec.user} stores hamming {rec.hamming} and levenshtein "
+                             f"{rec.levenshtein} for {held}")
     cfg = header.get("config", {})
     threshold = recs[0].setting.threshold
     k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]

@@ -83,8 +83,9 @@ class TestRandomBaseline:
 
 
 def test_one_array_draw_consumes_the_stream_as_scalar_draws_do():
-    # `_random_rows` draws a user's positions and items, bounds (L, m, L, m, ...) with
-    # a repeated m per redraw, in one call; that call must match the scalar calls one for one
+    # `_random_rows` draws a user's positions and items, bounds (L, m, L, m, ...), in one call, and a
+    # clashing user replays a prefix of that call before its scalar draws; the call must match the
+    # scalar calls one for one (these lists also repeat m, as a scalar item redraw does)
     shapes = np.random.default_rng(0)
     for case in range(300):
         m = int(shapes.choice([2, 3, 7, 100, 1000, 2**31 - 1]))
@@ -95,17 +96,18 @@ def test_one_array_draw_consumes_the_stream_as_scalar_draws_do():
         assert rng.integers(2**40) == scalar.integers(2**40)  # and both streams end in the same state
 
 
-# (m, source lengths): redraws rare (m = 1000), and frequent (m = L + 1, m = 2L)
-DRAWS = [(1000, [1, 5, 20, 50, 999]), (6, [5, 1, 5, 3]), (40, [20, 1, 39, 20])]
+# (m, source lengths, users): clashes rare (m = 1000), frequent (m = L + 1, m = 2L), and at every
+# attempt, each redrawing about m times (sources of m - 1 items)
+DRAWS = [(1000, [1, 5, 20, 50, 999], 24), (6, [5, 1, 5, 3], 24), (40, [20, 1, 39, 20], 24), (1000, [999], 9)]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "all"])
 @pytest.mark.parametrize("budget", [1, 10])
-@pytest.mark.parametrize("m, lengths", DRAWS, ids=[f"m{m}" for m, _ in DRAWS])
-def test_random_rows_are_the_scalar_attempts(m, lengths, budget, chunk):
+@pytest.mark.parametrize("m, lengths, users", DRAWS, ids=["m1000", "m6", "m40", "m1000-full"])
+def test_random_rows_are_the_scalar_attempts(m, lengths, users, budget, chunk):
     # every user's attempts equal the scalar reference's, attempt for attempt, however users are chunked
     shapes = np.random.default_rng(m)
-    sources = [tuple(shapes.permutation(m)[: lengths[u % len(lengths)]].tolist()) for u in range(24)]
+    sources = [tuple(shapes.permutation(m)[: lengths[u % len(lengths)]].tolist()) for u in range(users)]
     want = [random_attempts(items, derive_stream(3, [TAG_BASELINE, u]), budget, m) for u, items in enumerate(sources)]
     chunk = chunk or len(sources)
     got = []
@@ -117,29 +119,6 @@ def test_random_rows_are_the_scalar_attempts(m, lengths, budget, chunk):
         attempts = [tuple(row[:n].tolist()) for row, n in zip(rows, lengths_)]
         got += [attempts[i : i + budget] for i in range(0, len(attempts), budget)]
     assert got == want
-
-
-class TrailingDrawStream:
-    """A stream whose array draws consume one number more at their end than its scalar draws do."""
-
-    def __init__(self, rng):
-        self.rng, self.bit_generator = rng, rng.bit_generator
-
-    def integers(self, low, high=None):
-        if high is None:
-            return self.rng.integers(low)
-        drawn = self.rng.integers(low, high)
-        self.rng.integers(2)
-        return drawn
-
-
-def test_random_rows_fail_when_array_and_scalar_draws_disagree():
-    # a count-out replays the array draw, then continues with scalar draws; if the next round's
-    # array draw does not repeat them, it must fail rather than redraw forever
-    sources = [(0, 1, 2, 3, 4)] * 24
-    streams = [TrailingDrawStream(derive_stream(3, [TAG_BASELINE, u])) for u in range(len(sources))]
-    with pytest.raises(RuntimeError, match="drew a stream differently"):
-        baselines._random_rows(streams, sources, *search._padded(sources), budget=10, m=6)
 
 
 class TestEducatedBaseline:

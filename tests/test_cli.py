@@ -317,6 +317,14 @@ class TestFailureModes:
         assert capsys.readouterr().err == "error: source repeats an item\n"
         assert not out.exists()
 
+    def test_oracle_over_budget_names_the_user(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(seqcf.oracle, "ENUMERATION_BUDGET", 100)
+        out = tmp_path / "oracle.jsonl"
+        assert main(explain_args(pipeline, out, method="oracle", **{"--max-distance": 2})) == 1
+        first = sample_users(load_split(pipeline["split"]), 6, derive_stream(1, [TAG_SAMPLE]))[0]
+        assert capsys.readouterr().err == f"error: user {first}: enumeration through level 1 would exceed 100 candidates\n"
+        assert not out.exists()
+
     def test_oracle_subcommand_is_gone(self, pipeline, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--model", str(pipeline["model"]), "--split", str(pipeline["split"]),
@@ -622,6 +630,45 @@ class TestFailureModes:
                                         "--out", str(out)])
         assert err == (f"error: {records}: user {users[0]} holds item {m}, outside the {m} items of model "
                        f"{pipeline['model']}; evaluate with the model the records were explained with\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counterfactual", [True, False], ids=["wrong-distances", "no-counterfactual"])
+    def test_evaluate_refuses_distances_its_record_does_not_hold(self, pipeline, tmp_path, capsys, counterfactual):
+        # the report's distance columns are the stored ones, so a stored distance must be the record's own
+        m = load_model(pipeline["model"]).num_items
+        users = []
+
+        def edit(line):
+            doc = json.loads(line)
+            spare = next(z for z in range(m) if z not in doc["source"])
+            doc.update(counterfactual=[*doc["source"][:-1], spare] if counterfactual else None, hamming=2, levenshtein=2)
+            users.append(doc["user"])
+            return json.dumps(doc)
+
+        records = self._records_with(pipeline, tmp_path, edit)
+        out = tmp_path / "r.csv"
+        err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                                        "--out", str(out)])
+        held = "a counterfactual at 1 and 1" if counterfactual else "no counterfactual"
+        assert err == f"error: {records}: user {users[0]} stores hamming 2 and levenshtein 2 for {held}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("found", [True, False], ids=["as-explained", "no-counterfactual"])
+    def test_evaluate_categorized_records_need_the_split(self, pipeline, tmp_path, capsys, found):
+        records = tmp_path / "uncat.jsonl"
+        assert main(explain_args(pipeline, records, method="random", setting="un_cat")) == 0
+        header, *lines = records.read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        assert any(doc["counterfactual"] for doc in docs)
+        if not found:
+            for doc in docs:
+                doc.update(counterfactual=None, hamming=None, levenshtein=None, generation_found=None)
+            records.write_text("\n".join([header, *map(json.dumps, docs)]) + "\n")
+        out = tmp_path / "r.csv"
+        err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                                        "--out", str(out)])
+        assert err == (f"error: {records}: setting un_cat is judged by categories; "
+                       "evaluate with --split, the split the records were explained with\n")
         assert not out.exists()
 
     def test_evaluate_empty_records_rejected(self, pipeline, tmp_path):
