@@ -51,19 +51,17 @@ def _random_rows(streams, items, src_rows, src_lengths, *, budget: int, m: int):
     `budget` array steps, which also mark each user's first attempt whose
     item is in its row. From that attempt on, a marked user's attempts are
     the scalar rule's: its stream replays the call up to the attempt and
-    draws the rest one number at a time. Each stream is taken in turn for
-    its starting state, which one generator restores before every draw, so
-    no user's generator outlives it. `items` holds the sources, the rows a
-    clash at the first attempt starts from.
+    draws the rest one number at a time. Each user's stream is derived in
+    turn, saves its start state and draws, so no user's generator outlives
+    its draw; a replay restores a saved state into the last one. `items`
+    holds the sources, the rows a clash at the first attempt starts from.
     """
     n, width = src_rows.shape
-    starts = []
-    for rng in streams:  # a user's stream lives until its state is saved; the last one draws for every user
-        starts.append(rng.bit_generator.state)
     bounds = np.tile(np.column_stack([src_lengths, np.full(n, m)]), budget)  # (L, m, L, m, ...) per user
     drawn = np.empty_like(bounds)
-    for u, state in enumerate(starts):
-        rng.bit_generator.state = state
+    starts = []
+    for u, rng in enumerate(streams):  # a user's stream lives for its draw; the last one replays the clashes
+        starts.append(rng.bit_generator.state)
         drawn[u] = rng.integers(0, bounds[u])
     rows = np.empty((n, budget, width), dtype=np.int64)
     cur, at = src_rows.copy(), np.arange(n)

@@ -312,7 +312,8 @@ def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:
     """Merge per-seed report rows into wide rows with per-seed and mean columns.
 
     Rows are matched on (method, setting, dataset, model, k); each metric
-    gains one column per seed plus a mean column.
+    gains one column per seed plus a mean column. A second row for the
+    same match and seed is refused.
     """
     merged: dict[tuple, dict] = {}
     for rows in reports:
@@ -330,7 +331,8 @@ def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:
                     "_seeds": {},
                 },
             )
-            slot["_seeds"][str(row["seed"])] = row
+            if slot["_seeds"].setdefault(str(row["seed"]), row) is not row:
+                raise ValueError(f"seed {row['seed']} given twice for row (method, setting, dataset, model, k) = {key}")
     out = []
     for key in sorted(merged):
         slot = merged[key]

@@ -3,30 +3,28 @@
 The oracle enumerates, distance level by distance level, every fixed-length
 sequence reachable from the source by substitutions only, and returns the
 first level containing a valid candidate. It exists as trivially correct
-ground truth for the genetic search, so it deliberately prunes no
-candidate: every one of a level is enumerated and judged. It judges on the
-search's row path (`search._checked_source`, `_source_top1`, `_valid`), as
-the baselines do, each level in chunks of at most `_CHUNK_ROWS`
-candidates, so memory does not grow with the level; that path's exact
-logit screen only spares the softmax of candidates it proves invalid.
-`ENUMERATION_BUDGET` caps the candidates enumerated, checked just before
-each level, so a deep `max_distance` does not stop an answer at a
-shallow level.
+ground truth for the genetic search, so it prunes no candidate: each level
+is made as int64 rows (`_level_rows`) in chunks of at most `_CHUNK_ROWS`,
+so memory does not grow with it, and every chunk is judged by the search's
+`_RowEvaluator`, whose exact logit screen only spares the softmax of
+candidates it proves invalid. `ENUMERATION_BUDGET` caps the candidates
+enumerated, checked just before each level, so a deep `max_distance` does
+not stop an answer at a shallow level.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice, permutations
+from itertools import combinations
 from math import comb, perm
 
 import numpy as np
 
-from .core import CategoryMap, as_items
+from .core import CategoryMap
 from .objective import SettingSpec
-from .search import _checked_source, _padded, _source_top1, _valid
+from .search import _RowEvaluator
 
 ENUMERATION_BUDGET = 10_000_000
-# candidates per chunk: their Python tuples and (rows, length) int64 cells take a few MiB at most
+# candidates per chunk: their (rows, length) int64 cells take a few MiB at most
 _CHUNK_ROWS = 4096
 
 
@@ -45,7 +43,7 @@ def count_search_space(n: int, length: int) -> int:
 
 
 def _level_size(length: int, m: int, d: int) -> int:
-    """How many candidates `substitutions` yields at level d for a duplicate-free source.
+    """How many rows `_level_rows` yields at level d for a duplicate-free source.
 
     A level-d candidate replaces d of the `length` positions with distinct
     items among the m - length unused ones and the d replaced ones, none
@@ -77,37 +75,39 @@ def oracle_optimal(
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
     m = model.num_items
-    src = _checked_source(source, m, k, m - 1)  # a substitution keeps the length
+    evaluate = _RowEvaluator(model, setting, source, k, categories, m - 1)  # a substitution keeps the length
+    src = np.asarray(evaluate.source_items, dtype=np.int64)
     max_distance = min(max_distance, len(src))
-    top1 = _source_top1(model, *_padded([src]))
 
     enumerated = 0
     for d in range(1, max_distance + 1):
         enumerated += _level_size(len(src), m, d)
         if enumerated > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(f"enumeration through level {d} would exceed {ENUMERATION_BUDGET} candidates")
-        best: tuple[int, ...] | None = None
-        level = substitutions(src, m, d)
-        while chunk := list(islice(level, _CHUNK_ROWS)):
-            hits = np.flatnonzero(_valid(model, setting, top1, *_padded(chunk), k, categories))
-            if hits.size:
-                cand = min(chunk[i] for i in hits)
-                best = cand if best is None else min(best, cand)
-        if best is not None:
-            return best, d
+        # each chunk's smallest valid row; rows compare as lists as the candidates do as tuples
+        valid = (rows[evaluate.valid(rows, np.full(len(rows), len(src)))] for rows in _level_rows(src, m, d))
+        if found := [min(hits.tolist()) for hits in valid if len(hits)]:
+            return tuple(min(found)), d
     return None
 
 
-def substitutions(source, m: int, d: int):
-    """Every duplicate-free sequence over range(m) that differs from `source` in exactly d positions."""
-    src = as_items(source)
-    for positions in combinations(range(len(src)), d):
-        kept = set(src) - {src[p] for p in positions}
-        available = sorted(set(range(m)) - kept)
-        for assignment in permutations(available, d):
-            if any(z == src[p] for z, p in zip(assignment, positions)):
-                continue
-            cand = list(src)
-            for z, p in zip(assignment, positions):
-                cand[p] = z
-            yield tuple(cand)
+def _level_rows(src: np.ndarray, m: int, d: int):
+    """Every duplicate-free sequence over range(m) that differs from `src` in exactly d positions, as rows.
+
+    Per set of d positions, chunks of at most `_CHUNK_ROWS` flat indices of the d-permutations of the items
+    they may hold are decoded as Lehmer codes, and picks that keep a position's own item are dropped.
+    """
+    for at in map(list, combinations(range(len(src)), d)):
+        free = np.delete(np.arange(m), np.delete(src, at))
+        size = perm(len(free), d)
+        for start in range(0, size, _CHUNK_ROWS):
+            flat = np.arange(start, min(start + _CHUNK_ROWS, size))
+            picks = np.column_stack(np.unravel_index(flat, range(len(free), len(free) - d, -1)))
+            for j in range(1, d):  # digit j is a rank among the items the earlier picks left
+                for earlier in np.sort(picks[:, :j], axis=1).T:
+                    picks[:, j] += earlier <= picks[:, j]
+            picks = free[picks]
+            keep = (picks != src[at]).all(axis=1)
+            rows = np.tile(src, (np.count_nonzero(keep), 1))
+            rows[:, at] = picks[keep]
+            yield rows

@@ -53,11 +53,10 @@ pass. A screened pass copies only its open rows into that buffer and
 normalizes it when it fills, so the scorer still sees the same blocks
 and each row is scored once. The baselines share that row path
 (`_checked_source`, `_source_top1`, `_valid`) for a whole user sample at
-once, each attempt judged against its own source's top-1, and so does the
-oracle, one chunk of a substitution level at a time, so every explainer
-decides validity on one path; the scalar `is_valid` and `objective_loss`
-remain the reference of `evaluate`, of the benchmark's record checks and
-of the tests.
+once, each attempt judged against its own source's top-1, and the oracle
+judges each chunk of a substitution level with a `_RowEvaluator`, so every
+explainer decides validity on one path; `evaluate` and the benchmark's
+record checks judge with the scalar `is_valid`.
 
 Before the GA, `explain` scores the whole radius-1 ball of the source
 (every sequence one replace, add or delete away, whatever the mutation

@@ -9,6 +9,8 @@ these:
   stream;
 - `crossover` against `search.crossover_rows`;
 - `fitness` against the GA's per-row results (`search._ga_results`);
+- `substitutions` against `oracle._level_rows`: it yields each
+  substitution of a level as a tuple;
 - `scalar_oracle` against `oracle.oracle_optimal`: it scores each
   substitution with `model.score` and judges it with the scalar `is_valid`;
 - `unscreened_valid` against `search._valid`: it normalizes every row and
@@ -17,13 +19,14 @@ these:
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 import numpy as np
 
 from seqcf.core import DEFAULT_MAX_LEN, CategoryMap, as_items
 from seqcf.metrics import levenshtein
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid, objective_loss, valid_rows
-from seqcf.oracle import substitutions
 from seqcf.search import _normalized, combine_fitness
 
 
@@ -104,6 +107,21 @@ def fitness(
     lev = levenshtein(as_items(source), as_items(cand))
     loss = objective_loss(setting, source_scores, cand_scores, categories)
     return combine_fitness(lev, loss, edit_weight, max_len)
+
+
+def substitutions(source, m: int, d: int):
+    """Every duplicate-free sequence over range(m) that differs from `source` in exactly d positions."""
+    src = as_items(source)
+    for positions in combinations(range(len(src)), d):
+        kept = set(src) - {src[p] for p in positions}
+        available = sorted(set(range(m)) - kept)
+        for assignment in permutations(available, d):
+            if any(z == src[p] for z, p in zip(assignment, positions)):
+                continue
+            cand = list(src)
+            for z, p in zip(assignment, positions):
+                cand[p] = z
+            yield tuple(cand)
 
 
 def scalar_oracle(

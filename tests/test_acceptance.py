@@ -34,11 +34,11 @@ from seqcf.core import TAG_SAMPLE, TAG_TARGET, derive_stream
 from seqcf.dataset import InteractionLog, sample_target_item, sample_users, write_categories
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid
-from seqcf.oracle import substitutions
 from seqcf.records import read_records
 from seqcf.search import _BALL_SHARE, _harvest, _RowEvaluator, radius1_ball, radius1_size
 
 from conftest import EchoScorer
+from reference import substitutions
 from test_metrics import brute_levenshtein
 
 

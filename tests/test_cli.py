@@ -564,6 +564,20 @@ class TestFailureModes:
         assert err.startswith(f"error: {report}: no column 'method'")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_report_refuses_two_reports_of_one_seed(self, pipeline, tmp_path, capsys):
+        # the same seed for 3 and for 5 users: merging them would mix one row's numbers across both
+        csvs = []
+        for users in (3, 5):
+            rec, rep = tmp_path / f"u{users}.jsonl", tmp_path / f"u{users}.csv"
+            assert main(explain_args(pipeline, rec, method="random", **{"--sample-users": users})) == 0
+            assert main(["evaluate", "--records", str(rec), "--model", str(pipeline["model"]),
+                         "--split", str(pipeline["split"]), "--out", str(rep)]) == 0
+            csvs.append(str(rep))
+        err = self._error_line(capsys, ["report", "--inputs", *csvs, "--out", str(tmp_path / "m.csv")])
+        want = "error: seed 1 given twice for row (method, setting, dataset, model, k) = ('random', 'un_un',"
+        assert err.startswith(want)
+        assert not (tmp_path / "m.csv").exists()
+
     def test_graph_line_with_three_numbers_names_file_and_line(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("3\n1 2\n\n1 2 3\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -213,3 +214,12 @@ class TestAggregates:
         assert out["fidelity_seed1"] == 0.5
         assert out["fidelity_mean"] == pytest.approx(0.75)
         assert out["valid_fraction_mean"] == pytest.approx(0.75)
+
+    def test_merge_refuses_a_seed_given_twice_for_a_row(self):
+        row = dict(method="gece", setting="un_un", dataset="d", model="m", k=1, n_users=3, fidelity=1.0,
+                   mean_hamming=1.0, mean_levenshtein=1.0, valid_fraction=1.0)
+        other = dict(row, k=5)
+        assert len(merge_seed_reports([[dict(row, seed=0)], [dict(other, seed=0)]])) == 2
+        want = "seed 0 given twice for row (method, setting, dataset, model, k) = ('gece', 'un_un', 'd', 'm', '1')"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            merge_seed_reports([[dict(row, seed=0), dict(other, seed=0)], [dict(row, seed=0, n_users=5)]])

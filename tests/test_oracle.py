@@ -17,10 +17,10 @@ from seqcf import (
 from seqcf import oracle
 from seqcf.models import MarkovScorer, PopularityScorer
 from seqcf.objective import SettingSpec
-from seqcf.oracle import EnumerationBudgetError, _level_size, substitutions
+from seqcf.oracle import EnumerationBudgetError, _level_size
 
 from conftest import ConstScorer, CountingScorer, SumScorer, overlapping_categories, seqs
-from reference import scalar_oracle
+from reference import scalar_oracle, substitutions
 
 
 class TestSearchSpace:
@@ -162,6 +162,32 @@ class TestLevelSize:
             oracle_optimal((0, 1, 2, 3), setting, model, 1, max_distance=2)
         monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 16 + 126)
         assert oracle_optimal((0, 1, 2, 3), setting, model, 1, max_distance=2) is None
+
+
+def level_cases(n=24, seed=11):
+    """(m, L, d) triples: the edges L = m - 1, d = L and d = 1, then random small ones."""
+    rng = np.random.default_rng(seed)
+    cases = [(6, 5, 1), (6, 5, 5), (5, 4, 2), (7, 1, 1), (8, 3, 3), (2, 1, 1)]
+    while len(cases) < n:
+        m = int(rng.integers(2, 8))
+        length = int(rng.integers(1, m))
+        cases.append((m, length, int(rng.integers(1, length + 1))))
+    return cases
+
+
+class TestLevelRows:
+    """`oracle._level_rows` against `reference.substitutions`, which yields a level one tuple at a time."""
+
+    @pytest.mark.parametrize("chunk_rows", [5, 4096])
+    @pytest.mark.parametrize("m, length, d", level_cases())
+    def test_rows_are_the_references_substitutions(self, monkeypatch, chunk_rows, m, length, d):
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
+        source = np.random.default_rng(m * 100 + length * 10 + d).permutation(m)[:length]
+        chunks = list(oracle._level_rows(source, m, d))
+        assert all(c.dtype == np.int64 and c.shape == (len(c), length) and len(c) <= chunk_rows for c in chunks)
+        rows = [tuple(r) for c in chunks for r in c.tolist()]
+        assert len(rows) == len(set(rows)) == _level_size(length, m, d)
+        assert set(rows) == set(substitutions(source.tolist(), m, d))
 
 
 class TestOracleInputChecks:
