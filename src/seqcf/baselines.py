@@ -215,11 +215,5 @@ def baseline_educated(
     source (the target cannot be inserted twice, so attempts do not stack);
     with a category target the edits accumulate like the random baseline,
     drawing a not-yet-present member of the category each time.
-
-    FOUND: with an item target (`targ_un`) it cannot succeed on the
-    shipped scorers (Markov, popularity), which mask the sequence's own
-    items: the placed target is never recommended. No run succeeded for
-    any user of the 200 x 100 or 2000 x 1000 synthetic corpora, under
-    either scorer, three targets and k = 1 and 10 (0 of 26,400).
     """
     return baseline_records("educated", [source], setting, model, k, budget, seed, categories)[0]

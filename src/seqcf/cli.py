@@ -95,12 +95,8 @@ def _build_setting(args, split) -> SettingSpec:
         raise ValueError("targ_cat needs --target-category")
     if args.target_item is not None and args.target_stratum is not None:
         raise ValueError("give --target-item or --target-stratum, not both")
-    target_item = args.target_item
-    if target_item is not None:
-        m = split.catalog.num_items
-        if not 0 <= target_item < m:
-            raise ValueError(f"target item {target_item} outside the catalog of {m} items")
-    elif args.target_stratum is not None:
+    target_item = args.target_item  # the objective rejects one outside the catalog
+    if args.target_stratum is not None:
         stream = derive_stream(args.seed, [TAG_TARGET])
         target_item = dataset.sample_target_item(split, args.target_stratum, stream)
     target_category = None

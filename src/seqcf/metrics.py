@@ -313,7 +313,8 @@ def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:
 
     Rows are matched on (method, setting, dataset, model, k); each metric
     gains one column per seed plus a mean column. A second row for the
-    same match and seed is refused.
+    same match and seed is refused, and so are seeds that explained a
+    different number of users for the same match.
     """
     merged: dict[tuple, dict] = {}
     for rows in reports:
@@ -333,6 +334,12 @@ def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:
             )
             if slot["_seeds"].setdefault(str(row["seed"]), row) is not row:
                 raise ValueError(f"seed {row['seed']} given twice for row (method, setting, dataset, model, k) = {key}")
+            if str(row["n_users"]) != str(slot["n_users"]):
+                first = next(iter(slot["_seeds"]))
+                raise ValueError(
+                    f"seed {first} has {slot['n_users']} users but seed {row['seed']} has {row['n_users']} "
+                    f"for row (method, setting, dataset, model, k) = {key}"
+                )
     out = []
     for key in sorted(merged):
         slot = merged[key]

@@ -35,6 +35,9 @@ generation, the sequences new to the population, are scored in one batch.
 It is the search's one distinct pass: selection leaves its d distinct
 sequences first, by (fitness, items), and row i >= d a copy of row i mod d,
 so the final population's validity is judged on its first d rows.
+Every ordering of rows by items (this pass, and the items tie-breaks of
+the harvest and of the radius-1 ball) compares one byte key per row
+(`_row_keys`).
 A row is scored by itself (softmax; validity by `valid_rows`, from argmax
 and rank counts with no top-k; objective mass by one dot product over the
 row, whose weighted columns alone are divided by the row sum; edit
@@ -506,45 +509,32 @@ def _radius1_best(evaluate: _RowEvaluator) -> tuple[int, ...] | None:
     if not hit.size:
         return None
     rows, lengths = rows[hit], lengths[hit]
-    # NULL_ITEM padding sorts below every item, so column order is tuple order across lengths
-    best = np.lexsort((*rows.T[::-1], evaluate.loss(rows, lengths)))[0]
+    best = np.lexsort((_row_keys(rows), evaluate.loss(rows, lengths)))[0]
     return tuple(int(x) for x in rows[best, : lengths[best]])
 
 
-def _row_words(rows: np.ndarray, m: int) -> np.ndarray:
-    """Rows of items below `m` packed into int64 words that compare as the rows do.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one fixed-width byte string that compares as the row's items do as a tuple.
 
-    Each cell, shifted up by one so that NULL_ITEM packs as 0, fills a bit
-    field of fixed width, so comparing the words in turn compares the rows
-    lexicographically, and a lexsort over words needs fewer keys than over
-    columns.
+    Each cell, shifted up by one so that NULL_ITEM packs as 0 and sorts
+    below every item, is stored big-endian in the smallest unsigned type
+    that holds the largest one, and the row's bytes are viewed as one
+    `np.void`, which numpy compares and sorts as unsigned bytes.
     """
-    bits = m.bit_length()
-    per_word = 63 // bits
-    used = -(-rows.shape[1] // per_word)
-    cells = np.zeros((rows.shape[0], used * per_word), dtype=np.int64)
-    cells[:, : rows.shape[1]] = rows + 1
-    words = np.zeros((rows.shape[0], used), dtype=np.int64)
-    for j in range(per_word):  # cell j of every word
-        words |= cells[:, j::per_word] << (bits * (per_word - 1 - j))
-    return words
+    cell = np.min_scalar_type(int(rows.max()) + 1).newbyteorder(">")
+    cells = (rows + 1).astype(cell, order="C")
+    return cells.view(np.dtype((np.void, cells.itemsize * rows.shape[1])))[:, 0]
 
 
-def _earliest_copies(rows: np.ndarray, m: int) -> np.ndarray:
+def _earliest_copies(rows: np.ndarray) -> np.ndarray:
     """Index of the first copy in pool order of each distinct row, in row order.
 
     In a pool the population's copies of a sequence share one birth and
     come before the generation's new rows, so the first copy is the
-    earliest-born one.
+    earliest-born one. `np.unique` sorts stably when it returns indices,
+    so each index it returns is its key's first copy.
     """
-    # NULL_ITEM padding sorts below every item, so row order is tuple order;
-    # lexsort is stable, so equal rows stay in pool order
-    words = _row_words(rows, m)
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    return order[first]
+    return np.unique(_row_keys(rows), return_index=True)[1]
 
 
 def _select(
@@ -566,7 +556,7 @@ def _select(
     """
     n = len(population)
     born = np.concatenate([population.born, np.full(len(lengths) - n, gen)])
-    distinct = _earliest_copies(rows, evaluate.model.num_items)
+    distinct = _earliest_copies(rows)
     new = distinct >= n
     fresh = distinct[new]
     scored = _ga_results(evaluate, config, rows[fresh, : lengths[fresh].max(initial=0)], lengths[fresh])
@@ -658,7 +648,7 @@ def _harvest(population: Population) -> tuple[tuple[int, ...], int] | None:
     if len(valid) == 0:
         return None
     # equal sequences are copies of one row, so born breaks no tie
-    best = np.lexsort((*valid.rows.T[::-1], valid.loss, valid.lev))[0]
+    best = np.lexsort((_row_keys(valid.rows), valid.loss, valid.lev))[0]
     return valid.items(best), int(valid.born[best])
 
 

@@ -127,13 +127,6 @@ def reduce(graph: Graph) -> tuple[VcModel, tuple[int, ...]]:
     return VcModel(graph), sbar
 
 
-def cover_sequence(graph: Graph, cover) -> tuple[int, ...]:
-    """Literal sequence with exactly the cover's vertices occurring positively."""
-    n = graph.num_vertices
-    cover = set(cover)
-    return tuple(i if i in cover else n + i for i in range(n))
-
-
 def brute_force_vc(graph: Graph, k: int) -> bool:
     """Does some vertex subset of size at most k cover all edges?"""
     n = graph.num_vertices

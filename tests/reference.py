@@ -14,7 +14,13 @@ these:
 - `scalar_oracle` against `oracle.oracle_optimal`: it scores each
   substitution with `model.score` and judges it with the scalar `is_valid`;
 - `unscreened_valid` against `search._valid`: it normalizes every row and
-  judges it with `objective.valid_rows`, with no logit screen.
+  judges it with `objective.valid_rows`, with no logit screen;
+- `distinct_first_copies` against `search._earliest_copies` and
+  `search._row_keys`: each distinct row as a tuple, in tuple order, with
+  the index of its first copy.
+
+It also holds `cover_sequence`, the vertex-cover reduction's literal
+sequence of a cover, which only the tests build.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from seqcf.metrics import levenshtein
 from seqcf.models import ScoreVector
 from seqcf.objective import SettingSpec, is_valid, objective_loss, valid_rows
 from seqcf.search import _normalized, combine_fitness
+from seqcf.vcreduce import Graph
 
 
 def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
@@ -157,3 +164,18 @@ def unscreened_valid(model, setting, source_top1, rows, lengths, k, categories=N
     for block, norm in _normalized(model, rows, lengths):
         valid[block] = valid_rows(setting, source_top1[block], norm, k, categories)
     return valid
+
+
+def distinct_first_copies(rows) -> list[tuple[tuple[int, ...], int]]:
+    """Each distinct row of `rows` as a tuple, in ascending tuple order, with the index of its first copy."""
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(np.asarray(rows).tolist()):
+        first.setdefault(tuple(row), i)
+    return sorted(first.items())
+
+
+def cover_sequence(graph: Graph, cover) -> tuple[int, ...]:
+    """Literal sequence with exactly the cover's vertices occurring positively."""
+    n = graph.num_vertices
+    cover = set(cover)
+    return tuple(i if i in cover else n + i for i in range(n))

@@ -347,7 +347,7 @@ class TestFailureModes:
                   "--out", str(pipeline["root"] / "m2.json")])
         assert exc.value.code != 0
 
-    @pytest.mark.parametrize("method", ["gece", "random"])
+    @pytest.mark.parametrize("method", ["gece", "random", "oracle"])
     @pytest.mark.parametrize("target", [-1, "m", 99999])
     def test_out_of_catalog_target_item_rejected(self, pipeline, capsys, method, target):
         m = load_split(pipeline["split"]).catalog.num_items
@@ -578,6 +578,20 @@ class TestFailureModes:
         assert err.startswith(want)
         assert not (tmp_path / "m.csv").exists()
 
+    def test_report_refuses_seeds_of_unequal_samples(self, pipeline, tmp_path, capsys):
+        # seed 1 on 3 users and seed 2 on 5: a mean over both would weigh them alike
+        csvs = []
+        for seed, users in ((1, 3), (2, 5)):
+            rec, rep = tmp_path / f"s{seed}.jsonl", tmp_path / f"s{seed}.csv"
+            argv = explain_args(pipeline, rec, method="random", **{"--sample-users": users, "--seed": seed})
+            assert main(argv) == 0
+            assert main(["evaluate", "--records", str(rec), "--model", str(pipeline["model"]),
+                         "--split", str(pipeline["split"]), "--out", str(rep)]) == 0
+            csvs.append(str(rep))
+        err = self._error_line(capsys, ["report", "--inputs", *csvs, "--out", str(tmp_path / "m.csv")])
+        assert err.startswith("error: seed 1 has 3 users but seed 2 has 5 for row (method, setting, dataset, model, k)")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_graph_line_with_three_numbers_names_file_and_line(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("3\n1 2\n\n1 2 3\n")
@@ -736,6 +750,15 @@ class TestStartUp:
         assert loaded.splitlines()[-1] == "[]"  # after the command's own line
         _, recs = read_records(out)
         assert len(recs) == 2 and all(r.generation_found == 0 for r in recs)  # each answered by the ball
+
+    def test_explain_through_the_genetic_search_loads_no_numpy_ma(self, pipeline, tmp_path):
+        out = tmp_path / "ga.jsonl"
+        # at 8 x 2 no ball of this 40-item catalog is scored first, so selection's distinct pass runs
+        args = explain_args(pipeline, out, **{"--population": 8, "--generations": 2, "--sample-users": 2})
+        loaded = _fresh_python("import sys; from seqcf.cli import main; main(sys.argv[1:]); " + self.LOADED, *args)
+        assert loaded.splitlines()[-1] == "[]"  # after the command's own line
+        _, recs = read_records(out)
+        assert len(recs) == 2 and all(r.generation_found != 0 for r in recs)
 
     def test_random_baseline_explain_loads_no_numpy_ma(self, pipeline, tmp_path):
         out = tmp_path / "random.jsonl"

@@ -215,6 +215,18 @@ class TestAggregates:
         assert out["fidelity_mean"] == pytest.approx(0.75)
         assert out["valid_fraction_mean"] == pytest.approx(0.75)
 
+    def test_merge_refuses_seeds_of_unequal_user_counts(self):
+        row = dict(method="gece", setting="un_un", dataset="d", model="m", k=1, fidelity=1.0,
+                   mean_hamming=1.0, mean_levenshtein=1.0, valid_fraction=1.0)
+        other = dict(row, k=5)
+        # another row may hold another count
+        assert len(merge_seed_reports([[dict(row, seed=0, n_users=3), dict(other, seed=0, n_users=5)],
+                                       [dict(row, seed=1, n_users=3), dict(other, seed=1, n_users=5)]])) == 2
+        want = ("seed 0 has 3 users but seed 1 has 5 for row (method, setting, dataset, model, k) = "
+                "('gece', 'un_un', 'd', 'm', '1')")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            merge_seed_reports([[dict(row, seed=0, n_users=3)], [dict(row, seed=1, n_users=5)]])
+
     def test_merge_refuses_a_seed_given_twice_for_a_row(self):
         row = dict(method="gece", setting="un_un", dataset="d", model="m", k=1, n_users=3, fidelity=1.0,
                    mean_hamming=1.0, mean_levenshtein=1.0, valid_fraction=1.0)

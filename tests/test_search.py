@@ -28,6 +28,8 @@ from seqcf.search import (
     _ga_results,
     _harvest,
     _radius1_best,
+    _earliest_copies,
+    _row_keys,
     _RowEvaluator,
     apply_edits,
     crossover_rows,
@@ -37,7 +39,15 @@ from seqcf.search import (
 )
 
 from conftest import ConstScorer, EchoScorer, QueuedRng, TableScorer, overlapping_categories, seqs
-from reference import crossover, fitness, mutate_add, mutate_delete, mutate_replace, unscreened_valid
+from reference import (
+    crossover,
+    distinct_first_copies,
+    fitness,
+    mutate_add,
+    mutate_delete,
+    mutate_replace,
+    unscreened_valid,
+)
 
 
 def chi_square(counts, expected):
@@ -1019,6 +1029,74 @@ class TestSelectInvariant:
                                           for i in range(len(pop))]
             padded += len({pop.items(i) for i in range(len(pop))}) < len(pop)
         assert len(selected) > 40 and 0 < padded < 40
+
+
+class TestRowKeys:
+    """`_row_keys` orders rows as tuples, and `_earliest_copies` finds each distinct row's first copy."""
+
+    CATALOGS = (2, 3, 7, 100, 255, 256, 1000, 65535, 65536, 10**6)
+
+    @staticmethod
+    def pool(rng, m):
+        """A random pool over NULL_ITEM and range(m) that holds m - 1, of width 1 to 59, often duplicate-heavy."""
+        width = int(rng.integers(1, 60))
+        cells = rng.integers(NULL_ITEM, m, size=(int(rng.integers(1, 40)), width))
+        if rng.random() < 0.5:  # few distinct rows, many copies
+            cells = cells[rng.integers(0, min(len(cells), 4), size=int(rng.integers(1, 80)))]
+        cells[rng.integers(len(cells)), rng.integers(width)] = m - 1  # the cell type's upper edge
+        return cells
+
+    @staticmethod
+    def strided(rng, rows):
+        """`rows` as a view that is not C-contiguous: every other row or column of a larger array, or a transpose."""
+        kind = int(rng.integers(3))
+        if kind == 0:
+            big = np.full((2 * len(rows), rows.shape[1]), 7)
+            big[::2] = rows
+            return big[::2]
+        if kind == 1:
+            big = np.full((len(rows), 2 * rows.shape[1]), 7)
+            big[:, 1::2] = rows
+            return big[:, 1::2]
+        return np.asfortranarray(rows)
+
+    def test_against_the_reference(self):
+        rng = np.random.default_rng(26)
+        for trial in range(600):
+            m = self.CATALOGS[trial % len(self.CATALOGS)]
+            rows = self.pool(rng, m)
+            if trial % 3 == 0:
+                rows = self.strided(rng, rows)
+            want = distinct_first_copies(rows)
+            got = _earliest_copies(rows)
+            assert [(tuple(rows[i].tolist()), int(i)) for i in got] == want
+            # a stable sort by key is the stable sort by tuple, ties in row order
+            order = sorted(range(len(rows)), key=lambda i: tuple(rows[i].tolist()))
+            assert np.argsort(_row_keys(rows), kind="stable").tolist() == order
+
+    def test_cell_width_follows_the_largest_item(self):
+        for top, size in [(0, 1), (254, 1), (255, 2), (65534, 2), (65535, 4), (10**6, 4), (2**32 - 1, 8)]:
+            keys = _row_keys(np.array([[NULL_ITEM, top], [top, NULL_ITEM]]))
+            assert keys.dtype.itemsize == 2 * size
+            assert np.argsort(keys[::-1]).tolist() == [1, 0]  # NULL_ITEM, shifted to 0, sorts below every item
+
+    def test_numpy_unique_returns_first_copies(self):
+        # `_earliest_copies` relies on np.unique(return_index=True) sorting stably
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 3, size=(5000, 4)).astype(np.uint8).view(np.dtype((np.void, 4)))[:, 0]
+        first = {}
+        for i, key in enumerate(keys.tolist()):  # each key as bytes
+            first.setdefault(key, i)
+        assert np.unique(keys, return_index=True)[1].tolist() == [first[key] for key in sorted(first)]
+
+    def test_numpy_void_keys_sort_as_unsigned_bytes(self):
+        # the keys compare as big-endian unsigned cells only if numpy compares void bytes unsigned
+        cells = np.array([[0x80, 0x00], [0x7F, 0xFF], [0x00, 0x01], [0xFF, 0x00], [0x7F, 0xFF]], dtype=np.uint8)
+        keys = cells.view(np.dtype((np.void, 2)))[:, 0]
+        want = sorted(range(len(cells)), key=lambda i: bytes(cells[i]))  # bytes compare unsigned, ties stable
+        assert np.argsort(keys, kind="stable").tolist() == want == [2, 1, 4, 0, 3]
+        assert np.lexsort((keys, np.zeros(len(keys)))).tolist() == want
+        assert np.unique(keys, return_index=True)[1].tolist() == [2, 1, 0, 3]
 
 
 class TestGaConfig:

