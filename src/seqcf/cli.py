@@ -120,16 +120,20 @@ def _ga_config(args, max_len: int) -> search.GaConfig:
     return search.GaConfig(max_len=max_len, **{key: value for key, value in given.items() if value is not None})
 
 
-def _oracle_record(source, setting, model, k, *, max_distance, seed, categories=None):
-    """The oracle's record: the exhaustive optimum within `max_distance` substitutions, or its absence."""
+def _oracle_records(sources, setting, model, k, *, max_distance, seed, categories=None):
+    """Each user's exhaustive optimum within `max_distance`, or its absence; none searched until all fit the budget."""
     from . import oracle
 
-    try:
-        result = oracle.oracle_optimal(source, setting, model, k, max_distance, categories=categories)
-    except oracle.EnumerationBudgetError as exc:
-        raise oracle.EnumerationBudgetError(f"user {user_of(source)}: {exc}") from None
-    cand = None if result is None else result[0]
-    return records.explanation_record(source, "oracle", setting, cand, None, seed)
+    budget, m = oracle.ENUMERATION_BUDGET, model.num_items
+    over = [user_of(s) for s in sources
+            if sum(oracle._level_size(len(s), m, d) for d in range(1, min(max_distance, len(s)) + 1)) > budget]
+    if over:
+        named = ", ".join(map(str, over[:5])) + (", ..." if len(over) > 5 else "")
+        raise oracle.EnumerationBudgetError(f"enumeration through level {max_distance} would exceed {budget} "
+                                            f"candidates for {len(over)} of {len(sources)} users: {named}")
+    optima = (oracle.oracle_optimal(s, setting, model, k, max_distance, categories=categories) for s in sources)
+    # each optimum is (candidate, distance), or None
+    return [records.explanation_record(s, "oracle", setting, o and o[0], None, seed) for s, o in zip(sources, optima)]
 
 
 def _one_user_at_a_time(explain_user):
@@ -143,8 +147,7 @@ def _method(args, max_len: int):
         config = _ga_config(args, max_len)
         return _one_user_at_a_time(partial(search.explain, config=config)), {"ga": asdict(config)}
     if args.method == "oracle":
-        explain_user = partial(_oracle_record, max_distance=args.max_distance)
-        return _one_user_at_a_time(explain_user), {"max_distance": args.max_distance}
+        return partial(_oracle_records, max_distance=args.max_distance), {"max_distance": args.max_distance}
     from . import baselines
 
     # the baselines judge the whole sample in one batch
@@ -181,8 +184,6 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     header, recs = records.read_records(args.records)
-    if not recs:
-        raise ValueError(f"no explanation records in {args.records}")
     if recs[0].setting.categorized and not args.split:  # aggregate_report takes one setting per file
         raise ValueError(f"{args.records}: setting {recs[0].setting.name} is judged by categories; "
                          "evaluate with --split, the split the records were explained with")
@@ -199,13 +200,6 @@ def cmd_evaluate(args) -> int:
                 f"{args.records}: user {rec.user} holds item {item}, outside the {model.num_items} "
                 f"items of model {args.model}; evaluate with the model the records were explained with"
             )
-        cand, want = rec.counterfactual, (None, None)  # the report's distances are the stored ones
-        if cand is not None:
-            want = (metrics.hamming(rec.source, cand), metrics.levenshtein(rec.source, cand))
-        if (rec.hamming, rec.levenshtein) != want:
-            held = "no counterfactual" if cand is None else "a counterfactual at {} and {}".format(*want)
-            raise ValueError(f"{args.records}: user {rec.user} stores hamming {rec.hamming} and levenshtein "
-                             f"{rec.levenshtein} for {held}")
     cfg = header.get("config", {})
     threshold = recs[0].setting.threshold
     k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]

@@ -2,15 +2,15 @@
 
 Every method (the genetic search, the baselines, the oracle) turns its
 outcome into a record through `explanation_record`. A record holds what
-the method found and the two edit distances, which need no model; validity
-at each evaluation k is derived from the model by `seqcf evaluate`
-(`metrics.aggregate_report`), never stored.
+the method found and derives its two edit distances, which need no model;
+validity at each evaluation k is derived from the model by `seqcf
+evaluate` (`metrics.aggregate_report`), never stored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import as_items, atomic_write, read_text, typed_field, user_of
 from .metrics import hamming, levenshtein
@@ -22,21 +22,29 @@ NORMALIZATION_NOTE = "softmax"  # normalization rule behind every reported score
 
 @dataclass
 class ExplanationRecord:
-    """One user's counterfactual search outcome (absence is an outcome too)."""
+    """One user's counterfactual search outcome (absence is an outcome too) and its derived distances."""
 
     user: int
     method: str
     setting: SettingSpec
     source: tuple[int, ...]
     counterfactual: tuple[int, ...] | None
-    hamming: int | None
-    levenshtein: int | None
+    hamming: int | None = field(init=False)
+    levenshtein: int | None = field(init=False)
     generation_found: int | None
     seed: int
 
     def __post_init__(self) -> None:
-        if self.counterfactual is not None and (self.levenshtein or 0) < 1:
-            raise ValueError("a present counterfactual implies edit distance >= 1")
+        source, cand = self.source, self.counterfactual
+        if not source:
+            raise ValueError("source is empty")
+        for name, items in (("source", source), ("counterfactual", cand or ())):
+            if len(set(items)) < len(items):
+                raise ValueError(f"{name} repeats an item")
+        if cand is not None and tuple(cand) == tuple(source):
+            raise ValueError("counterfactual equals its source")
+        self.hamming = None if cand is None else hamming(source, cand)
+        self.levenshtein = None if cand is None else levenshtein(source, cand)
 
     def to_dict(self) -> dict:
         return {
@@ -54,18 +62,22 @@ class ExplanationRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplanationRecord":
-        """Inverse of `to_dict`; a field of the wrong type fails naming the field."""
-        return cls(
+        """Inverse of `to_dict`; a field of the wrong type, or stored distances not the record's own, fail."""
+        rec = cls(
             user=typed_field(doc, "user", "an integer"),
             method=typed_field(doc, "method", "a string"),
             setting=SettingSpec.from_dict(typed_field(doc, "setting", "an object")),
             source=typed_field(doc, "source", "a list of non-negative integers"),
             counterfactual=typed_field(doc, "counterfactual", "a list of non-negative integers", nullable=True),
-            hamming=typed_field(doc, "hamming", "an integer", nullable=True),
-            levenshtein=typed_field(doc, "levenshtein", "an integer", nullable=True),
             generation_found=typed_field(doc, "generation_found", "an integer", nullable=True),
             seed=typed_field(doc, "seed", "an integer"),
         )
+        ham, lev = (typed_field(doc, name, "an integer", nullable=True) for name in ("hamming", "levenshtein"))
+        own = (rec.hamming, rec.levenshtein)
+        if (ham, lev) != own:
+            held = "no counterfactual" if rec.counterfactual is None else "a counterfactual at {} and {}".format(*own)
+            raise ValueError(f"user {rec.user} stores hamming {ham} and levenshtein {lev} for {held}")
+        return rec
 
 
 def explanation_record(
@@ -77,20 +89,9 @@ def explanation_record(
     seed: int,
 ) -> ExplanationRecord:
     """The record of one search outcome; `counterfactual` None records its absence."""
-    source_items = as_items(source)
-    ham = lev = None
-    if counterfactual is not None:
-        ham, lev = hamming(source_items, counterfactual), levenshtein(source_items, counterfactual)
     return ExplanationRecord(
-        user=user_of(source),
-        method=method,
-        setting=setting,
-        source=source_items,
-        counterfactual=counterfactual,
-        hamming=ham,
-        levenshtein=lev,
-        generation_found=generation_found,
-        seed=seed,
+        user=user_of(source), method=method, setting=setting, source=as_items(source),
+        counterfactual=counterfactual, generation_found=generation_found, seed=seed,
     )
 
 
@@ -120,6 +121,8 @@ def read_records(path) -> tuple[dict, list[ExplanationRecord]]:
     header = _parse_line(path, *lines[0], dict)
     if header.get("record_type") != "header" or header.get("format") != RECORDS_FORMAT:
         raise ValueError(f"missing or unknown records header in {path}")
+    if len(lines) == 1:
+        raise ValueError(f"no explanation records in {path}")
     return header, [_parse_line(path, number, line, ExplanationRecord.from_dict) for number, line in lines[1:]]
 
 

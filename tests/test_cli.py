@@ -14,10 +14,10 @@ import seqcf
 from seqcf.cli import build_parser, main
 from seqcf.core import TAG_SAMPLE, derive_stream
 from seqcf.dataset import load_split, sample_users
-from seqcf.metrics import read_report_csv
+from seqcf.metrics import hamming, levenshtein, read_report_csv
 from seqcf.models import load_model
 from seqcf.objective import SettingSpec
-from seqcf.oracle import oracle_optimal
+from seqcf.oracle import _level_size, oracle_optimal
 from seqcf.records import explanation_record, read_records
 from seqcf.search import GaConfig
 
@@ -317,13 +317,40 @@ class TestFailureModes:
         assert capsys.readouterr().err == "error: source repeats an item\n"
         assert not out.exists()
 
+    @staticmethod
+    def _oracle_counts(pipeline, max_distance):
+        """The candidates each of the 6 sampled users enumerates through `max_distance`, counted as the oracle does."""
+        split = load_split(pipeline["split"])
+        lengths = {u: len(split.train[u]) for u in sample_users(split, 6, derive_stream(1, [TAG_SAMPLE]))}
+        m = split.catalog.num_items
+        return {u: sum(_level_size(n, m, d) for d in range(1, min(max_distance, n) + 1)) for u, n in lengths.items()}
+
     def test_oracle_over_budget_names_the_user(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(seqcf.oracle, "ENUMERATION_BUDGET", 100)
+        monkeypatch.setattr(seqcf.oracle, "oracle_optimal", lambda *args, **kwargs: pytest.fail("a user was searched"))
         out = tmp_path / "oracle.jsonl"
         assert main(explain_args(pipeline, out, method="oracle", **{"--max-distance": 2})) == 1
-        first = sample_users(load_split(pipeline["split"]), 6, derive_stream(1, [TAG_SAMPLE]))[0]
-        assert capsys.readouterr().err == f"error: user {first}: enumeration through level 1 would exceed 100 candidates\n"
+        users = list(self._oracle_counts(pipeline, 2))
+        assert capsys.readouterr().err == ("error: enumeration through level 2 would exceed 100 candidates for 6 of 6 "
+                                           f"users: {', '.join(map(str, users[:5]))}, ...\n")
         assert not out.exists()
+
+    def test_oracle_budget_is_checked_for_every_user_before_any_search(self, pipeline, tmp_path, capsys, monkeypatch):
+        counts = self._oracle_counts(pipeline, 2)
+        budget = sorted(counts.values())[3]  # a user at the budget is within it
+        over = [u for u, n in counts.items() if n > budget]
+        assert 0 < len(over) < 3
+        searched = []
+        monkeypatch.setattr(seqcf.oracle, "ENUMERATION_BUDGET", budget)
+        monkeypatch.setattr(seqcf.oracle, "oracle_optimal", lambda source, *args, **kwargs: searched.append(source))
+        out = tmp_path / "oracle.jsonl"
+        assert main(explain_args(pipeline, out, method="oracle", **{"--max-distance": 2})) == 1
+        assert capsys.readouterr().err == (f"error: enumeration through level 2 would exceed {budget} candidates "
+                                           f"for {len(over)} of 6 users: {', '.join(map(str, over))}\n")
+        assert searched == [] and not out.exists()
+        monkeypatch.setattr(seqcf.oracle, "ENUMERATION_BUDGET", max(counts.values()))
+        assert main(explain_args(pipeline, out, method="oracle", **{"--max-distance": 2})) == 0
+        assert [source.user for source in searched] == list(counts)
 
     def test_oracle_subcommand_is_gone(self, pipeline, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -647,8 +674,8 @@ class TestFailureModes:
 
         def edit(line):
             doc = {**json.loads(line), field: [1, m]}
-            if field == "counterfactual":
-                doc.update(hamming=2, levenshtein=2)
+            if (cf := doc["counterfactual"]) is not None:  # the record's own distances
+                doc.update(hamming=hamming(doc["source"], cf), levenshtein=levenshtein(doc["source"], cf))
             users.append(doc["user"])
             return json.dumps(doc)
 
@@ -678,7 +705,36 @@ class TestFailureModes:
         err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
                                         "--out", str(out)])
         held = "a counterfactual at 1 and 1" if counterfactual else "no counterfactual"
-        assert err == f"error: {records}: user {users[0]} stores hamming 2 and levenshtein 2 for {held}\n"
+        assert err == f"error: {records}:3: user {users[0]} stores hamming 2 and levenshtein 2 for {held}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            (lambda src, spare: ([], [spare]), "source is empty"),
+            (lambda src, spare: ([src[0]] * 3, None), "source repeats an item"),
+            (lambda src, spare: ([src[0]] * 3, [src[0], spare]), "source repeats an item"),
+            (lambda src, spare: (src, [*src, src[0]]), "counterfactual repeats an item"),
+        ],
+        ids=["empty-source", "equal-items-source", "equal-items-source-found", "repeated-counterfactual"],
+    )
+    def test_evaluate_refuses_empty_or_repeated_items(self, pipeline, tmp_path, capsys, items, message):
+        # no explainer writes such a row; the line stores the distances its items would have
+        m = load_model(pipeline["model"]).num_items
+
+        def edit(line):
+            doc = json.loads(line)
+            spare = next(z for z in range(m) if z not in doc["source"])
+            source, cf = items(doc["source"], spare)
+            ham, lev = (None, None) if cf is None else (hamming(source, cf), levenshtein(source, cf))
+            doc.update(source=source, counterfactual=cf, hamming=ham, levenshtein=lev)
+            return json.dumps(doc)
+
+        records = self._records_with(pipeline, tmp_path, edit)
+        out = tmp_path / "r.csv"
+        err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                                        "--out", str(out)])
+        assert err == f"error: {records}:3: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("found", [True, False], ids=["as-explained", "no-counterfactual"])

@@ -141,7 +141,7 @@ class TestLevenshtein:
         assert got.tolist() == [levenshtein(source, c) for c in cands]
 
 
-def _record(user, cf, ham, lev):
+def _record(user, cf):
     setting = SettingSpec.from_name("un_un")
     return ExplanationRecord(
         user=user,
@@ -149,8 +149,6 @@ def _record(user, cf, ham, lev):
         setting=setting,
         source=(1, 2, 3),
         counterfactual=cf,
-        hamming=ham,
-        levenshtein=lev,
         generation_found=1 if cf else None,
         seed=0,
     )
@@ -158,35 +156,35 @@ def _record(user, cf, ham, lev):
 
 class TestAggregates:
     def test_mean_hamming(self):
-        recs = [_record(u, (1, 2, 4), 1, 1) for u in (1, 2, 3)]
+        recs = [_record(u, (1, 2, 4)) for u in (1, 2, 3)]
         assert mean_hamming(recs) == 1.0
-        recs = [_record(1, (1, 2, 4), 1, 1), _record(2, (1, 5, 4), 2, 2)]
+        recs = [_record(1, (1, 2, 4)), _record(2, (1, 5, 4))]
         assert mean_hamming(recs) == 1.5
 
     def test_mean_hamming_excludes_absent(self):
-        recs = [_record(1, (1, 2, 4), 1, 1), _record(2, None, None, None)]
+        recs = [_record(1, (1, 2, 4)), _record(2, None)]
         assert mean_hamming(recs) == 1.0
         assert mean_levenshtein(recs) == 1.0
 
     def test_mean_hamming_all_absent_is_error(self):
         with pytest.raises(ValueError):
-            mean_hamming([_record(1, None, None, None)])
+            mean_hamming([_record(1, None)])
 
     def test_aggregate_report_scores_each_sequence_once(self):
         # two found records at three k: each source and counterfactual is scored once
         model = CountingScorer(EchoScorer(12))
-        recs = [_record(1, (1, 2, 4), 1, 1), _record(2, (1, 5, 3), 2, 2), _record(3, None, None, None)]
+        recs = [_record(1, (1, 2, 4)), _record(2, (1, 5, 3)), _record(3, None)]
         rows = aggregate_report(recs, model, [1, 5, 10], 0.5)
         assert sorted(model.calls) == [(1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 5, 3)]
         assert [r["k"] for r in rows] == [1, 5, 10]
-        assert all(r["mean_hamming"] == 1.5 and r["mean_levenshtein"] == 1.5 and r["n_users"] == 3 for r in rows)
+        assert all(r["mean_hamming"] == 1.0 and r["mean_levenshtein"] == 1.0 and r["n_users"] == 3 for r in rows)
         # the echo model recommends the last item: (1, 2, 4) flips the source's top-1 (3), (1, 5, 3) does not
         assert rows[0]["valid_fraction"] == pytest.approx(1 / 3)
         assert rows[0]["fidelity"] == pytest.approx(2 / 3)
 
     def test_json_report_writes_null_for_an_undefined_mean(self, tmp_path):
         # no record has a counterfactual: both mean distances are NaN, which JSON has no literal for
-        rows = aggregate_report([_record(1, None, None, None)], EchoScorer(12), [1, 5], 0.5)
+        rows = aggregate_report([_record(1, None)], EchoScorer(12), [1, 5], 0.5)
         assert all(math.isnan(r["mean_hamming"]) and math.isnan(r["mean_levenshtein"]) for r in rows)
         write_report_json(tmp_path / "r.json", rows, {"command": "evaluate"})
         doc = json.loads((tmp_path / "r.json").read_text(), parse_constant=pytest.fail)

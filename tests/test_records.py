@@ -1,34 +1,36 @@
 import inspect
 import json
+import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SumScorer, seqs
 from seqcf.cli import main
 from seqcf.core import UserSequence
-from seqcf.metrics import hamming, levenshtein
+from seqcf.metrics import hamming, levenshtein, levenshtein_batch
 from seqcf.models import save_model, train_markov
 from seqcf.objective import SettingSpec, is_valid
 from seqcf.records import ExplanationRecord, explanation_record, read_records, write_records
 
 
-def make_record(user=1, cf=(1, 2, 9), lev=1):
+def make_record(user=1, cf=(1, 2, 9)):
     return ExplanationRecord(
         user=user,
         method="gece",
         setting=SettingSpec.from_name("targ_un", target_item=9),
         source=(1, 2, 3),
         counterfactual=cf,
-        hamming=1 if cf else None,
-        levenshtein=lev,
         generation_found=4 if cf else None,
         seed=7,
     )
 
 
 def test_present_counterfactual_requires_positive_distance():
-    with pytest.raises(ValueError, match="edit distance"):
-        make_record(lev=0)
+    with pytest.raises(ValueError, match="^counterfactual equals its source$"):
+        make_record(cf=(1, 2, 3))
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -40,8 +42,6 @@ def test_jsonl_round_trip(tmp_path):
             setting=SettingSpec.from_name("targ_un", target_item=9),
             source=(4, 5),
             counterfactual=None,
-            hamming=None,
-            levenshtein=None,
             generation_found=None,
             seed=7,
         )
@@ -51,6 +51,87 @@ def test_jsonl_round_trip(tmp_path):
     assert header["config"]["seed"] == 7
     assert header["normalization"] == "softmax"
     assert loaded == records
+
+
+@pytest.mark.parametrize(
+    "source, cf, message",
+    [
+        ((), None, "source is empty"),
+        ((), (1, 2), "source is empty"),
+        ((4, 5, 4), None, "source repeats an item"),
+        ((3, 3, 3), (1, 2, 3), "source repeats an item"),
+        ((1, 2, 3), (1, 2, 1), "counterfactual repeats an item"),
+        ((1, 2, 3), (5, 5), "counterfactual repeats an item"),
+    ],
+)
+def test_record_refuses_empty_or_repeated_items(source, cf, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExplanationRecord(user=1, method="gece", setting=SettingSpec.from_name("un_un"), source=source,
+                          counterfactual=cf, generation_found=None, seed=0)
+
+
+def test_record_takes_no_distances():
+    with pytest.raises(TypeError, match="hamming"):
+        ExplanationRecord(user=1, method="gece", setting=SettingSpec.from_name("un_un"), source=(1, 2),
+                          counterfactual=(1, 3), hamming=1, generation_found=None, seed=0)
+
+
+unique_items = st.lists(st.integers(0, 150), min_size=1, max_size=100, unique=True).map(tuple)
+
+
+# sources past 64 items span several words of the bit-parallel `levenshtein_batch`
+@given(source=unique_items, cf=st.none() | unique_items)
+@example(source=tuple(range(70)), cf=tuple(range(1, 71)))
+@example(source=tuple(range(130)), cf=tuple(range(129, -1, -1)))
+@example(source=(5,), cf=tuple(range(66)))
+@settings(max_examples=150, deadline=None)
+def test_record_distances_are_the_scalar_and_batch_ones(source, cf):
+    if cf == source:
+        cf = None
+    rec = ExplanationRecord(user=2, method="random", setting=SettingSpec.from_name("un_un"), source=source,
+                            counterfactual=cf, generation_found=None if cf is None else 1, seed=0)
+    if cf is None:
+        assert (rec.hamming, rec.levenshtein) == (None, None)
+    else:
+        batch = levenshtein_batch(source, np.array([cf]), np.array([len(cf)]))
+        assert rec.hamming == hamming(source, cf)
+        assert rec.levenshtein == levenshtein(source, cf) == int(batch[0]) >= 1
+    assert ExplanationRecord.from_dict(rec.to_dict()) == rec
+
+
+@pytest.mark.parametrize(
+    "cf, stored, held",
+    [
+        ((1, 2, 9), {"hamming": 2}, "a counterfactual at 1 and 1"),
+        ((1, 2, 9), {"levenshtein": 0}, "a counterfactual at 1 and 1"),
+        ((2, 3, 9), {"levenshtein": 3}, "a counterfactual at 3 and 2"),
+        ((2, 3, 9), {"hamming": 2}, "a counterfactual at 3 and 2"),
+        ((2, 3, 9), {"hamming": None}, "a counterfactual at 3 and 2"),
+        (None, {"hamming": 1}, "no counterfactual"),
+        (None, {"levenshtein": 1}, "no counterfactual"),
+    ],
+)
+def test_stored_distances_not_the_records_own_name_file_line_and_user(tmp_path, cf, stored, held):
+    path = tmp_path / "out.jsonl"
+    write_records(path, [make_record(user=1), make_record(user=5, cf=cf), make_record(user=2)])
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[2])
+    assert (doc["hamming"], doc["levenshtein"]) == ((None, None) if cf is None else (hamming((1, 2, 3), cf),
+                                                                                    levenshtein((1, 2, 3), cf)))
+    doc.update(stored)
+    lines[2] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_records(path)
+    assert str(exc.value) == (f"{path}:3: user 5 stores hamming {doc['hamming']} and levenshtein "
+                              f"{doc['levenshtein']} for {held}")
+
+
+def test_header_without_records_is_refused(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_records(path, [], config={"x": 1})
+    with pytest.raises(ValueError, match=f"^no explanation records in {re.escape(str(path))}$"):
+        read_records(path)
 
 
 def test_header_is_mandatory(tmp_path):
