@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import sys
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
 from . import dataset, metrics, models, records, search
-from .core import TAG_SAMPLE, TAG_TARGET, derive_stream, read_text, user_of
+from .core import TAG_SAMPLE, TAG_TARGET, checked_items, derive_stream, read_text, user_of
 from .objective import RANK_RULES, SETTING_NAMES, SettingSpec
 
 # explain flags of the GaConfig fields whose flag is not the field name
@@ -84,6 +85,11 @@ def _check_one_catalog(args, model, split) -> None:
             f"model {args.model} scores {model.num_items} items but split {args.split} "
             f"holds {split.catalog.num_items}; train the model on that split"
         )
+
+
+def _model_identity(path, model) -> dict:
+    """The header entries that tie records to the model file they were explained with."""
+    return {"model_num_items": model.num_items, "model_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
 
 def _build_setting(args, split) -> SettingSpec:
@@ -170,6 +176,7 @@ def cmd_explain(args) -> int:
         "method": args.method,
         "setting": setting.to_dict(),
         "model": str(args.model),
+        **_model_identity(args.model, model),
         "split": str(args.split),
         "k": k,
         "seed": seed,
@@ -193,16 +200,25 @@ def cmd_evaluate(args) -> int:
         split = dataset.load_split(args.split)
         _check_one_catalog(args, model, split)
         categories = split.categories
-    for rec in recs:  # records of another catalog would be scored, or skipped, as if they were of this one
-        item = max((*rec.source, *(rec.counterfactual or ())), default=-1)
-        if item >= model.num_items:
-            raise ValueError(
-                f"{args.records}: user {rec.user} holds item {item}, outside the {model.num_items} "
-                f"items of model {args.model}; evaluate with the model the records were explained with"
-            )
     cfg = header.get("config", {})
+    own = _model_identity(args.model, model)
+    if any(key in cfg and cfg[key] != value for key, value in own.items()):  # files written before these keys skip this
+        raise ValueError(
+            f"{args.records} was explained with a model of {cfg.get('model_num_items')} items, sha256 "
+            f"{cfg.get('model_sha256')}, but {args.model} has {own['model_num_items']} items, sha256 "
+            f"{own['model_sha256']}; evaluate with the model the records were explained with"
+        )
+    m = model.num_items
+    try:  # records of another catalog would be scored, or skipped, as if they were of this one
+        for rec in recs:
+            for name, items in (("source", rec.source), ("counterfactual", rec.counterfactual)):
+                if items is not None:  # the model masks a sequence's items, so it scores at most m - 1 of them
+                    checked_items(items, f"user {rec.user} {name}", m, m - 1)
+    except ValueError as exc:
+        raise ValueError(f"{args.records}: {exc} of model {args.model}; "
+                         "evaluate with the model the records were explained with") from None
     threshold = recs[0].setting.threshold
-    k_list = [k for k in recs[0].setting.k_eval if k <= model.num_items]
+    k_list = [k for k in recs[0].setting.k_eval if k <= m]
     meta = {  # the files that scored this report; the header names those the records were explained with
         "dataset": Path(args.split or cfg.get("split") or "").stem,
         "model": Path(args.model).stem,

@@ -1,9 +1,10 @@
-"""Shared domain types and deterministic randomness plumbing."""
+"""Shared domain types, the file-boundary rules (item sequences, JSON documents) and randomness plumbing."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,23 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_json(path, what: str, error: type[ValueError] = ValueError):
+    """The JSON value of a UTF-8 file; text that is not UTF-8 JSON fails as one `error` line naming the file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not a {what}: {exc}") from None
+    except ValueError as exc:  # read_text's "not UTF-8 text", which names the file
+        raise error(str(exc)) from None
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    """`doc` as one JSON document with sorted keys, no NaN or infinity and a trailing newline, written atomically."""
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, indent=indent)
+    with atomic_write(path) as fh:
+        fh.write(text + "\n")
 
 
 @contextlib.contextmanager
@@ -126,6 +144,26 @@ class CategoryMap:
         return cid
 
 
+def checked_items(items, name: str = "sequence", m: int | None = None, max_len: int | None = None) -> tuple[int, ...]:
+    """`items` as a tuple if they are a well-formed item sequence, else one ValueError naming `name`.
+
+    Well-formed: non-empty, at most `max_len` items, ids in [0, m) (non-negative where m is None), no item twice.
+    Every boundary that takes an item sequence checks it here.
+    """
+    items = tuple(items)
+    if not items:
+        raise ValueError(f"{name} is empty")
+    if max_len is not None and len(items) > max_len:
+        raise ValueError(f"{name} length {len(items)} exceeds limit {max_len}")
+    if min(items) < 0 or (m is not None and max(items) >= m):
+        bad = next(i for i in items if i < 0 or (m is not None and i >= m))
+        where = "a non-negative item id" if m is None else f"an integer id in the catalog [0, {m})"
+        raise ValueError(f"{name} holds item {bad}, not {where}")
+    if len(set(items)) < len(items):
+        raise ValueError(f"{name} repeats an item")
+    return items
+
+
 @dataclass(frozen=True)
 class UserSequence:
     """A temporally ordered, duplicate-free item sequence for one user."""
@@ -137,14 +175,7 @@ class UserSequence:
     def __post_init__(self) -> None:
         if self.user < 1:
             raise ValueError("user ids are positive integers")
-        if not 1 <= len(self.items) <= self.max_len:
-            raise ValueError(
-                f"sequence length {len(self.items)} outside [1, {self.max_len}]"
-            )
-        if len(set(self.items)) != len(self.items):
-            raise ValueError("sequence contains duplicate items")
-        if any(i < 0 for i in self.items):
-            raise ValueError("item ids are non-negative integers")
+        checked_items(self.items, max_len=self.max_len)
 
     def __len__(self) -> int:
         return len(self.items)

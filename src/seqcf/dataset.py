@@ -11,7 +11,6 @@ File formats
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -24,8 +23,11 @@ from .core import (
     CategoryMap,
     UserSequence,
     atomic_write,
+    checked_items,
     derive_stream,
+    read_json,
     read_text,
+    write_json,
 )
 from .models import count_items
 
@@ -226,16 +228,7 @@ def save_split(split: SplitDataset, path) -> None:
         "validation": {str(u): i for u, i in split.validation.items()},
         "test": {str(u): i for u, i in split.test.items()},
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _user_key(path, field: str, key: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        raise ValueError(f"{path}: {field} has user key {key!r}, not an integer") from None
+    write_json(path, doc)
 
 
 def _labels(path, field: str, labels, count: int) -> tuple[str, ...] | None:
@@ -265,10 +258,7 @@ def _category_map(path, cdoc, m: int) -> CategoryMap:
 
 
 def load_split(path) -> SplitDataset:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a JSON split file: {exc}") from None
+    doc = read_json(path, "JSON split file")
     if not isinstance(doc, dict) or doc.get("format") != SPLIT_FORMAT:
         raise ValueError(f"not a split file: {path}")
     for key in ("max_len", "catalog", "train", "validation", "test"):
@@ -293,18 +283,23 @@ def load_split(path) -> SplitDataset:
             bad = next((u for u, ids in section.items() if type(ids) is not list), None)
             if bad is not None:
                 raise ValueError(f"{path}: train user {bad} holds {section[bad]!r}, not a list of item ids")
-        # a type set and min/max reductions per sequence: no per-item Python
-        # step and no split-sized temporary array; bool is not an item id
+        # a type set per train sequence (the sequence rule below checks its ids), and a type set and min/max
+        # reductions over each item section: no per-item Python step; bool is not an item id
         for ids in section.values() if field == "train" else [section.values()]:
-            if ids and not (set(map(type, ids)) == {int} and 0 <= min(ids) and max(ids) < m):
+            if ids and not (set(map(type, ids)) == {int} and (field == "train" or 0 <= min(ids) and max(ids) < m)):
                 bad = next(i for i in ids if type(i) is not int or not 0 <= i < m)
                 raise ValueError(f"{path}: {field} holds item {bad!r}, not an integer id in the catalog [0, {m})")
-        users[field] = {_user_key(path, field, u): value for u, value in section.items()}
+        try:
+            users[field] = {int(u): value for u, value in section.items()}
+        except ValueError as exc:  # int() names the key
+            raise ValueError(f"{path}: {field} has a user key that is not an integer: {exc}") from None
     categories = None if doc.get("categories") is None else _category_map(path, doc["categories"], m)
+    train = {}
     try:
-        train = {u: UserSequence(user=u, items=tuple(items), max_len=max_len) for u, items in users["train"].items()}
-    except ValueError as exc:  # an empty, too long or repeating sequence, or a user id below 1
-        raise ValueError(f"{path}: train: {exc}") from None
+        for u, items in users["train"].items():
+            train[u] = UserSequence(u, checked_items(items, "sequence", m, max_len), max_len)
+    except ValueError as exc:  # an empty, too long or repeating sequence, an id outside the catalog, a user below 1
+        raise ValueError(f"{path}: train user {u}: {exc}") from None
     return SplitDataset(
         train=train,
         validation=users["validation"],

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CategoryMap, as_items, atomic_write, read_text
+from .core import CategoryMap, as_items, atomic_write, read_text, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ScoreVector
@@ -302,10 +302,7 @@ def write_report_json(path, rows: Iterable[dict], config: Mapping | None = None)
     """The report as one JSON document; an undefined mean (NaN: no user of the row has a counterfactual) is null."""
     rows = [{key: None if isinstance(value, float) and math.isnan(value) else value for key, value in row.items()}
             for row in rows]
-    doc = {"config": dict(config) if config else {}, "rows": rows}
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, {"config": dict(config) if config else {}, "rows": rows}, indent=2)
 
 
 def merge_seed_reports(reports: Sequence[Sequence[dict]]) -> list[dict]:

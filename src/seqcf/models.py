@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .core import UserSequence, as_items, atomic_write
+from .core import UserSequence, as_items, checked_items, read_json, write_json
 
 MODEL_MAGIC = "SEQCF-MODEL"
 MODEL_VERSION = 3
@@ -180,13 +180,6 @@ def score_batch_logits(model: BlackBoxScorer, rows: np.ndarray, lengths: np.ndar
     return out
 
 
-def _check_sequence(items: tuple[int, ...], num_items: int) -> None:
-    if len(items) == 0:
-        raise ValueError("cannot score an empty sequence")
-    if min(items) < 0 or max(items) >= num_items:
-        raise ValueError("sequence contains items outside the catalog")
-
-
 def _mask_rows(logits: np.ndarray, rows: np.ndarray) -> None:
     """-inf at each row's items, written through one flat (row-major) index of `logits`."""
     flat = (rows + np.arange(0, logits.size, logits.shape[1])[:, None])[rows >= 0]
@@ -236,8 +229,7 @@ class PopularityScorer:
         return np.log(p)
 
     def score(self, seq) -> ScoreVector:
-        items = as_items(seq)
-        _check_sequence(items, self.num_items)
+        items = checked_items(as_items(seq), m=self.num_items)
         logits = self._log_pop.copy()
         logits[list(items)] = -np.inf
         return ScoreVector(logits)
@@ -327,8 +319,7 @@ class MarkovScorer:
         return out
 
     def score(self, seq) -> ScoreVector:
-        items = as_items(seq)
-        _check_sequence(items, self.num_items)
+        items = checked_items(as_items(seq), m=self.num_items)
         logits = self._log_mix[items[-1]].copy()
         logits[list(items)] = -np.inf
         return ScoreVector(logits)
@@ -386,10 +377,7 @@ def save_model(model, path) -> None:
         }
     else:
         raise ModelFormatError(f"cannot persist scorer of type {type(model).__name__}")
-    doc = {"magic": MODEL_MAGIC, "version": MODEL_VERSION, "kind": kind, **payload}
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"magic": MODEL_MAGIC, "version": MODEL_VERSION, "kind": kind, **payload})
 
 
 _PARAMS = {"markov": {"alpha", "beta"}, "popularity": {"alpha"}}
@@ -415,13 +403,11 @@ def load_model(path):
 
     Any malformed content is one `ModelFormatError` naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _model_from_doc(json.load(fh))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelFormatError(f"{path}: not a model file: {exc}") from None
-        except ModelFormatError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from None
+    doc = read_json(path, "model file", ModelFormatError)
+    try:
+        return _model_from_doc(doc)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _model_from_doc(doc):

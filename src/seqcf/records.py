@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import as_items, atomic_write, read_text, typed_field, user_of
+from .core import as_items, atomic_write, checked_items, read_text, typed_field, user_of
 from .metrics import hamming, levenshtein
 from .objective import SettingSpec
 
@@ -35,13 +35,8 @@ class ExplanationRecord:
     seed: int
 
     def __post_init__(self) -> None:
-        source, cand = self.source, self.counterfactual
-        if not source:
-            raise ValueError("source is empty")
-        for name, items in (("source", source), ("counterfactual", cand or ())):
-            if len(set(items)) < len(items):
-                raise ValueError(f"{name} repeats an item")
-        if cand is not None and tuple(cand) == tuple(source):
+        source, cand = checked_items(self.source, "source"), self.counterfactual
+        if cand is not None and checked_items(cand, "counterfactual") == source:
             raise ValueError("counterfactual equals its source")
         self.hamming = None if cand is None else hamming(source, cand)
         self.levenshtein = None if cand is None else levenshtein(source, cand)

@@ -98,6 +98,7 @@ from .core import (
     CategoryMap,
     UserSequence,
     as_items,
+    checked_items,
     derive_stream,
     user_of,
 )
@@ -314,16 +315,9 @@ def _checked_source(source, m: int, k: int, max_len: int) -> tuple[int, ...]:
     `max_len` is the longest row the caller makes, at most m - 1: replacement
     needs a spare item and masking scorers need at least one scoreable item.
     """
-    source_items = as_items(source)
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside [1, {m}]")
-    if len(source_items) > max_len:
-        raise ValueError(f"source length {len(source_items)} exceeds limit {max_len}")
-    if not source_items or min(source_items) < 0 or max(source_items) >= m:
-        raise ValueError("source must be a non-empty sequence of catalog items")
-    if len(set(source_items)) < len(source_items):
-        raise ValueError("source repeats an item")  # crossover's repair relies on unique items
-    return source_items
+    return checked_items(as_items(source), "source", m, max_len)  # crossover's repair relies on unique items
 
 
 def _normalized(model, rows: np.ndarray, lengths: np.ndarray, normalize=softmax, screen=None):

@@ -20,18 +20,23 @@ these:
   the index of its first copy.
 
 It also holds `cover_sequence`, the vertex-cover reduction's literal
-sequence of a cover, which only the tests build.
+sequence of a cover, which only the tests build, and the streaming JSON
+writers `save_split`, `save_model` and `write_report_json`, each a
+`json.dump` into the open file, against which the package's one-string
+`core.write_json` is checked byte for byte.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from itertools import combinations, permutations
 
 import numpy as np
 
 from seqcf.core import DEFAULT_MAX_LEN, CategoryMap, as_items
 from seqcf.metrics import levenshtein
-from seqcf.models import ScoreVector
+from seqcf.models import MarkovScorer, ScoreVector
 from seqcf.objective import SettingSpec, is_valid, objective_loss, valid_rows
 from seqcf.search import _normalized, combine_fitness
 from seqcf.vcreduce import Graph
@@ -179,3 +184,56 @@ def cover_sequence(graph: Graph, cover) -> tuple[int, ...]:
     n = graph.num_vertices
     cover = set(cover)
     return tuple(i if i in cover else n + i for i in range(n))
+
+
+def save_split(split, path) -> None:
+    """The split document, streamed by `json.dump`."""
+    doc = {
+        "format": "seqcf-split.v1",
+        "max_len": split.max_len,
+        "catalog": {
+            "num_items": split.catalog.num_items,
+            "item_labels": list(split.catalog.item_labels or []) or None,
+        },
+        "categories": None
+        if split.categories is None
+        else {
+            "num_categories": split.categories.num_categories,
+            "category_labels": list(split.categories.category_labels or []) or None,
+            "items": [sorted(s) for s in split.categories.categories_of],
+        },
+        "train": {str(u): list(seq.items) for u, seq in split.train.items()},
+        "validation": {str(u): i for u, i in split.validation.items()},
+        "test": {str(u): i for u, i in split.test.items()},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def save_model(model, path) -> None:
+    """The model document of a Markov or popularity scorer, streamed by `json.dump`."""
+    if isinstance(model, MarkovScorer):
+        kind = "markov"
+        payload = {
+            "transition": {name: getattr(model, name).tolist() for name in ("rows", "cols", "counts")},
+            "frequency": model.frequency.tolist(),
+            "params": {"alpha": model.alpha, "beta": model.beta},
+        }
+    else:
+        kind = "popularity"
+        payload = {"frequency": model.frequency.tolist(), "params": {"alpha": model.alpha}}
+    doc = {"magic": "SEQCF-MODEL", "version": 3, "kind": kind, **payload}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def write_report_json(path, rows, config=None) -> None:
+    """The report document, NaN means as null, streamed by `json.dump`."""
+    rows = [{key: None if isinstance(value, float) and math.isnan(value) else value for key, value in row.items()}
+            for row in rows]
+    doc = {"config": dict(config) if config else {}, "rows": rows}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")

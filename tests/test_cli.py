@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -253,7 +254,8 @@ class TestPipeline:
         assert main(args) == 0
         header, _ = read_records(out)
         config = header["config"]
-        assert set(config) == {"command", "method", "setting", "model", "split", "k", "seed", "sample_users", own}
+        assert set(config) == {"command", "method", "setting", "model", "model_num_items", "model_sha256", "split", "k",
+                               "seed", "sample_users", own}
         assert (config["command"], config["method"]) == ("explain", method)
         assert (config[own]["population_size"] if own == "ga" else config[own]) == value
 
@@ -665,6 +667,46 @@ class TestFailureModes:
         assert err == (f"error: {bad}: not UTF-8 text: "
                        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
+    @pytest.mark.parametrize("other", ["popularity", "smaller-catalog"])
+    def test_evaluate_refuses_a_model_other_than_the_headers(self, pipeline, small_pipeline, tmp_path, capsys, other):
+        records = self._records_with(pipeline, tmp_path, lambda line: line)
+        model = tmp_path / "other.json"
+        if other == "popularity":  # the same catalog, other bytes
+            assert main(["train", "--split", str(pipeline["split"]), "--scorer", "popularity",
+                         "--out", str(model)]) == 0
+        else:
+            shutil.copy(small_pipeline["model"], model)
+        config = read_records(records)[0]["config"]
+        m_ours, m_theirs = config["model_num_items"], load_model(model).num_items
+        theirs = hashlib.sha256(model.read_bytes()).hexdigest()
+        assert config["model_sha256"] == hashlib.sha256(pipeline["model"].read_bytes()).hexdigest() != theirs
+        out = tmp_path / "r.csv"
+        err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(model),
+                                        "--out", str(out)])
+        assert err == (f"error: {records} was explained with a model of {m_ours} items, sha256 "
+                       f"{config['model_sha256']}, but {model} has {m_theirs} items, sha256 {theirs}; evaluate with "
+                       "the model the records were explained with\n")
+        assert not out.exists()
+
+    def test_evaluate_reads_a_header_without_the_model_keys_as_before(self, pipeline, tmp_path):
+        records = self._records_with(pipeline, tmp_path, lambda line: line)
+        header, *lines = records.read_text().splitlines()
+        doc = json.loads(header)
+        for key in ("model_num_items", "model_sha256"):
+            del doc["config"][key]
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([json.dumps(doc), *lines]) + "\n")
+        copy = tmp_path / "copy" / "model.json"  # the same bytes at another path are the same model
+        copy.parent.mkdir()
+        shutil.copy(pipeline["model"], copy)
+        reports = []
+        for path, model in ((records, copy), (old, pipeline["model"])):
+            report = tmp_path / f"{path.stem}.json"
+            assert main(["evaluate", "--records", str(path), "--model", str(model), "--format", "json",
+                         "--out", str(report)]) == 0
+            reports.append(json.loads(report.read_text())["rows"])
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("field", ["source", "counterfactual"])
     def test_evaluate_refuses_an_item_outside_the_models_catalog(self, pipeline, tmp_path, capsys, field):
         # without --split nothing else ties the records to the model: a record
@@ -683,8 +725,9 @@ class TestFailureModes:
         out = tmp_path / "r.csv"
         err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
                                         "--out", str(out)])
-        assert err == (f"error: {records}: user {users[0]} holds item {m}, outside the {m} items of model "
-                       f"{pipeline['model']}; evaluate with the model the records were explained with\n")
+        assert err == (f"error: {records}: user {users[0]} {field} holds item {m}, not an integer id in the catalog "
+                       f"[0, {m}) of model {pipeline['model']}; evaluate with the model the records were explained "
+                       "with\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("counterfactual", [True, False], ids=["wrong-distances", "no-counterfactual"])
@@ -715,8 +758,10 @@ class TestFailureModes:
             (lambda src, spare: ([src[0]] * 3, None), "source repeats an item"),
             (lambda src, spare: ([src[0]] * 3, [src[0], spare]), "source repeats an item"),
             (lambda src, spare: (src, [*src, src[0]]), "counterfactual repeats an item"),
+            (lambda src, spare: (src, []), "counterfactual is empty"),
         ],
-        ids=["empty-source", "equal-items-source", "equal-items-source-found", "repeated-counterfactual"],
+        ids=["empty-source", "equal-items-source", "equal-items-source-found", "repeated-counterfactual",
+             "empty-counterfactual"],
     )
     def test_evaluate_refuses_empty_or_repeated_items(self, pipeline, tmp_path, capsys, items, message):
         # no explainer writes such a row; the line stores the distances its items would have

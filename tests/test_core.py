@@ -17,7 +17,7 @@ class TestUserSequence:
         assert len(seq) == 3
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="^sequence repeats an item$"):
             UserSequence(user=1, items=(1, 2, 1))
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=20))
@@ -27,9 +27,10 @@ class TestUserSequence:
         with pytest.raises(ValueError):
             UserSequence(user=1, items=augmented, max_len=50)
 
-    @pytest.mark.parametrize("items", [(), tuple(range(51))])
-    def test_length_bounds(self, items):
-        with pytest.raises(ValueError, match="length"):
+    @pytest.mark.parametrize("items, message", [((), "^sequence is empty$"),
+                                                (tuple(range(51)), "^sequence length 51 exceeds limit 50$")])
+    def test_length_bounds(self, items, message):
+        with pytest.raises(ValueError, match=message):
             UserSequence(user=1, items=items, max_len=50)
 
     def test_user_must_be_positive(self):

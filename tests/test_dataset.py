@@ -221,13 +221,14 @@ class TestSplitRoundTrip:
         "edit, message",
         [
             # 30 is the first id past the 30-item catalog
-            (_set_item("train", 99999), r"train holds item 99999, not an integer id in the catalog \[0, 30\)"),
+            (_set_item("train", 99999),
+             r"train user \d+: sequence holds item 99999, not an integer id in the catalog \[0, 30\)"),
             (_set_item("validation", 30), r"validation holds item 30, not an integer id in the catalog \[0, 30\)"),
             (_set_item("test", -1), r"test holds item -1, not an integer id in the catalog \[0, 30\)"),
             (_set_item("train", True), "train holds item True, not an integer id"),
             (_set_item("train", 2.5), "train holds item 2.5, not an integer id"),
             (_set_item("validation", "x"), "validation holds item 'x', not an integer id"),
-            (_rename_user, "train has user key 'u1', not an integer"),
+            (_rename_user, "train has a user key that is not an integer: invalid literal for int.* 'u1'"),
             (lambda doc: doc.pop("max_len"), "missing field max_len"),
             (lambda doc: doc.update(max_len="50"), "max_len is '50', not an integer"),
             (lambda doc: doc["catalog"].update(num_items="30"), "catalog.num_items is '30', not an integer"),

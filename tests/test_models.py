@@ -217,13 +217,15 @@ class TestPersistence:
             load_model(path)
         assert str(exc.value) == f"{path}: missing or wrong magic header"
 
-    @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{"], ids=["truncated", "not-utf8"])
-    def test_not_json_rejected_naming_the_file(self, tmp_path, content):
+    # every reader names a file that is not UTF-8 alike (`core.read_text`)
+    @pytest.mark.parametrize("content, what", [(b"{", "not a model file"), (b"\xff\xfe{", "not UTF-8 text")],
+                             ids=["truncated", "not-utf8"])
+    def test_not_json_rejected_naming_the_file(self, tmp_path, content, what):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         with pytest.raises(ModelFormatError) as exc:
             load_model(path)
-        assert str(exc.value).startswith(f"{path}: not a model file: ")
+        assert str(exc.value).startswith(f"{path}: {what}: ")
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("version", [99, 1])  # 1: the layout whose params also held mask_seen

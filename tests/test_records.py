@@ -62,6 +62,7 @@ def test_jsonl_round_trip(tmp_path):
         ((3, 3, 3), (1, 2, 3), "source repeats an item"),
         ((1, 2, 3), (1, 2, 1), "counterfactual repeats an item"),
         ((1, 2, 3), (5, 5), "counterfactual repeats an item"),
+        ((1, 2, 3), (), "counterfactual is empty"),
     ],
 )
 def test_record_refuses_empty_or_repeated_items(source, cf, message):
@@ -125,6 +126,18 @@ def test_stored_distances_not_the_records_own_name_file_line_and_user(tmp_path, 
         read_records(path)
     assert str(exc.value) == (f"{path}:3: user 5 stores hamming {doc['hamming']} and levenshtein "
                               f"{doc['levenshtein']} for {held}")
+
+
+def test_empty_counterfactual_names_file_and_line(tmp_path):
+    # a line no explainer writes: the counterfactual [] with the distances it would have
+    path = tmp_path / "out.jsonl"
+    write_records(path, [make_record(user=1), make_record(user=5)])
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "counterfactual": [], "hamming": 3, "levenshtein": 3})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_records(path)
+    assert str(exc.value) == f"{path}:3: counterfactual is empty"
 
 
 def test_header_without_records_is_refused(tmp_path):

@@ -1136,9 +1136,9 @@ class TestSearchInputChecks:
             ((0, 1), 7, 5, "k=7 outside [1, 6]"),
             ((0, 1, 2, 3), 1, 3, "source length 4 exceeds limit 3"),
             ((0, 1, 2, 3, 4, 5), 1, 50, "source length 6 exceeds limit 5"),  # capped at m - 1
-            ((0, 6), 1, 5, "source must be a non-empty sequence of catalog items"),
-            ((-1, 2), 1, 5, "source must be a non-empty sequence of catalog items"),
-            ((), 1, 5, "source must be a non-empty sequence of catalog items"),
+            ((0, 6), 1, 5, "source holds item 6, not an integer id in the catalog [0, 6)"),
+            ((-1, 2), 1, 5, "source holds item -1, not an integer id in the catalog [0, 6)"),
+            ((), 1, 5, "source is empty"),
             ((3, 5, 3), 1, 5, "source repeats an item"),
         ],
         ids=["k-zero", "k-above-m", "too-long", "too-long-for-catalog", "item-above", "item-below", "empty", "repeat"],
