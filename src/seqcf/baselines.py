@@ -9,14 +9,15 @@ user's attempts from the user's own stream as rows of the chunk, then
 judges every attempt in 512 KiB blocks, each row against its own source's
 top-1, so the attempts after a user's first valid one are drawn and
 scored too. The random baseline draws each user's numbers in one call and
-makes the chunk's substitutions as array steps (`_random_rows`); a user
-whose drawn item is already in its row takes its attempts from there on
-by the scalar rule, so every attempt is the one the scalar operator, which
-the tests keep as its reference, makes. The educated baseline, which no
-benchmark runs, draws each user's attempts as a list. Users are taken in
-chunks of at most `_CHUNK_ROWS` attempts, so memory does not grow with
-the sample. `baseline_random` and `baseline_educated` are the batch of
-one: a user's record does not depend on the users batched with it.
+makes the chunk's substitutions as array steps (`_random_rows`), each
+taking the r-th item its row lacks, the rule of the search's replace and
+add mutations (`search._absent_items`); every attempt is the one the
+scalar operator, which the tests keep as its reference, makes. The
+educated baseline, which no benchmark runs, draws each user's attempts as
+a list. Users are taken in chunks of at most `_CHUNK_ROWS` attempts, so
+memory does not grow with the sample. `baseline_random` and
+`baseline_educated` are the batch of one: a user's record does not
+depend on the users batched with it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .core import TAG_BASELINE, CategoryMap, UserSequence, derive_stream, user_of
 from .objective import SettingSpec, loss_weights
 from .records import ExplanationRecord, explanation_record
-from .search import _checked_source, _padded, _source_top1, _valid
+from .search import _absent_items, _checked_source, _padded, _source_top1, _valid
 
 # attempts per chunk of users: their (rows, max_len) int64 cells, at most 400 KiB, stay below a score block
 _CHUNK_ROWS = 1024
@@ -43,46 +44,24 @@ def _random_rows(streams, items, src_rows, src_lengths, *, budget: int, m: int):
     """Each user's `budget` random attempts as rows: (rows, lengths, counts), user by user.
 
     Attempt t replaces a random position of attempt t - 1 (the source for
-    t = 0) with a random item not in it: the scalar rule draws the
-    position, then items until one is not in the row. Each user draws its
-    numbers in one `integers(0, bounds)` call, bounds (L, m, L, m, ...),
-    which consumes the stream exactly as the scalar calls do while no drawn
-    item is already in its row. The chunk's substitutions are then made in
-    `budget` array steps, which also mark each user's first attempt whose
-    item is in its row. From that attempt on, a marked user's attempts are
-    the scalar rule's: its stream replays the call up to the attempt and
-    draws the rest one number at a time. Each user's stream is derived in
-    turn, saves its start state and draws, so no user's generator outlives
-    its draw; a replay restores a saved state into the last one. `items`
-    holds the sources, the rows a clash at the first attempt starts from.
+    t = 0) with a random item not in it: the r-th item the row lacks, r
+    uniform in [0, m - L), the rule of `search.mutate_rows`. Each user draws
+    its numbers in one `integers(0, bounds)` call, bounds (L, m - L, L,
+    m - L, ...), which consumes the stream as the alternating scalar calls
+    do, and the chunk's substitutions are `budget` array steps through
+    `search._absent_items`. Each user's stream is derived in turn and draws,
+    so no user's generator outlives its draw.
     """
     n, width = src_rows.shape
-    bounds = np.tile(np.column_stack([src_lengths, np.full(n, m)]), budget)  # (L, m, L, m, ...) per user
+    bounds = np.tile(np.column_stack([src_lengths, m - src_lengths]), budget)  # (L, m - L, ...) per user
     drawn = np.empty_like(bounds)
-    starts = []
-    for u, rng in enumerate(streams):  # a user's stream lives for its draw; the last one replays the clashes
-        starts.append(rng.bit_generator.state)
+    for u, rng in enumerate(streams):
         drawn[u] = rng.integers(0, bounds[u])
     rows = np.empty((n, budget, width), dtype=np.int64)
     cur, at = src_rows.copy(), np.arange(n)
-    clash = np.full(n, budget)  # each user's first attempt whose drawn item is already in its row
     for t in range(budget):
-        pos, item = drawn[:, 2 * t], drawn[:, 2 * t + 1]
-        clash[(clash == budget) & (cur == item[:, None]).any(axis=1)] = t
-        cur[at, pos] = item
+        cur[at, drawn[:, 2 * t]] = _absent_items(cur, drawn[:, 2 * t + 1], m)
         rows[:, t] = cur
-    for u in np.flatnonzero(clash < budget).tolist():
-        first, length = int(clash[u]), int(src_lengths[u])
-        rng.bit_generator.state = starts[u]
-        rng.integers(0, bounds[u, : 2 * first])  # the array draw up to the marked attempt
-        row = list(items[u]) if first == 0 else rows[u, first - 1, :length].tolist()
-        for t in range(first, budget):
-            i, z = int(rng.integers(length)), int(rng.integers(m))
-            present = set(row)
-            while z in present:
-                z = int(rng.integers(m))
-            row[i] = z
-            rows[u, t, :length] = row
     return rows.reshape(n * budget, width), np.repeat(src_lengths, budget), np.full(n, budget, dtype=np.int64)
 
 

@@ -87,9 +87,14 @@ def _check_one_catalog(args, model, split) -> None:
         )
 
 
+def _sha256(path) -> str:
+    """The SHA-256 of a file's bytes, which ties records to an input file they were explained with."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _model_identity(path, model) -> dict:
     """The header entries that tie records to the model file they were explained with."""
-    return {"model_num_items": model.num_items, "model_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    return {"model_num_items": model.num_items, "model_sha256": _sha256(path)}
 
 
 def _build_setting(args, split) -> SettingSpec:
@@ -178,6 +183,7 @@ def cmd_explain(args) -> int:
         "model": str(args.model),
         **_model_identity(args.model, model),
         "split": str(args.split),
+        "split_sha256": _sha256(args.split),
         "k": k,
         "seed": seed,
         "sample_users": args.sample_users,
@@ -207,6 +213,11 @@ def cmd_evaluate(args) -> int:
             f"{args.records} was explained with a model of {cfg.get('model_num_items')} items, sha256 "
             f"{cfg.get('model_sha256')}, but {args.model} has {own['model_num_items']} items, sha256 "
             f"{own['model_sha256']}; evaluate with the model the records were explained with"
+        )
+    if args.split and "split_sha256" in cfg and cfg["split_sha256"] != (digest := _sha256(args.split)):
+        raise ValueError(
+            f"{args.records} was explained with a split of sha256 {cfg['split_sha256']}, but {args.split} has "
+            f"sha256 {digest}; evaluate with the split the records were explained with"
         )
     m = model.num_items
     try:  # records of another catalog would be scored, or skipped, as if they were of this one

@@ -25,6 +25,7 @@ Files of versions 1 and 2 (a dense transition matrix) are rejected.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,8 +215,8 @@ class PopularityScorer:
 
     def __post_init__(self) -> None:
         freq = _frequency(self.frequency)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha <= sys.float_info.max:  # also NaN, infinity and an integer no float holds
+            raise ValueError("alpha must be a finite positive number")
         object.__setattr__(self, "frequency", freq)
 
     @property
@@ -287,8 +288,8 @@ class MarkovScorer:
             raise ValueError("transition pairs are not strictly increasing in row-major order (unsorted or repeated)")
         if counts.min(initial=1) < 1:
             raise ValueError("transition.counts holds a count below 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha <= sys.float_info.max:  # also NaN, infinity and an integer no float holds
+            raise ValueError("alpha must be a finite positive number")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         for name, arr in (("rows", rows), ("cols", cols), ("counts", counts), ("frequency", freq)):

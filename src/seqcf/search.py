@@ -17,9 +17,9 @@ The population is a set of arrays (`Population`): an (N, W) item matrix
 padded with NULL_ITEM, W being its longest row, plus per-row lengths,
 birth generations and evaluation results. A generation is a fixed number of
 numpy steps whatever N is: `mutate_rows` and `crossover_rows` edit every
-row at once (the tests keep the scalar replace, add, delete and
-crossover operators as references of these, and the random baseline
-draws its attempts as rows too). One gather kernel, `apply_edits`,
+row at once (the tests keep the scalar operators as their references);
+a replace or add takes the r-th item its row lacks (`_absent_items`), as
+the random baseline's attempts do. One gather kernel, `apply_edits`,
 makes the edit of every mutant and radius-1 ball member; `crossover_rows`
 gathers its children's real cells from the pool, one flat run per child,
 and repairs them with a presence bitmap and a count of the kept cells.
@@ -249,13 +249,20 @@ def mutate_rows(
     last = applies.shape[1] - 1 - np.argmax(applies[:, ::-1], axis=1)
     kind = np.minimum((u[:, None] >= cum).sum(axis=1), last)
     pos = rng.integers(0, lengths + (kind == _ADD))
-    # the rank-th item missing from the row: step past each of the row's
-    # items, in ascending order, that is at or below the candidate; this
-    # costs O(W) per row where a presence-mask scan costs O(m)
-    item = rng.integers(0, np.maximum(m - lengths, 1))
+    item = _absent_items(rows, rng.integers(0, np.maximum(m - lengths, 1)), m)
+    return apply_edits(rows, kind, pos, item, max_len)
+
+
+def _absent_items(rows: np.ndarray, rank: np.ndarray, m: int) -> np.ndarray:
+    """The rank[i]-th item of range(m), from 0, that NULL-padded row i lacks, for rank[i] in [0, m - L).
+
+    Steps past each of the row's items, in ascending order, that is at or below
+    the candidate: O(W) per row, where a presence-mask scan costs O(m).
+    """
+    item = rank.copy()
     for present in np.sort(np.where(rows == NULL_ITEM, m, rows), axis=1).T:
         item += present <= item
-    return apply_edits(rows, kind, pos, item, max_len)
+    return item
 
 
 def crossover_rows(

@@ -3,7 +3,9 @@
 The package runs only the batched forms; the tests check them against
 these:
 - `mutate_replace`, `mutate_add` and `mutate_delete` against
-  `search.mutate_rows` and `search.apply_edits`;
+  `search.mutate_rows` and `search.apply_edits`; replace and add draw a
+  position, then a rank r, and take the r-th item the sequence lacks
+  (`search._absent_items`);
 - `random_attempts` against `baselines._random_rows`: each attempt is a
   `mutate_replace` of the one before, drawn call by call from the user's
   stream;
@@ -43,13 +45,11 @@ from seqcf.vcreduce import Graph
 
 
 def _draw_unseen(items: tuple[int, ...], m: int, rng: np.random.Generator) -> int:
-    present = set(items)
-    if len(present) >= m:
+    """The r-th item of range(m) not in `items`, r uniform in [0, m - len(items))."""
+    unseen = sorted(set(range(m)) - set(items))
+    if not unseen:
         raise ValueError("catalog exhausted: every item already in the sequence")
-    while True:
-        z = int(rng.integers(m))
-        if z not in present:
-            return z
+    return unseen[int(rng.integers(len(unseen)))]
 
 
 def mutate_replace(seq, m: int, rng: np.random.Generator) -> tuple[int, ...]:

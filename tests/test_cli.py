@@ -254,8 +254,8 @@ class TestPipeline:
         assert main(args) == 0
         header, _ = read_records(out)
         config = header["config"]
-        assert set(config) == {"command", "method", "setting", "model", "model_num_items", "model_sha256", "split", "k",
-                               "seed", "sample_users", own}
+        assert set(config) == {"command", "method", "setting", "model", "model_num_items", "model_sha256", "split",
+                               "split_sha256", "k", "seed", "sample_users", own}
         assert (config["command"], config["method"]) == ("explain", method)
         assert (config[own]["population_size"] if own == "ga" else config[own]) == value
 
@@ -706,6 +706,57 @@ class TestFailureModes:
                          "--out", str(report)]) == 0
             reports.append(json.loads(report.read_text())["rows"])
         assert reports[0] == reports[1]
+
+    @staticmethod
+    def _uncat_and_other_split(pipeline, tmp_path):
+        """un_cat records of `pipeline`'s split, and a split of the same log with each item's categories moved."""
+        records = tmp_path / "uncat.jsonl"
+        assert main(explain_args(pipeline, records, method="random", setting="un_cat")) == 0
+        lines = pipeline["cats"].read_text().splitlines()
+        cats = tmp_path / "other-cats.tsv"
+        cats.write_text("".join(f"{line.split(chr(9))[0]}\t{lines[(i + 7) % len(lines)].split(chr(9))[1]}\n"
+                                for i, line in enumerate(lines)))
+        other = tmp_path / "other.json"
+        assert main(["preprocess", "--input", str(pipeline["log"]), "--categories", str(cats),
+                     "--k-core", "5", "--max-len", "50", "--out", str(other)]) == 0
+        assert load_split(other).catalog.num_items == load_split(pipeline["split"]).catalog.num_items
+        return records, other
+
+    def test_evaluate_refuses_a_split_other_than_the_headers(self, pipeline, tmp_path, capsys):
+        records, other = self._uncat_and_other_split(pipeline, tmp_path)
+        ours = read_records(records)[0]["config"]["split_sha256"]
+        theirs = hashlib.sha256(other.read_bytes()).hexdigest()
+        assert ours == hashlib.sha256(pipeline["split"].read_bytes()).hexdigest() != theirs
+        out = tmp_path / "r.csv"
+        err = self._error_line(capsys, ["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                                        "--split", str(other), "--out", str(out)])
+        assert err == (f"error: {records} was explained with a split of sha256 {ours}, but {other} has sha256 "
+                       f"{theirs}; evaluate with the split the records were explained with\n")
+        assert not out.exists()
+
+    def test_evaluate_takes_the_same_split_bytes_at_another_path(self, pipeline, tmp_path):
+        records, _ = self._uncat_and_other_split(pipeline, tmp_path)
+        copy = tmp_path / "copy" / "split.json"
+        copy.parent.mkdir()
+        shutil.copy(pipeline["split"], copy)
+        reports = []
+        for split in (pipeline["split"], copy):
+            report = tmp_path / f"{len(reports)}.json"
+            assert main(["evaluate", "--records", str(records), "--model", str(pipeline["model"]),
+                         "--split", str(split), "--format", "json", "--out", str(report)]) == 0
+            reports.append(json.loads(report.read_text())["rows"])
+        assert reports[0] == reports[1]
+
+    def test_evaluate_reads_a_header_without_the_split_key_as_before(self, pipeline, tmp_path):
+        # an older file names no split digest, so any split of the model's catalog evaluates it
+        records, other = self._uncat_and_other_split(pipeline, tmp_path)
+        header, *lines = records.read_text().splitlines()
+        doc = json.loads(header)
+        del doc["config"]["split_sha256"]
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([json.dumps(doc), *lines]) + "\n")
+        assert main(["evaluate", "--records", str(old), "--model", str(pipeline["model"]),
+                     "--split", str(other), "--out", str(tmp_path / "r.csv")]) == 0
 
     @pytest.mark.parametrize("field", ["source", "counterfactual"])
     def test_evaluate_refuses_an_item_outside_the_models_catalog(self, pipeline, tmp_path, capsys, field):

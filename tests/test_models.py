@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -357,6 +358,37 @@ def _sparse(rows, cols, counts, frequency):
 def test_markov_beta_bounds():
     with pytest.raises(ValueError):
         MarkovScorer(**_sparse([0], [1], [2], [1, 1, 1]), beta=1.5)
+
+
+BAD_SMOOTHING = [
+    (kind, "alpha", value, "alpha must be a finite positive number")
+    for kind in ("markov", "popularity")
+    for value in (math.nan, math.inf, -math.inf, 0, -1, 10**400)
+] + [("markov", "beta", math.nan, "beta must lie in [0, 1]")]
+
+
+@pytest.mark.parametrize(
+    "kind, param, value, message",
+    BAD_SMOOTHING,
+    ids=[f"{kind}-{param}-{'10**400' if value == 10**400 else value}" for kind, param, value, _ in BAD_SMOOTHING],
+)
+def test_smoothing_outside_its_range_is_refused_in_code_and_in_a_file(tmp_path, kind, param, value, message):
+    # NaN and the infinities would score every unseen item NaN; 10**400 fits no float
+    build = {
+        "markov": lambda **params: MarkovScorer(**_sparse([0], [1], [2], [1, 1, 1]), **params),
+        "popularity": lambda **params: PopularityScorer(np.array([1, 1, 1]), **params),
+    }[kind]
+    with pytest.raises(ValueError) as built:
+        build(**{param: value})
+    assert str(built.value) == message
+    path = tmp_path / "m.json"
+    save_model(build(), path)
+    doc = json.loads(path.read_text())
+    doc["params"][param] = value
+    path.write_text(json.dumps(doc))  # NaN, Infinity, -Infinity and the 401 digits as JSON literals
+    with pytest.raises(ModelFormatError) as loaded:
+        load_model(path)
+    assert str(loaded.value) == f"{path}: invalid {kind} model: {message}"
 
 
 @pytest.mark.parametrize(

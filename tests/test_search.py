@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcf import (
     GaConfig,
@@ -79,11 +81,11 @@ class TestMutateReplace:
 
 class TestMutateAdd:
     def test_inserts_at_position(self):
-        out = mutate_add((0, 1), 4, QueuedRng(integers=[1, 2]))
+        out = mutate_add((0, 1), 4, QueuedRng(integers=[1, 0]))  # rank 0 of the unseen items (2, 3)
         assert out == (0, 2, 1)
 
     def test_overflow_drops_oldest(self):
-        out = mutate_add((0, 1, 2), 5, QueuedRng(integers=[3, 4]), max_len=3)
+        out = mutate_add((0, 1, 2), 5, QueuedRng(integers=[3, 1]), max_len=3)  # rank 1 of (3, 4)
         assert out == (1, 2, 4)
 
     def test_length_rule(self):
@@ -144,12 +146,12 @@ def scalar_mutants(items, m, max_len, weights=(1.0, 1.0, 1.0)):
     out = {"replace": set(), "add": set(), "delete": set()}
     if weights[0] > 0:
         for i in range(len(items)):
-            for z in unseen:
-                out["replace"].add(mutate_replace(items, m, QueuedRng(integers=[i, z])))
+            for r in range(len(unseen)):
+                out["replace"].add(mutate_replace(items, m, QueuedRng(integers=[i, r])))
     if weights[1] > 0:
         for i in range(len(items) + 1):
-            for z in unseen:
-                out["add"].add(mutate_add(items, m, QueuedRng(integers=[i, z]), max_len))
+            for r in range(len(unseen)):
+                out["add"].add(mutate_add(items, m, QueuedRng(integers=[i, r]), max_len))
     if weights[2] > 0 and len(items) > 1:
         for i in range(len(items)):
             out["delete"].add(mutate_delete(items, QueuedRng(integers=[i])))
@@ -246,6 +248,21 @@ class TestMutateRows:
         assert sum((c - e) ** 2 / e for c, e in zip(counts, expected)) < 13.82  # chi2(2), p=0.001
 
 
+@pytest.mark.parametrize("m", [2, 3, 7, 100, 1000])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_absent_items_is_the_rank_th_item_a_row_lacks(m, data):
+    # NULL-padded rows of mixed lengths, full rows of m - 1 items among them, each with rank 0,
+    # its last rank m - L - 1, or one between
+    unique = st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m - 1, 60), unique=True)
+    full = st.permutations(range(m)).map(lambda items: items[:-1])
+    seqs_ = data.draw(st.lists(unique | full, min_size=1, max_size=6))
+    ranks = [data.draw(st.sampled_from([0, m - len(x) - 1]) | st.integers(0, m - len(x) - 1)) for x in seqs_]
+    rows, _ = as_rows(seqs_, width=max(map(len, seqs_)) + data.draw(st.integers(0, 2)))
+    want = [sorted(set(range(m)) - set(x))[r] for x, r in zip(seqs_, ranks)]
+    assert search._absent_items(rows, np.array(ranks), m).tolist() == want
+
+
 class TestApplyEdits:
     @pytest.mark.parametrize("max_len", [3, 4, 6])
     def test_matches_scalar_operators(self, max_len):
@@ -256,13 +273,13 @@ class TestApplyEdits:
         replace, add, delete = (MUTATION_KINDS.index(k) for k in ("replace", "add", "delete"))
         cases, expected = [], []
         for parent in [p for p in [(3,), (0, 4), (5, 1, 2), (2, 0, 4, 1)] if len(p) <= max_len]:
-            for z in sorted(set(range(m)) - set(parent)):
+            for r, z in enumerate(sorted(set(range(m)) - set(parent))):
                 for i in range(len(parent)):
                     cases.append((parent, replace, i, z))
-                    expected.append(mutate_replace(parent, m, QueuedRng(integers=[i, z])))
+                    expected.append(mutate_replace(parent, m, QueuedRng(integers=[i, r])))
                 for i in range(len(parent) + 1):
                     cases.append((parent, add, i, z))
-                    expected.append(mutate_add(parent, m, QueuedRng(integers=[i, z]), max_len))
+                    expected.append(mutate_add(parent, m, QueuedRng(integers=[i, r]), max_len))
             for i in range(len(parent) if len(parent) >= 2 else 0):
                 cases.append((parent, delete, i, NULL_ITEM))
                 expected.append(mutate_delete(parent, QueuedRng(integers=[i])))
